@@ -21,7 +21,7 @@ import numpy as np
 
 from .prox import Zero
 from .rates import MeasureKind
-from .smooth import CompositeProblem, SmoothFunction
+from .smooth import CompositeProblem, SmoothFunction, diagonal_form
 
 __all__ = [
     "IterateRecord",
@@ -40,7 +40,7 @@ _FLOOR_FACTOR = 256.0
 
 
 class LineSearchError(RuntimeError):
-    """Line search could not certify a minimizer; carries the best point found."""
+    """The line-search objective is unbounded below; carries the step and the point reached."""
 
     def __init__(self, message: str, gamma: float, x):
         super().__init__(message)
@@ -188,34 +188,20 @@ def run(
     return IterateTrace(problem, records, [gamma] * N, "fixed", outside)
 
 
-def _golden_section(phi, lo: float, hi: float, rel_width: float = 1e-12):
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = phi(c), phi(d)
-    while (b - a) > rel_width * max(1.0, abs(a), abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = phi(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def exact_line_search_step(
-    problem: CompositeProblem, x_k, gamma_max: float | None = None
-) -> tuple[float, np.ndarray]:
-    """Step size minimizing F(prox(h, gamma, x_k - gamma grad f(x_k))) and the new point.
+def exact_line_search_step(problem: CompositeProblem, x_k) -> tuple[float, np.ndarray]:
+    """Step size minimizing phi(t) = F(prox(h, t, x_k - t grad f(x_k))) over t > 0, and the new point.
 
     With h = 0 the quadratic catalog admits the closed form
-    gamma = <g, g> / <g, Hg>. Otherwise a coarse scan brackets the minimum on
-    (0, gamma_max], expanding the interval while the objective still decreases
-    at its right end, and golden-section search refines the bracket to
-    relative width 1e-12.
+    gamma = <g, g> / <g, Hg>, for every f. Otherwise f must be separable
+    (ScaledSqNorm or DiagonalQuadratic; a DenseQuadratic raises ValueError).
+    Every catalog h is separable too, so each coordinate of the prox path is
+    piecewise affine in t (`ProxFunction.prox_path`) and phi is piecewise
+    quadratic between the sorted breakpoints of all coordinates. Each piece
+    is minimized in closed form and the best piece wins: the result is the
+    global minimizer, exact up to rounding, whether or not phi is unimodal.
+    The only failure is an objective unbounded below on the last piece,
+    reported as LineSearchError. A start where no step decreases phi (an
+    optimum) returns the step 1/L, which stays put.
     """
     x_k = np.asarray(x_k, dtype=float)
     g = problem.f.grad(x_k)
@@ -230,31 +216,35 @@ def exact_line_search_step(
         gamma = gnorm / denom
         return gamma, x_k - gamma * g
 
-    def phi(t: float) -> float:
-        if t <= 0.0:
-            return problem.value(x_k)
-        return problem.value(problem.h.prox(t, x_k - t * g))
-
-    mu = problem.params.mu
-    hi = gamma_max if gamma_max is not None else (4.0 / mu if mu > 0 else 4.0 / problem.params.L)
-    expansions = 0
-    while phi(hi) < phi(0.5 * hi) and expansions < 60:
-        hi *= 2.0
-        expansions += 1
-    if expansions == 60:
-        raise LineSearchError("no bracket: objective keeps decreasing", hi, problem.h.prox(hi, x_k - hi * g))
-
-    grid = np.linspace(0.0, hi, 65)
-    vals = [phi(t) for t in grid]
-    idx = int(np.argmin(vals))
-    lo_b = grid[max(idx - 1, 0)]
-    hi_b = grid[min(idx + 1, len(grid) - 1)]
-    gamma, f_best = _golden_section(phi, lo_b, hi_b)
-    if f_best > min(vals) + 1e-9 * (abs(min(vals)) + 1.0):
-        raise LineSearchError("bracket refinement failed (non-unimodal search)", gamma, problem.h.prox(gamma, x_k - gamma * g))
-    if gamma <= 0.0:
-        gamma = max(gamma, 1e-300)
-    return float(gamma), problem.h.prox(gamma, x_k - gamma * g)
+    d, b = diagonal_form(problem.f)
+    if math.isinf(problem.h.value(x_k)):
+        raise ValueError("infeasible start: F(x_k) = +inf")
+    breaks, p0, p1, slope = problem.h.prox_path(x_k, g)
+    # phi_i(t) = 0.5 d_i p_i^2 + (b_i + slope) p_i on each segment of coordinate i
+    e = b + slope
+    coef = np.stack([0.5 * d * p1 * p1, (d * p0 + e) * p1, (0.5 * d * p0 + e) * p0], -1)
+    reached = np.isfinite(breaks)
+    order = np.argsort(breaks[reached])
+    ts = breaks[reached][order]
+    jumps = (coef[1:] - coef[:-1])[reached][order]
+    # The last piece is summed directly from the segment each coordinate ends
+    # on, so pinned coordinates add exact zeros to its c2 and c1 and an
+    # unbounded last piece is detected exactly. Each earlier piece subtracts
+    # the jumps at later breakpoints only: a jump at time T is of order
+    # F_i / T^2, F_i / T and F_i in (c2, c1, c0), with F_i the coordinate's
+    # share of F, so on a piece before T its rounding stays of order eps * F_i.
+    last = coef[reached.sum(0), np.arange(len(x_k))].sum(0)
+    pieces = last - np.concatenate([np.cumsum(jumps[::-1], 0)[::-1], np.zeros((1, 3))])
+    c2, c1, c0 = pieces.T
+    if c2[-1] == 0.0 and c1[-1] < 0.0:
+        raise LineSearchError("objective is unbounded along the prox path", math.inf, x_k)
+    # Best point of each piece: its clipped vertex, or its left end when it is
+    # not strictly convex (its right end is the next piece's left end, and
+    # that piece's best point is no worse).
+    lo, hi = np.concatenate([[0.0], ts]), np.concatenate([ts, [np.inf]])
+    t = np.clip(np.divide(-c1, 2.0 * c2, out=lo.copy(), where=c2 > 0.0), lo, hi)
+    gamma = float(t[np.argmin((c2 * t + c1) * t + c0)]) or 1.0 / problem.params.L
+    return gamma, problem.h.prox(gamma, x_k - gamma * g)
 
 
 def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace:

@@ -52,11 +52,38 @@ class ProxFunction:
         """True iff s lies in the subdifferential at x, up to tol per coordinate."""
         raise NotImplementedError
 
+    def prox_path(self, x, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Breakpoints and segment forms of t -> prox_{t h}(x - t g), t > 0, at a feasible x.
+
+        h is separable, so each coordinate of the path is piecewise affine in
+        t and h is linear in it on each segment. Returns (breaks, p0, p1, slope):
+        breaks has shape (k, dim), nondecreasing down each column and +inf
+        where a coordinate has fewer than k breakpoints; the other three have
+        shape (k + 1, dim), and on segment j of coordinate i (from
+        breaks[j-1, i], or 0, to breaks[j, i]) the path is
+        p_i(t) = p0[j, i] + p1[j, i] * t and h_i(p_i) = slope[j, i] * p_i.
+        """
+        raise NotImplementedError
+
     def _require_feasible(self, x) -> np.ndarray:
         x = self._check_point(x)
         if math.isinf(self.value(x)):
             raise ValueError("point is outside the domain of h")
         return x
+
+
+def _hit(num, den, moving) -> np.ndarray:
+    """num / den where `moving`, +inf elsewhere: the time a coordinate reaches a kink."""
+    return np.divide(num, den, out=np.full(num.shape, np.inf), where=moving)
+
+
+def _move_then_pin(x, v, end, pinned, slope=0.0):
+    """prox_path of a coordinate that moves as x - t v until t = end, then stays at pinned.
+
+    h_i = slope * p_i while it moves and 0 once it is pinned.
+    """
+    zero = np.zeros(x.shape)
+    return end[None], np.array([x, pinned]), np.array([-v, zero]), np.array([slope + zero, zero])
 
 
 class Zero(ProxFunction):
@@ -81,6 +108,10 @@ class Zero(ProxFunction):
         self._require_feasible(x)
         s = self._check_point(s)
         return bool(np.all(np.abs(s) <= tol))
+
+    def prox_path(self, x, g):
+        x, g = self._check_point(x), self._check_point(g)
+        return np.empty((0, self.dim)), x[None], -g[None], np.zeros((1, self.dim))
 
 
 class NonnegIndicator(ProxFunction):
@@ -107,6 +138,10 @@ class NonnegIndicator(ProxFunction):
         s = self._check_point(s)
         at_boundary = x <= tol
         return bool(np.all(np.where(at_boundary, s <= tol, np.abs(s) <= tol)))
+
+    def prox_path(self, x, g):
+        x, g = self._check_point(x), self._check_point(g)
+        return _move_then_pin(x, g, _hit(x, g, g > 0), np.zeros(self.dim))
 
 
 class BoxIndicator(ProxFunction):
@@ -148,6 +183,12 @@ class BoxIndicator(ProxFunction):
         )
         return bool(np.all(ok))
 
+    def prox_path(self, x, g):
+        x, g = self._check_point(x), self._check_point(g)
+        bound = np.where(g > 0, self.lo, self.hi)
+        end = _hit(x - bound, g, g != 0)  # +inf towards an infinite bound
+        return _move_then_pin(x, g, end, np.where(np.isfinite(end), bound, x))
+
 
 class L1Norm(ProxFunction):
     """h(x) = weight * ||x||_1; prox is coordinatewise soft-thresholding."""
@@ -179,6 +220,18 @@ class L1Norm(ProxFunction):
         zero_ok = np.abs(s) <= w + tol
         return bool(np.all(np.where(at_zero, zero_ok, sign_ok)))
 
+    def prox_path(self, x, g):
+        # A coordinate moves towards 0 with slope g + sign*w, rests at 0, and
+        # leaves it on the other side with slope g - sign*w, where sign is
+        # that of x (+1 at 0); each leg it never starts has breakpoint +inf.
+        x, g = self._check_point(x), self._check_point(g)
+        sign = np.where(x < 0, -1.0, 1.0)
+        w = sign * self.weight
+        toward, away = g + w, g - w
+        breaks = np.array([_hit(x, toward, sign * toward > 0), _hit(x, away, sign * away > 0)])
+        zero = np.zeros(self.dim)
+        return breaks, np.array([x, zero, x]), np.array([-toward, zero, -away]), np.array([w, zero, -w])
+
 
 class LinearPlusNonnegIndicator(ProxFunction):
     """h(x) = <c, x> on the nonnegative orthant, +inf outside."""
@@ -207,3 +260,8 @@ class LinearPlusNonnegIndicator(ProxFunction):
         at_boundary = x <= tol
         slack = s - self.c
         return bool(np.all(np.where(at_boundary, slack <= tol, np.abs(slack) <= tol)))
+
+    def prox_path(self, x, g):
+        x, g = self._check_point(x), self._check_point(g)
+        v = g + self.c
+        return _move_then_pin(x, v, _hit(x, v, v > 0), np.zeros(self.dim), self.c)

@@ -176,6 +176,7 @@ class CompositeProblem:
     params: ClassParams = None
     known_optimum: tuple[np.ndarray, float] | None = None
     _solved: tuple[np.ndarray, float] | None = field(default=None, repr=False)
+    _unsolvable: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self.params is None:
@@ -203,9 +204,13 @@ class CompositeProblem:
         return self._solved
 
     def try_optimum(self) -> tuple[np.ndarray, float] | None:
+        """The optimum, or None when it has no closed form; a failed solve is not retried."""
+        if self._unsolvable:
+            return None
         try:
             return self.optimum()
         except ValueError:
+            self._unsolvable = True
             return None
 
     def fixed_point_residual(self, gamma: float) -> float:
@@ -254,18 +259,26 @@ def _coordinate_optimum(d: float, b: float, h: ProxFunction, i: int) -> float:
     raise ValueError(f"no closed-form optimum for h of type {type(h).__name__}")
 
 
-def _solve_catalog_optimum(f: SmoothFunction, h: ProxFunction) -> np.ndarray:
-    if isinstance(f, DenseQuadratic):
-        if isinstance(h, Zero):
-            return np.linalg.solve(f.A, -f.b)
-        raise ValueError("dense quadratics admit a closed-form optimum only with h = 0")
+def diagonal_form(f: SmoothFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(d, b) with f(x) = 0.5 * sum_i d_i x_i^2 + sum_i b_i x_i for a separable f.
+
+    The closed forms that pair f with a nonzero h (optimum, exact line search)
+    work coordinate by coordinate and need this form.
+    """
     if isinstance(f, ScaledSqNorm):
-        d = np.full(f.dim, f.a)
-        b = np.zeros(f.dim)
-    elif isinstance(f, DiagonalQuadratic):
-        d, b = f.d, f.b
-    else:
-        raise ValueError(f"no closed-form optimum for f of type {type(f).__name__}")
+        return np.full(f.dim, f.a), np.zeros(f.dim)
+    if isinstance(f, DiagonalQuadratic):
+        return f.d, f.b
+    raise ValueError(
+        f"f of type {type(f).__name__} is not separable; closed forms with h != 0 "
+        "need ScaledSqNorm or DiagonalQuadratic"
+    )
+
+
+def _solve_catalog_optimum(f: SmoothFunction, h: ProxFunction) -> np.ndarray:
+    if isinstance(f, DenseQuadratic) and isinstance(h, Zero):
+        return np.linalg.solve(f.A, -f.b)
+    d, b = diagonal_form(f)
     return np.array([_coordinate_optimum(d[i], b[i], h, i) for i in range(f.dim)])
 
 

@@ -2,11 +2,14 @@
 
 Everything here recomputes expected values by a route different from the
 library code it checks: brute-force one-dimensional minimization for prox
-maps, direct recurrence iteration for the constrained quadratic family, and
-the long hand-expanded coefficient display for the distance certificate.
+maps, a grid search of the exact line search through the public prox and
+objective, direct recurrence iteration for the constrained quadratic family,
+and the long hand-expanded coefficient display for the distance certificate.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from proxrates.certificate import (
     Regime,
@@ -65,6 +68,51 @@ def brute_force_prox_1d(h, gamma: float, x: float, lo: float, hi: float) -> floa
         if b - a < Fraction(1, 10**13):
             break
     return float((a + b) / 2)
+
+
+def _kink_times(h, x, g):
+    """Every t > 0 where a coordinate of prox_{t h}(x - t g) meets a kink of h.
+
+    Re-derived from the definitions: the ray x - t g, shifted by the prox
+    threshold t * (subgradient), crosses a bound or the origin.
+    """
+    from proxrates import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(h, Zero):
+            hits = [np.empty(0)]
+        elif isinstance(h, NonnegIndicator):
+            hits = [x / g]
+        elif isinstance(h, BoxIndicator):
+            hits = [(x - h.lo) / g, (x - h.hi) / g]
+        elif isinstance(h, L1Norm):
+            hits = [x / (g + h.weight), x / (g - h.weight)]
+        elif isinstance(h, LinearPlusNonnegIndicator):
+            hits = [x / (g + h.c)]
+        else:
+            raise TypeError(f"no kinks for {type(h).__name__}")
+    t = np.concatenate(hits)
+    return t[np.isfinite(t) & (t > 0)]
+
+
+def line_search_phi(problem, x, t: float) -> float:
+    """phi(t) = F(prox_{t h}(x - t grad f(x))) through the public prox and objective."""
+    g = problem.f.grad(x)
+    return problem.value(problem.h.prox(t, x - t * g))
+
+
+def line_search_oracle(problem, x) -> float:
+    """The smallest phi(t) found on a dense grid of t > 0 plus every kink.
+
+    The grid is linear up to twice the last kink (at least 8/L) and geometric
+    from 1e-6/L to 1e6/L, so an objective unbounded below shows up as a very
+    negative value at the far end.
+    """
+    L = problem.params.L
+    kinks = _kink_times(problem.h, x, problem.f.grad(x))
+    reach = max(8.0 / L, 2.0 * float(kinks.max(initial=0.0)))
+    grid = np.concatenate([np.linspace(0.0, reach, 301)[1:], np.geomspace(1e-6, 1e6, 121) / L, kinks])
+    return min(line_search_phi(problem, x, t) for t in grid)
 
 
 def iterate_recurrence(mu: float, L: float, c: float, x0: float, N: int) -> list[float]:

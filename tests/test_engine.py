@@ -3,9 +3,13 @@ import numpy as np
 import pytest
 
 from proxrates import (
+    BoxIndicator,
     ClassParams,
     CompositeProblem,
+    DenseQuadratic,
     DiagonalQuadratic,
+    L1Norm,
+    LinearPlusNonnegIndicator,
     LineSearchError,
     MeasureKind,
     NonnegIndicator,
@@ -21,6 +25,8 @@ from proxrates import (
     run_exact_line_search,
 )
 from proxrates.worstcase import DIST_TO_FUNCGAP, mixed_measure_instance
+
+from helpers import line_search_oracle, line_search_phi
 
 M = MeasureKind
 
@@ -99,6 +105,8 @@ class TestRun:
         problem, _ = random_composite(ClassParams(1, 5), 3, "nonneg", seed=0)
         with pytest.raises(ValueError):
             run(problem, 0.1, -np.ones(3), 2)
+        with pytest.raises(ValueError, match="infeasible"):
+            exact_line_search_step(problem, -np.ones(3))
 
     def test_invalid_s0_rejected(self):
         problem = isotropic_problem(1.0, 2, ClassParams(1.0, 2.0))
@@ -198,16 +206,90 @@ class TestExactLineSearch:
                         assert r <= rho_sq_star * (1 + 1e-8)
 
     def test_at_optimum_stays_put(self):
-        problem, _ = random_composite(ClassParams(1, 5), 3, "l1", seed=4)
-        x_star, _ = problem.optimum()
-        gamma, x1 = exact_line_search_step(problem, x_star)
-        np.testing.assert_allclose(x1, x_star, atol=1e-12)
+        for kind in ("l1", "zero", "nonneg", "box"):
+            problem, _ = random_composite(ClassParams(1, 5), 3, kind, seed=4)
+            x_star, _ = problem.optimum()
+            gamma, x1 = exact_line_search_step(problem, x_star)
+            assert gamma > 0
+            np.testing.assert_allclose(x1, x_star, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "h", [Zero(2), NonnegIndicator(2), BoxIndicator([0.0, -1.0], [1.0, 2.0]), L1Norm(0.5, 2)]
+    )
+    def test_zero_gradient_stays_put(self, h):
+        # x is feasible for every h; g = 0 there makes it optimal (x = 0 for l1)
+        x = np.array([0.0, 0.5]) if not isinstance(h, L1Norm) else np.zeros(2)
+        f = DiagonalQuadratic([0.0, 2.0], -np.array([0.0, 2.0]) * x, ClassParams(0.0, 2.0))
+        gamma, x1 = exact_line_search_step(CompositeProblem(f, h), x)
+        assert gamma > 0
+        np.testing.assert_array_equal(x1, x)
 
     def test_unbounded_direction_reported(self):
         f = DiagonalQuadratic([0.0], [1.0], ClassParams(0.0, 1.0))
         problem = CompositeProblem(f, Zero(1), known_optimum=None)
         with pytest.raises(LineSearchError):
             exact_line_search_step(problem, np.array([1.0]))
+        # zero curvature and slope -1: the path moves up forever, F falls linearly
+        f = DiagonalQuadratic([0.0], [-1.0], ClassParams(0.0, 1.0))
+        for h in (NonnegIndicator(1), BoxIndicator([0.0], [np.inf]), L1Norm(0.5, 1)):
+            problem = CompositeProblem(f, h, known_optimum=None)
+            with pytest.raises(LineSearchError, match="unbounded"):
+                exact_line_search_step(problem, np.array([1.0]))
+
+    def test_dense_quadratic_needs_zero_h(self):
+        f = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
+        with pytest.raises(ValueError, match="not separable"):
+            exact_line_search_step(CompositeProblem(f, NonnegIndicator(2)), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "kind,dim,seed",
+        [("nonneg", 8, 134), ("nonneg", 8, 190), ("box", 8, 45), ("nonneg", 1000, 138),
+         ("nonneg", 1000, 303), ("l1", 1000, 59), ("l1", 1000, 185), ("l1", 1000, 358)],
+    )
+    def test_multi_piece_path_beats_fixed_step(self, kind, dim, seed):
+        # instances whose phi has several local minima along the prox path; the
+        # l1 ones only reach such a step after six or seven steps
+        params = ClassParams(1, 10)
+        g_star = 2 / (params.L + params.mu)
+        problem, x = random_composite(params, dim, kind, seed)
+        for _ in range(10):
+            fixed = problem.value(problem.h.prox(g_star, x - g_star * problem.f.grad(x)))
+            _, x = exact_line_search_step(problem, x)
+            assert problem.value(x) <= fixed + 1e-12 * (1 + abs(fixed))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_matches_grid_oracle(self, mu):
+        # mu = 0 instances have zero-curvature coordinates; some are unbounded
+        L = 4.0
+        rng = np.random.default_rng(int(10 * mu) + 17)
+        unbounded = 0
+        for trial in range(40):
+            dim = int(rng.integers(1, 7))
+            d = rng.uniform(mu, L, dim)
+            if mu == 0:
+                d[rng.random(dim) < 0.4] = 0.0
+            f = DiagonalQuadratic(d, rng.uniform(-1, 1, dim), ClassParams(mu, L))
+            lo = rng.uniform(-2, 0, dim)
+            for h in (
+                Zero(dim),
+                NonnegIndicator(dim),
+                BoxIndicator(lo, lo + rng.uniform(0.5, 2, dim)),
+                L1Norm(float(rng.uniform(0.1, 1.5)), dim),
+                LinearPlusNonnegIndicator(rng.uniform(-1, 1, dim)),
+            ):
+                problem = CompositeProblem(f, h)
+                x = h.prox(1.0, rng.normal(size=dim) * 2)  # feasible, often on a kink
+                try:
+                    gamma, x1 = exact_line_search_step(problem, x)
+                except LineSearchError:
+                    unbounded += 1
+                    far = [line_search_phi(problem, x, 10.0**k / L) for k in (4, 6, 8)]
+                    assert far[0] > far[1] > far[2]
+                    continue
+                phi_min = line_search_oracle(problem, x)
+                assert gamma > 0
+                assert problem.value(x1) <= phi_min + 1e-12 * (1 + abs(phi_min))
+        assert (unbounded > 0) == (mu == 0)
 
 
 class TestResidualLineSearch:

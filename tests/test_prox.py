@@ -165,3 +165,23 @@ class TestProperties:
                 px, py = h.prox(gamma, x), h.prox(gamma, y)
                 sx, sy = (x - px) / gamma, (y - py) / gamma
                 assert float((sx - sy) @ (px - py)) >= -1e-12
+
+    def test_prox_path_matches_prox(self):
+        # the segment forms reproduce prox_{t h}(x - t g) and h along it, at
+        # random steps, at every breakpoint and past each one
+        rng = np.random.default_rng(4)
+        for trial in range(50):
+            dim = int(rng.integers(1, 6))
+            for h in catalog_members(dim):
+                x = h.prox(1.0, rng.normal(size=dim) * 2)  # feasible, often on a kink
+                g = rng.normal(size=dim) * 2
+                breaks, p0, p1, slope = h.prox_path(x, g)
+                assert np.all(breaks[1:] >= breaks[:-1]) and np.all(breaks >= 0)
+                kinks = breaks[np.isfinite(breaks) & (breaks > 0)]
+                cols = np.arange(dim)
+                for t in np.concatenate([rng.uniform(0.01, 5.0, 5), kinks, 1.5 * kinks]):
+                    seg = np.sum(breaks < t, axis=0)
+                    p = p0[seg, cols] + p1[seg, cols] * t
+                    expected = h.prox(t, x - t * g)
+                    np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12 * (1 + t))
+                    assert float(slope[seg, cols] @ p) == pytest.approx(h.value(expected), abs=1e-11 * (1 + t))

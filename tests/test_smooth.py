@@ -11,12 +11,14 @@ from proxrates import (
     DiagonalQuadratic,
     L1Norm,
     LinearPlusNonnegIndicator,
+    MeasureKind,
     NonnegIndicator,
     ScaledSqNorm,
     Zero,
     check_interpolation,
     random_composite,
     random_instance,
+    run,
 )
 from proxrates.smooth import relaxed_distance_condition
 
@@ -199,6 +201,21 @@ class TestCompositeProblem:
         with pytest.raises(ValueError):
             problem.optimum()
         assert problem.try_optimum() is None
+
+    def test_failed_solve_is_not_retried(self, monkeypatch):
+        import proxrates.smooth as smooth
+
+        solves = []
+        solve = smooth._solve_catalog_optimum
+        monkeypatch.setattr(smooth, "_solve_catalog_optimum", lambda f, h: solves.append(h) or solve(f, h))
+        f = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
+        problem = CompositeProblem(f, NonnegIndicator(2))
+        trace = run(problem, 0.3, np.ones(2), 5)
+        for k in range(len(trace)):
+            for kind in MeasureKind:
+                trace.measure_floor(kind, k)
+        assert problem.try_optimum() is None
+        assert len(solves) == 1
 
     def test_unbounded_composite_rejected(self):
         f = DiagonalQuadratic([0.0], [-1.0], ClassParams(0.0, 1.0))
