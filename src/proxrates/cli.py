@@ -62,7 +62,7 @@ def _parse_gamma(text: str, params: ClassParams) -> float:
     return _parse_decimal(text, "--gamma")
 
 
-def _parse_grid(spec: str, params: ClassParams) -> np.ndarray:
+def _parse_grid(spec: str) -> np.ndarray:
     try:
         start_s, stop_s, count_s = spec.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
@@ -100,7 +100,7 @@ def _emit(command: str, config: dict, rows: list[dict], verdict: str, args) -> N
 def _cmd_rate(args) -> int:
     params = ClassParams(args.mu, args.L)
     grid_spec = args.grid or f"0:{2.0 / params.L}:81"
-    gammas = list(_parse_grid(grid_spec, params))
+    gammas = list(_parse_grid(grid_spec))
     markers = {
         "1/L": 1.0 / params.L,
         "2/(L+mu)": 2.0 / (params.L + params.mu),

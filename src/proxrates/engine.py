@@ -188,7 +188,9 @@ def run(
     return IterateTrace(problem, records, [gamma] * N, "fixed", outside)
 
 
-def exact_line_search_step(problem: CompositeProblem, x_k) -> tuple[float, np.ndarray]:
+def exact_line_search_step(
+    problem: CompositeProblem, x_k, grad_k=None
+) -> tuple[float, np.ndarray]:
     """Step size minimizing phi(t) = F(prox(h, t, x_k - t grad f(x_k))) over t > 0, and the new point.
 
     With h = 0 the quadratic catalog admits the closed form
@@ -201,10 +203,11 @@ def exact_line_search_step(problem: CompositeProblem, x_k) -> tuple[float, np.nd
     global minimizer, exact up to rounding, whether or not phi is unimodal.
     The only failure is an objective unbounded below on the last piece,
     reported as LineSearchError. A start where no step decreases phi (an
-    optimum) returns the step 1/L, which stays put.
+    optimum) returns the step 1/L, which stays put. grad_k, when given, is
+    grad f(x_k), as in pgm_step.
     """
     x_k = np.asarray(x_k, dtype=float)
-    g = problem.f.grad(x_k)
+    g = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
     if isinstance(problem.h, Zero):
         Hg = problem.f.hess_vec(g)
         denom = float(g @ Hg)
@@ -257,7 +260,7 @@ def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace
     gammas: list[float] = []
     x = x0
     for _ in range(N):
-        gamma, x_next = exact_line_search_step(problem, x)
+        gamma, x_next = exact_line_search_step(problem, x, records[-1].grad_f)
         s_next = (x - x_next) / gamma - records[-1].grad_f
         records.append(_record(problem, x_next, s_next, optimum))
         gammas.append(gamma)

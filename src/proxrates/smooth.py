@@ -220,45 +220,6 @@ class CompositeProblem:
         return float(np.linalg.norm(step - x_star))
 
 
-def _coordinate_optimum(d: float, b: float, h: ProxFunction, i: int) -> float:
-    """Minimize 0.5*d*x^2 + b*x + (coordinate i of h)."""
-    if isinstance(h, Zero):
-        if d > 0:
-            return -b / d
-        if b == 0:
-            return 0.0
-        raise ValueError("unbounded below: zero curvature with a linear slope")
-    if isinstance(h, NonnegIndicator):
-        if d > 0:
-            return max(0.0, -b / d)
-        if b >= 0:
-            return 0.0
-        raise ValueError("unbounded below on the orthant")
-    if isinstance(h, BoxIndicator):
-        lo, hi = h.lo[i], h.hi[i]
-        if d > 0:
-            return float(np.clip(-b / d, lo, hi))
-        target = lo if b > 0 else hi if b < 0 else lo
-        if not math.isfinite(target):
-            raise ValueError("unbounded below on the box")
-        return float(target)
-    if isinstance(h, L1Norm):
-        w = h.weight
-        if d > 0:
-            return math.copysign(max(abs(b) - w, 0.0), -b) / d
-        if abs(b) <= w:
-            return 0.0
-        raise ValueError("unbounded below with l1 term")
-    if isinstance(h, LinearPlusNonnegIndicator):
-        slope = b + h.c[i]
-        if d > 0:
-            return max(0.0, -slope / d)
-        if slope >= 0:
-            return 0.0
-        raise ValueError("unbounded below on the orthant")
-    raise ValueError(f"no closed-form optimum for h of type {type(h).__name__}")
-
-
 def diagonal_form(f: SmoothFunction) -> tuple[np.ndarray, np.ndarray]:
     """(d, b) with f(x) = 0.5 * sum_i d_i x_i^2 + sum_i b_i x_i for a separable f.
 
@@ -276,10 +237,45 @@ def diagonal_form(f: SmoothFunction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_catalog_optimum(f: SmoothFunction, h: ProxFunction) -> np.ndarray:
+    """Minimizer of f + h in closed form, one array expression per catalog h.
+
+    Coordinate i minimizes 0.5*d_i*x^2 + b_i*x + h_i(x). A curved coordinate
+    (d_i > 0) takes the vertex -b_i/d_i mapped through h; a zero-curvature one
+    takes 0, or the box end its slope points to, and ValueError reports an
+    objective unbounded below along it.
+    """
     if isinstance(f, DenseQuadratic) and isinstance(h, Zero):
         return np.linalg.solve(f.A, -f.b)
     d, b = diagonal_form(f)
-    return np.array([_coordinate_optimum(d[i], b[i], h, i) for i in range(f.dim)])
+    curved = d > 0
+    flat = ~curved
+    d = np.where(curved, d, 1.0)  # flat coordinates divide by 1; np.where replaces their value
+    if isinstance(h, Zero):
+        if np.any(flat & (b != 0)):
+            raise ValueError("unbounded below: zero curvature with a linear slope")
+        return np.where(curved, -b / d, 0.0)
+    if isinstance(h, LinearPlusNonnegIndicator):
+        b = b + h.c
+    if isinstance(h, (NonnegIndicator, LinearPlusNonnegIndicator)):
+        if np.any(flat & ~(b >= 0)):
+            raise ValueError("unbounded below on the orthant")
+        # np.maximum returns its second argument on a tie, so -0.0 becomes 0.0
+        return np.where(curved, np.maximum(-b / d, 0.0), 0.0)
+    if isinstance(h, BoxIndicator):
+        target = np.where(b < 0, h.hi, h.lo)
+        if np.any(flat & ~np.isfinite(target)):
+            raise ValueError("unbounded below on the box")
+        x = -b / d
+        # a clip that keeps x on a tie with a bound, as the scalar np.clip does; the
+        # array np.clip returns the bound, which flips the sign of x = -0.0 at lo = 0.0
+        x = np.where(x < h.lo, h.lo, np.where(x > h.hi, h.hi, x))
+        return np.where(curved, x, target)
+    if isinstance(h, L1Norm):
+        w = h.weight
+        if np.any(flat & ~(np.abs(b) <= w)):
+            raise ValueError("unbounded below with l1 term")
+        return np.where(curved, np.copysign(np.maximum(np.abs(b) - w, 0.0), -b) / d, 0.0)
+    raise ValueError(f"no closed-form optimum for h of type {type(h).__name__}")
 
 
 _H_KINDS = ("zero", "nonneg", "box", "l1")

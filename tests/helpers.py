@@ -3,10 +3,12 @@
 Everything here recomputes expected values by a route different from the
 library code it checks: brute-force one-dimensional minimization for prox
 maps, a grid search of the exact line search through the public prox and
-objective, direct recurrence iteration for the constrained quadratic family,
-and the long hand-expanded coefficient display for the distance certificate.
+objective, a scalar per-coordinate loop for the closed-form optimum, direct
+recurrence iteration for the constrained quadratic family, and the long
+hand-expanded coefficient display for the distance certificate.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +115,59 @@ def line_search_oracle(problem, x) -> float:
     reach = max(8.0 / L, 2.0 * float(kinks.max(initial=0.0)))
     grid = np.concatenate([np.linspace(0.0, reach, 301)[1:], np.geomspace(1e-6, 1e6, 121) / L, kinks])
     return min(line_search_phi(problem, x, t) for t in grid)
+
+
+def _coordinate_optimum(d: float, b: float, h, i: int) -> float:
+    """Minimize 0.5*d*x^2 + b*x + (coordinate i of h) with scalar arithmetic."""
+    from proxrates import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
+
+    if isinstance(h, Zero):
+        if d > 0:
+            return -b / d
+        if b == 0:
+            return 0.0
+        raise ValueError("unbounded below: zero curvature with a linear slope")
+    if isinstance(h, NonnegIndicator):
+        if d > 0:
+            return max(0.0, -b / d)
+        if b >= 0:
+            return 0.0
+        raise ValueError("unbounded below on the orthant")
+    if isinstance(h, BoxIndicator):
+        lo, hi = h.lo[i], h.hi[i]
+        if d > 0:
+            return float(np.clip(-b / d, lo, hi))
+        target = lo if b > 0 else hi if b < 0 else lo
+        if not math.isfinite(target):
+            raise ValueError("unbounded below on the box")
+        return float(target)
+    if isinstance(h, L1Norm):
+        w = h.weight
+        if d > 0:
+            return math.copysign(max(abs(b) - w, 0.0), -b) / d
+        if abs(b) <= w:
+            return 0.0
+        raise ValueError("unbounded below with l1 term")
+    if isinstance(h, LinearPlusNonnegIndicator):
+        slope = b + h.c[i]
+        if d > 0:
+            return max(0.0, -slope / d)
+        if slope >= 0:
+            return 0.0
+        raise ValueError("unbounded below on the orthant")
+    raise ValueError(f"no closed-form optimum for h of type {type(h).__name__}")
+
+
+def optimum_oracle(problem) -> np.ndarray:
+    """Minimizer of a separable catalog problem, solved one coordinate at a time.
+
+    Raises ValueError, saying "unbounded", at the first coordinate along
+    which the objective is unbounded below.
+    """
+    from proxrates.smooth import diagonal_form
+
+    d, b = diagonal_form(problem.f)
+    return np.array([_coordinate_optimum(d[i], b[i], problem.h, i) for i in range(problem.dim)])
 
 
 def iterate_recurrence(mu: float, L: float, c: float, x0: float, N: int) -> list[float]:

@@ -177,6 +177,22 @@ class TestExactLineSearch:
         for r in trace.step_ratios(M.FUNC_GAP):
             assert r == pytest.approx(rho_star**2, rel=1e-12)
 
+    def test_gradient_once_per_iterate(self, monkeypatch):
+        N = 7
+        for kind in ("zero", "nonneg", "box", "l1"):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 6, kind, seed=2)
+            calls = []
+            grad = problem.f.grad
+            monkeypatch.setattr(problem.f, "grad", lambda x: calls.append(1) or grad(x))
+            trace = run_exact_line_search(problem, x0, N)
+            assert len(calls) == N + 1
+            # steps that recompute their own gradient reach the same iterates
+            x = x0
+            for k in range(N):
+                gamma, x = exact_line_search_step(problem, x)
+                assert gamma == trace.gammas[k]
+                assert x.tobytes() == trace.records[k + 1].x.tobytes()
+
     def test_isotropic_converges_in_one_step(self):
         mu = 2.0
         problem = isotropic_problem(mu, 3, ClassParams(mu, 5.0))

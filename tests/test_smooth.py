@@ -13,6 +13,7 @@ from proxrates import (
     LinearPlusNonnegIndicator,
     MeasureKind,
     NonnegIndicator,
+    ProxFunction,
     ScaledSqNorm,
     Zero,
     check_interpolation,
@@ -21,6 +22,8 @@ from proxrates import (
     run,
 )
 from proxrates.smooth import relaxed_distance_condition
+
+from helpers import optimum_oracle
 
 
 class TestOracles:
@@ -227,3 +230,109 @@ class TestCompositeProblem:
             problem, x0 = random_composite(ClassParams(1, 10), 6, kind, seed=3)
             assert math.isfinite(problem.value(x0))
             assert problem.fixed_point_residual(0.1) <= 1e-12
+
+
+def _assert_optimum_matches_oracle(problem) -> bool:
+    """optimum() equals the scalar oracle bit for bit, or raises its error; True when solved."""
+    try:
+        expected = optimum_oracle(problem)
+    except ValueError as exc:
+        assert "unbounded" in str(exc)
+        with pytest.raises(ValueError) as info:
+            problem.optimum()
+        assert str(info.value) == str(exc)
+        return False
+    x_star, F_star = problem.optimum()
+    assert x_star.tobytes() == expected.tobytes()
+    assert np.float64(F_star).tobytes() == np.float64(problem.value(expected)).tobytes()
+    return True
+
+
+def _flat_problems():
+    """Zero-curvature coordinates reaching every branch of every catalog h.
+
+    Each h comes with a slope it absorbs (bounded) and one it cannot
+    (unbounded); curved coordinates ride along, and a box bound is infinite.
+    """
+    params = ClassParams(0.0, 2.0)
+    d = np.array([0.0, 0.0, 0.0, 2.0])
+
+    def problem(b, h):
+        return CompositeProblem(DiagonalQuadratic(d, b, params), h)
+
+    inf = math.inf
+    box = BoxIndicator([-1.0, -1.0, -inf, -inf], [2.0, inf, 3.0, inf])
+    lin = LinearPlusNonnegIndicator([0.3, -0.2, 0.0, 0.5])
+    bounded = [
+        (problem([0.0, -0.0, 0.0, 1.0], Zero(4)), [0.0, 0.0, 0.0, -0.5]),
+        (problem([0.0, -0.0, 0.4, -1.0], NonnegIndicator(4)), [0.0, 0.0, 0.0, 0.5]),
+        (problem([0.5, -0.0, -0.7, 3.0], box), [-1.0, -1.0, 3.0, -1.5]),
+        (problem([0.5, -0.5, 0.2, 2.0], L1Norm(0.5, 4)), [0.0, 0.0, 0.0, -0.75]),
+        (problem([-0.3, 0.2, 0.0, -3.0], lin), [0.0, 0.0, 0.0, 1.25]),
+    ]
+    unbounded = [
+        problem([0.0, 0.0, 1e-300, 1.0], Zero(4)),
+        problem([0.0, 0.0, -1e-300, 1.0], NonnegIndicator(4)),
+        problem([0.0, -0.1, 0.0, 1.0], box),  # slope toward hi = inf
+        problem([0.0, 0.0, 0.1, 1.0], box),  # slope toward lo = -inf
+        problem([0.0, 0.50000001, 0.0, 1.0], L1Norm(0.5, 4)),
+        problem([0.0, 0.1, 0.0, 1.0], lin),
+    ]
+    return bounded, unbounded
+
+
+class TestClosedFormOptimum:
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize("dim", [1, 8, 1000])
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1", "linear_nonneg"])
+    def test_matches_scalar_oracle(self, kind, dim, mu):
+        solved = 0
+        for seed in range(4):
+            if kind == "linear_nonneg":
+                f = random_instance(ClassParams(mu, 4.0), dim, seed)
+                c = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
+                problem = CompositeProblem(f, LinearPlusNonnegIndicator(c))
+            else:
+                problem, _ = random_composite(ClassParams(mu, 4.0), dim, kind, seed)
+            solved += _assert_optimum_matches_oracle(problem)
+        assert solved == 4 or mu == 0.0  # mu > 0 leaves no zero-curvature coordinate
+
+    def test_zero_curvature_branches(self):
+        bounded, unbounded = _flat_problems()
+        for problem, expected in bounded:
+            assert _assert_optimum_matches_oracle(problem)
+            np.testing.assert_array_equal(problem.optimum()[0], expected)
+        for problem in unbounded:
+            assert not _assert_optimum_matches_oracle(problem)
+            assert problem.try_optimum() is None
+
+    def test_signed_zeros_pinned(self):
+        params = ClassParams(0.0, 2.0)
+        for d in ([1.0, 2.0], [0.0, 0.0]):
+            f = DiagonalQuadratic(d, [0.0, -0.0], params)
+            hs = (
+                Zero(2),
+                NonnegIndicator(2),
+                BoxIndicator([-1.0, -1.0], [1.0, 1.0]),
+                BoxIndicator([0.0, -0.0], [1.0, 1.0]),
+                L1Norm(0.5, 2),
+                LinearPlusNonnegIndicator([0.0, -0.0]),
+            )
+            for h in hs:
+                assert _assert_optimum_matches_oracle(CompositeProblem(f, h))
+        # -b/d keeps the sign flip of b = +-0 on a curved coordinate without h
+        x_star, _ = CompositeProblem(DiagonalQuadratic([1.0, 2.0], [0.0, -0.0], params), Zero(2)).optimum()
+        assert list(np.signbit(x_star)) == [True, False]
+
+    def test_isotropic_flat_and_unknown_h(self):
+        f = ScaledSqNorm(0.0, 3, ClassParams(0.0, 1.0))
+        for h in (Zero(3), NonnegIndicator(3), BoxIndicator([-1.0] * 3, [1.0] * 3), L1Norm(0.5, 3)):
+            assert _assert_optimum_matches_oracle(CompositeProblem(f, h))
+
+        class Other(ProxFunction):
+            dim = 3
+
+        problem = CompositeProblem(DiagonalQuadratic([1.0, 1.0, 1.0]), Other())
+        with pytest.raises(ValueError, match="no closed-form optimum for h of type Other"):
+            problem.optimum()
+        assert problem.try_optimum() is None
