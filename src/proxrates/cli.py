@@ -24,7 +24,7 @@ import numpy as np
 
 from . import certificate as cert
 from .engine import run, run_exact_line_search
-from .rates import ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, rate_branch
+from .rates import BOUND_TABLES, ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, rate_branch
 from .smooth import random_composite
 from .worstcase import (
     DIST_TO_FUNCGAP,
@@ -135,6 +135,7 @@ def _trace_rows(trace, params: ClassParams, gamma: float) -> tuple[list[dict], b
     rows = []
     violated = False
     initial = {m: trace.measure(m, 0) for m in _MEASURES}
+    ratios = {m: [None, *trace.step_ratios(m)] for m in _MEASURES}
     for k, rec in enumerate(trace.records):
         row = {"k": k, "F": rec.F_val}
         for m in _MEASURES:
@@ -144,17 +145,10 @@ def _trace_rows(trace, params: ClassParams, gamma: float) -> tuple[list[dict], b
                 rate.geometric(k) * m0 if m0 is not None else None
             )
         for m in _MEASURES:
-            ratio = None
-            if k > 0:
-                prev = trace.records[k - 1].measure(m)
-                cur = rec.measure(m)
-                if prev is not None and cur is not None:
-                    if prev > trace.measure_floor(m, k - 1):
-                        ratio = cur / prev
-                    envelope = rate.rho_squared * prev * (1 + _RATIO_TOL) + trace.measure_floor(m, k)
-                    if not trace.outside_theory and cur > envelope:
-                        violated = True
-            row[f"ratio_{m.value}"] = ratio
+            row[f"ratio_{m.value}"] = ratios[m][k]
+            prev, cur = (trace.measure(m, k - 1) if k > 0 else None), row[m.value]
+            if prev is not None and cur is not None and not trace.outside_theory:
+                violated |= cur > rate.rho_squared * prev * (1 + _RATIO_TOL) + trace.measure_floor(m, k)
         rows.append(row)
     return rows, violated
 
@@ -339,78 +333,34 @@ def _cmd_certify(args) -> int:
     return 0 if all_ok else 1
 
 
-_TABLE1_FORMS = {
-    (MeasureKind.DISTANCE_SQ, MeasureKind.DISTANCE_SQ): "rho^(2k)",
-    (MeasureKind.FUNC_GAP, MeasureKind.FUNC_GAP): "rho^(2k)",
-    (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.RESIDUAL_GRAD_SQ): "rho^(2k)",
-    (MeasureKind.FUNC_GAP, MeasureKind.DISTANCE_SQ): "(2/mu) rho^(2k)",
-    (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.DISTANCE_SQ): "rho^(2k)/mu^2",
-    (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP): "rho^(2k)/(2 mu)",
-    (MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP): "open",
-    (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ): "open",
-    (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ): "open",
-}
-
-_TABLE2_FORMS = dict(_TABLE1_FORMS)
-_TABLE2_FORMS.update(
-    {
-        (MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP): "(mu/2)/(rho^(-2k)-1)",
-        (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ): "mu^2/(rho^(-k)-1)^2",
-        (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ): "2 mu/(rho^(-2k)-1)",
-    }
-)
-
-_TABLE3_FORMS = {
-    (MeasureKind.DISTANCE_SQ, MeasureKind.DISTANCE_SQ): "1",
-    (MeasureKind.FUNC_GAP, MeasureKind.FUNC_GAP): "1",
-    (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.RESIDUAL_GRAD_SQ): "1",
-    (MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP): "L/(4k)",
-    (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ): "L^2/k^2",
-    (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ): "L/k",
-    (MeasureKind.FUNC_GAP, MeasureKind.DISTANCE_SQ): "Unbounded",
-    (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.DISTANCE_SQ): "Unbounded",
-    (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP): "Unbounded",
-}
-
-
-def _table_rows(table: str, params: ClassParams, gamma: float, k: int) -> list[dict]:
+def _table_rows(table: str, params: ClassParams, gamma: float, k: int, conjectured: bool) -> list[dict]:
     rows = []
-    forms = {"global": _TABLE1_FORMS, "step_1_over_L": _TABLE2_FORMS, "smooth_convex_limit": _TABLE3_FORMS}[table]
-    for init in _MEASURES:
-        for final in _MEASURES:
-            form = forms[(init, final)]
-            value: float | str
-            provenance = ""
-            if form == "open":
-                value = "open"
-            else:
-                if table == "smooth_convex_limit":
-                    bound = bound_lookup(init, final, ClassParams(0.0, params.L), 1.0 / params.L, k)
-                elif table == "step_1_over_L":
-                    bound = bound_lookup(init, final, params, 1.0 / params.L, k, conjectured=True)
-                else:
-                    bound = bound_lookup(init, final, params, gamma, k)
-                value = "unbounded" if bound.is_unbounded else bound.value
-                provenance = bound.provenance.value
-            rows.append(
-                {
-                    "table": table,
-                    "init": init.value,
-                    "final": final.value,
-                    "value": value,
-                    "form": form,
-                    "provenance": provenance,
-                }
-            )
+    for (init, final), cell in BOUND_TABLES[table].items():
+        value, provenance = "open", ""
+        if cell.factor is not None:
+            bound = bound_lookup(init, final, params, gamma, k, conjectured=conjectured)
+            value = "unbounded" if bound.is_unbounded else bound.value
+            provenance = bound.provenance.value
+        rows.append(
+            {
+                "table": table,
+                "init": init.value,
+                "final": final.value,
+                "value": value,
+                "form": cell.form,
+                "provenance": provenance,
+            }
+        )
     return rows
 
 
 def _cmd_tables(args) -> int:
     params = ClassParams(args.mu, args.L)
     gamma = _parse_gamma(args.gamma or "opt", params)
-    rows = []
-    for table in ("global", "step_1_over_L", "smooth_convex_limit"):
-        rows.extend(_table_rows(table, params, gamma, args.N))
+    short = 1.0 / params.L
+    rows = _table_rows("global", params, gamma, args.N, conjectured=False)
+    rows += _table_rows("step_1_over_L", params, short, args.N, conjectured=True)
+    rows += _table_rows("smooth_convex_limit", ClassParams(0.0, params.L), short, args.N, conjectured=False)
     config = {"mu": params.mu, "L": params.L, "gamma": gamma, "k": args.N}
     _emit("tables", config, rows, "pass", args)
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,7 @@ class IterateRecord:
     residual_grad_sq: float | None
 
     def measure(self, kind: MeasureKind) -> float | None:
-        return {
-            MeasureKind.DISTANCE_SQ: self.dist_sq,
-            MeasureKind.FUNC_GAP: self.func_gap,
-            MeasureKind.RESIDUAL_GRAD_SQ: self.residual_grad_sq,
-        }[kind]
+        return getattr(self, kind.value)
 
 
 @dataclass
@@ -90,17 +87,20 @@ class IterateTrace:
         may even be negative, and no ratio or bound check is meaningful.
         """
         rec = self.records[k]
-        opt = self.problem.try_optimum()
         if kind is MeasureKind.FUNC_GAP:
-            f_star = abs(opt[1]) if opt is not None else 0.0
-            return _FLOOR_FACTOR * _EPS * max(abs(rec.F_val), f_star)
+            return _FLOOR_FACTOR * _EPS * max(abs(rec.F_val), self._optimum_scale[1])
         if kind is MeasureKind.DISTANCE_SQ:
-            x_star = float(np.linalg.norm(opt[0])) if opt is not None else 0.0
-            return (_FLOOR_FACTOR * _EPS * max(float(np.linalg.norm(rec.x)), x_star)) ** 2
+            return (_FLOOR_FACTOR * _EPS * max(float(np.linalg.norm(rec.x)), self._optimum_scale[0])) ** 2
         if rec.s is None:
             return 0.0
         scale = float(np.linalg.norm(rec.grad_f)) + float(np.linalg.norm(rec.s))
         return (_FLOOR_FACTOR * _EPS * scale) ** 2
+
+    @cached_property
+    def _optimum_scale(self) -> tuple[float, float]:
+        """(||x*||, |F*|) for the floors, zeros when the optimum is unknown."""
+        opt = self.problem.try_optimum()
+        return (float(np.linalg.norm(opt[0])), abs(opt[1])) if opt is not None else (0.0, 0.0)
 
     def step_ratios(self, kind: MeasureKind) -> list[float | None]:
         """measure(k+1) / measure(k) per step.
@@ -158,6 +158,25 @@ def _initial_subgradient(problem: CompositeProblem, x0, s0):
         return None
 
 
+def _iterate(problem: CompositeProblem, x0, N: int, s0, step_size) -> tuple[list[IterateRecord], list[float]]:
+    """The PGM loop: records 0..N and the N steps, each gamma = step_size(x_k, grad f(x_k))."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    x0 = np.asarray(x0, dtype=float)
+    if math.isinf(problem.h.value(x0)):
+        raise ValueError("infeasible start: F(x0) = +inf")
+    optimum = problem.try_optimum()
+    records = [_record(problem, x0, _initial_subgradient(problem, x0, s0), optimum)]
+    gammas: list[float] = []
+    for _ in range(N):
+        x, grad = records[-1].x, records[-1].grad_f
+        gamma = step_size(x, grad)
+        x, s = pgm_step(problem, gamma, x, grad)
+        records.append(_record(problem, x, s, optimum))
+        gammas.append(gamma)
+    return records, gammas
+
+
 def run(
     problem: CompositeProblem,
     gamma: float,
@@ -171,21 +190,11 @@ def run(
     canonical subgradient of h at x0 otherwise. Steps with gamma > 2/L are
     allowed for exploration but mark the trace as outside the theory.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if not gamma > 0:
+    if N >= 0 and not gamma > 0:  # a negative N is reported first, by _iterate
         raise ValueError("run requires gamma > 0")
-    x0 = np.asarray(x0, dtype=float)
-    if math.isinf(problem.h.value(x0)):
-        raise ValueError("infeasible start: F(x0) = +inf")
-    optimum = problem.try_optimum()
-    records = [_record(problem, x0, _initial_subgradient(problem, x0, s0), optimum)]
-    x = x0
-    for _ in range(N):
-        x, s = pgm_step(problem, gamma, x, records[-1].grad_f)
-        records.append(_record(problem, x, s, optimum))
+    records, gammas = _iterate(problem, x0, N, s0, lambda x, grad: gamma)
     outside = gamma > 2.0 / problem.params.L * (1 + 1e-12)
-    return IterateTrace(problem, records, [gamma] * N, "fixed", outside)
+    return IterateTrace(problem, records, gammas, "fixed", outside)
 
 
 def exact_line_search_step(
@@ -252,19 +261,9 @@ def exact_line_search_step(
 
 def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace:
     """N exact-line-search steps; per-step gamma recorded, subgradients from the prox."""
-    x0 = np.asarray(x0, dtype=float)
-    if math.isinf(problem.h.value(x0)):
-        raise ValueError("infeasible start: F(x0) = +inf")
-    optimum = problem.try_optimum()
-    records = [_record(problem, x0, _initial_subgradient(problem, x0, None), optimum)]
-    gammas: list[float] = []
-    x = x0
-    for _ in range(N):
-        gamma, x_next = exact_line_search_step(problem, x, records[-1].grad_f)
-        s_next = (x - x_next) / gamma - records[-1].grad_f
-        records.append(_record(problem, x_next, s_next, optimum))
-        gammas.append(gamma)
-        x = x_next
+    records, gammas = _iterate(
+        problem, x0, N, None, lambda x, grad: exact_line_search_step(problem, x, grad)[0]
+    )
     return IterateTrace(problem, records, gammas, "els", False)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 __all__ = [
     "ClassParams",
@@ -135,30 +136,69 @@ def optimal_step(params: ClassParams) -> tuple[float, Rate]:
 
 
 def _geometric_minus_one(q: float, m: int) -> float:
-    """(1-q)^(-m) - 1 computed without cancellation for small q in (0, 1)."""
-    return math.expm1(-m * math.log1p(-q))
+    """(1-q)^(-m) - 1 computed without cancellation for small q in (0, 1); inf for q >= 1."""
+    return math.expm1(-m * math.log1p(-q)) if q < 1.0 else math.inf
 
 
-_STAR_CELLS = {
-    (MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP),
-    (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ),
-    (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ),
+class _Cell(NamedTuple):
+    """A table cell: printed form, factor B(mu, L, gamma, k) and provenance; no factor when open."""
+
+    form: str
+    factor: Callable[[float, float, float, int], float] | None = None
+    provenance: Provenance | None = None
+
+
+def _decay(mu: float, L: float, gamma: float, k: int) -> float:
+    return contraction(ClassParams(mu, L), gamma).geometric(k)
+
+
+_D, _G, _R = MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ
+_TIGHT = Provenance.PROVEN_TIGHT
+_UPPER = Provenance.PROVEN_UPPER_TIGHT_SMALL_STEP
+_CONJ = Provenance.CONJECTURED_TIGHT
+_DIAGONAL = _Cell("rho^(2k)", _decay, _TIGHT)
+_ONE = _Cell("1", lambda mu, L, g, k: 1.0, _TIGHT)
+_UNBOUNDED = _Cell("Unbounded", lambda mu, L, g, k: math.inf, _CONJ)
+
+_GLOBAL = {
+    (_D, _D): _DIAGONAL,
+    (_D, _G): _Cell("open"),
+    (_D, _R): _Cell("open"),
+    (_G, _D): _Cell("(2/mu) rho^(2k)", lambda mu, L, g, k: 2.0 / mu * _decay(mu, L, g, k), _UPPER),
+    (_G, _G): _DIAGONAL,
+    (_G, _R): _Cell("open"),
+    (_R, _D): _Cell("rho^(2k)/mu^2", lambda mu, L, g, k: 1.0 / mu**2 * _decay(mu, L, g, k), _UPPER),
+    (_R, _G): _Cell("rho^(2k)/(2 mu)", lambda mu, L, g, k: 1.0 / (2.0 * mu) * _decay(mu, L, g, k), _UPPER),
+    (_R, _R): _DIAGONAL,
 }
 
-
-def _table3(init: MeasureKind, final: MeasureKind, L: float, k: int) -> BoundValue:
-    # mu = 0, gamma = 1/L limits of the 1/L lower bounds.
-    M = MeasureKind
-    if init is final:
-        return BoundValue(1.0, Provenance.PROVEN_TIGHT)
-    finite = {
-        (M.DISTANCE_SQ, M.FUNC_GAP): L / (4.0 * k),
-        (M.DISTANCE_SQ, M.RESIDUAL_GRAD_SQ): L * L / (k * k),
-        (M.FUNC_GAP, M.RESIDUAL_GRAD_SQ): L / k,
-    }
-    if (init, final) in finite:
-        return BoundValue(finite[(init, final)], Provenance.CONJECTURED_TIGHT)
-    return BoundValue(math.inf, Provenance.CONJECTURED_TIGHT)
+# The paper's three bound tables by name, each mapping (initial, final)
+# measure to its cell in row order: any step in [0, 2/L]; step 1/L, where the
+# open cells hold the conjectured-tight values with rho = 1 - mu/L; and their
+# mu -> 0 limit.
+BOUND_TABLES: dict[str, dict[tuple[MeasureKind, MeasureKind], _Cell]] = {
+    "global": _GLOBAL,
+    "step_1_over_L": {
+        **_GLOBAL,
+        (_D, _G): _Cell("(mu/2)/(rho^(-2k)-1)",
+                        lambda mu, L, g, k: (mu / 2.0) / _geometric_minus_one(mu * g, 2 * k), _CONJ),
+        (_D, _R): _Cell("mu^2/(rho^(-k)-1)^2",
+                        lambda mu, L, g, k: mu**2 / _geometric_minus_one(mu * g, k) ** 2, _CONJ),
+        (_G, _R): _Cell("2 mu/(rho^(-2k)-1)",
+                        lambda mu, L, g, k: 2.0 * mu / _geometric_minus_one(mu * g, 2 * k), _CONJ),
+    },
+    "smooth_convex_limit": {
+        (_D, _D): _ONE,
+        (_D, _G): _Cell("L/(4k)", lambda mu, L, g, k: L / (4.0 * k), _CONJ),
+        (_D, _R): _Cell("L^2/k^2", lambda mu, L, g, k: L * L / (k * k), _CONJ),
+        (_G, _D): _UNBOUNDED,
+        (_G, _G): _ONE,
+        (_G, _R): _Cell("L/k", lambda mu, L, g, k: L / k, _CONJ),
+        (_R, _D): _UNBOUNDED,
+        (_R, _G): _UNBOUNDED,
+        (_R, _R): _ONE,
+    },
+}
 
 
 def bound_lookup(
@@ -187,44 +227,22 @@ def bound_lookup(
     if mu == 0:
         if not math.isclose(gamma, 1.0 / L, rel_tol=_REL_TOL):
             raise ValueError("mu = 0 bounds are only available at gamma = 1/L")
-        return _table3(init, final, L, k)
-
-    if gamma < -_REL_TOL or gamma > (2.0 / L) * (1.0 + _REL_TOL):
-        raise ValueError("bounds are only proven for 0 <= gamma <= 2/L")
-
-    rate = contraction(params, gamma)
-    decay = rate.geometric(k)
-    M = MeasureKind
-    if init is final:
-        return BoundValue(decay, Provenance.PROVEN_TIGHT)
-
-    proven = {
-        (M.FUNC_GAP, M.DISTANCE_SQ): 2.0 / mu,
-        (M.RESIDUAL_GRAD_SQ, M.DISTANCE_SQ): 1.0 / mu**2,
-        (M.RESIDUAL_GRAD_SQ, M.FUNC_GAP): 1.0 / (2.0 * mu),
-    }
-    if (init, final) in proven:
-        return BoundValue(
-            proven[(init, final)] * decay,
-            Provenance.PROVEN_UPPER_TIGHT_SMALL_STEP,
-        )
-
-    assert (init, final) in _STAR_CELLS
-    if not conjectured:
-        raise ValueError(
-            f"no proven bound for {init.value} -> {final.value}; "
-            "conjectured-tight values exist at gamma = 1/L (conjectured=True)"
-        )
-    if not math.isclose(gamma, 1.0 / L, rel_tol=_REL_TOL):
-        raise ValueError("conjectured-tight values are only available at gamma = 1/L")
-    q = mu * gamma  # contraction factor is 1 - q at the short step
-    if (init, final) == (M.DISTANCE_SQ, M.FUNC_GAP):
-        value = (mu / 2.0) / _geometric_minus_one(q, 2 * k)
-    elif (init, final) == (M.DISTANCE_SQ, M.RESIDUAL_GRAD_SQ):
-        value = mu**2 / _geometric_minus_one(q, k) ** 2
+        table = BOUND_TABLES["smooth_convex_limit"]
     else:
-        value = 2.0 * mu / _geometric_minus_one(q, 2 * k)
-    return BoundValue(value, Provenance.CONJECTURED_TIGHT)
+        if gamma < -_REL_TOL or gamma > (2.0 / L) * (1.0 + _REL_TOL):
+            raise ValueError("bounds are only proven for 0 <= gamma <= 2/L")
+        table = BOUND_TABLES["global"]
+        if table[(init, final)].factor is None:
+            if not conjectured:
+                raise ValueError(
+                    f"no proven bound for {init.value} -> {final.value}; "
+                    "conjectured-tight values exist at gamma = 1/L (conjectured=True)"
+                )
+            if not math.isclose(gamma, 1.0 / L, rel_tol=_REL_TOL):
+                raise ValueError("conjectured-tight values are only available at gamma = 1/L")
+            table = BOUND_TABLES["step_1_over_L"]
+    cell = table[(init, final)]
+    return BoundValue(cell.factor(mu, L, gamma, k), cell.provenance)
 
 
 def classical_nontight_bound(

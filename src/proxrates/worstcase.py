@@ -221,6 +221,8 @@ def els_worst_quadratic(params: ClassParams, N: int = 10) -> WorstCaseSpec:
     mu, L = params.mu, params.L
     if mu >= L:
         raise ValueError("degenerate for mu = L: one exact-line-search step converges")
+    if N < 1:
+        raise ValueError("horizon N must be >= 1 (the prediction is a per-step ratio)")
     f = DiagonalQuadratic(np.array([mu, L]), None, params)
     problem = CompositeProblem(f, Zero(2), known_optimum=(np.zeros(2), 0.0))
     x0 = np.array([1.0 / mu, 1.0 / L])

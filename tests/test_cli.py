@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from proxrates import ClassParams, MeasureKind, run
+from proxrates import ClassParams, MeasureKind, bound_lookup, run
 from proxrates.cli import main
 from proxrates.smooth import random_composite
 
@@ -148,6 +148,12 @@ class TestTight:
         row = load_json(out)["rows"][0]
         assert row["attained"] == pytest.approx((9 / 11) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("N", ["0", "-2"])
+    def test_els_needs_a_step(self, tmp_path, capsys, N):
+        code, _ = run_cli(["tight", "els", "--mu", "1", "--L", "10", "--N", N], tmp_path)
+        assert code == 2
+        assert "horizon N must be >= 1" in capsys.readouterr().err
+
     def test_unbounded_rows(self, tmp_path):
         code, out = run_cli(["tight", "unbounded", "--c", "0.05", "--N", "5", "--L", "1"], tmp_path)
         assert code == 0
@@ -239,6 +245,57 @@ class TestTables:
         rows = [r for r in load_json(out)["rows"] if r["table"] == "global"]
         open_cells = [r for r in rows if r["value"] == "open"]
         assert len(open_cells) == 3
+
+
+    def test_every_cell_form_and_provenance(self, tmp_path):
+        mu, L, gamma, k = 1.0, 2.0, 0.4, 3
+        code, out = run_cli(
+            ["tables", "--mu", str(mu), "--L", str(L), "--gamma", str(gamma), "--N", str(k)], tmp_path
+        )
+        assert code == 0
+        tight, upper, conj = "proven_tight", "proven_upper_tight_small_step", "conjectured_tight"
+        one_over_L = [
+            ("rho^(2k)", tight), ("(mu/2)/(rho^(-2k)-1)", conj), ("mu^2/(rho^(-k)-1)^2", conj),
+            ("(2/mu) rho^(2k)", upper), ("rho^(2k)", tight), ("2 mu/(rho^(-2k)-1)", conj),
+            ("rho^(2k)/mu^2", upper), ("rho^(2k)/(2 mu)", upper), ("rho^(2k)", tight),
+        ]
+        expected = {
+            "global": [("open", "") if p == conj else (f, p) for f, p in one_over_L],
+            "step_1_over_L": one_over_L,
+            "smooth_convex_limit": [
+                ("1", tight), ("L/(4k)", conj), ("L^2/k^2", conj),
+                ("Unbounded", conj), ("1", tight), ("L/k", conj),
+                ("Unbounded", conj), ("Unbounded", conj), ("1", tight),
+            ],
+        }
+        lookups = {
+            "global": (ClassParams(mu, L), gamma, False),
+            "step_1_over_L": (ClassParams(mu, L), 1 / L, True),
+            "smooth_convex_limit": (ClassParams(0.0, L), 1 / L, False),
+        }
+        rows = load_json(out)["rows"]
+        assert [r["table"] for r in rows] == [t for t in expected for _ in range(9)]
+        cells = [(i, f) for i in MeasureKind for f in MeasureKind]
+        for n, row in enumerate(rows):
+            table = row["table"]
+            init, final = cells[n % 9]
+            assert (row["init"], row["final"]) == (init.value, final.value)
+            assert (row["form"], row["provenance"]) == expected[table][n % 9]
+            if row["form"] == "open":
+                assert row["value"] == "open"
+                continue
+            params, g, conjectured = lookups[table]
+            bound = bound_lookup(init, final, params, g, k, conjectured=conjectured)
+            assert row["value"] == ("unbounded" if bound.is_unbounded else bound.value)
+
+    def test_mu_equal_L(self, tmp_path):
+        code, out = run_cli(["tables", "--mu", "2", "--L", "2", "--N", "3"], tmp_path)
+        assert code == 0
+        rows = load_json(out)["rows"]
+        assert len(rows) == 27
+        # one step of 1/L lands on the optimum, so every step-1/L cell reads 0
+        step = [r for r in rows if r["table"] == "step_1_over_L"]
+        assert [r["value"] for r in step] == [0.0] * 9
 
 
 class TestFormats:

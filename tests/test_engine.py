@@ -108,6 +108,30 @@ class TestRun:
         with pytest.raises(ValueError, match="infeasible"):
             exact_line_search_step(problem, -np.ones(3))
 
+    def test_negative_horizon_rejected(self):
+        problem, x0 = random_composite(ClassParams(1, 5), 3, "nonneg", seed=0)
+        for N in (-1, -3):
+            with pytest.raises(ValueError, match="N must be >= 0"):
+                run(problem, 0.1, x0, N)
+            with pytest.raises(ValueError, match="N must be >= 0"):
+                run_exact_line_search(problem, x0, N)
+        with pytest.raises(ValueError, match="N must be >= 0"):  # reported before the step
+            run(problem, 0.0, x0, -1)
+
+    def test_optimum_read_at_most_twice_per_trace(self, monkeypatch):
+        for kind in ("zero", "nonneg", "box", "l1"):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 6, kind, seed=4)
+            calls = []
+            try_optimum = problem.try_optimum
+            monkeypatch.setattr(problem, "try_optimum", lambda: calls.append(1) or try_optimum())
+            for runner in (run, lambda p, g, x, N: run_exact_line_search(p, x, N)):
+                calls.clear()
+                trace = runner(problem, 0.15, x0, 12)
+                for m in M:
+                    for k in range(len(trace)):
+                        trace.measure_floor(m, k)
+                assert len(calls) <= 2
+
     def test_invalid_s0_rejected(self):
         problem = isotropic_problem(1.0, 2, ClassParams(1.0, 2.0))
         with pytest.raises(ValueError):

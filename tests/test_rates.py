@@ -121,6 +121,16 @@ class TestBoundLookup:
         b2 = bound_lookup(M.FUNC_GAP, M.RESIDUAL_GRAD_SQ, params, 0.5, k, conjectured=True)
         assert b2.value == pytest.approx(2 / (rho ** (-2 * k) - 1), rel=1e-12)
 
+    def test_conjectured_cells_at_mu_equal_L(self):
+        # rho = 1 - mu/L = 0: one step of 1/L reaches the optimum
+        for L in (1.0, 2.0, 7.5):
+            for cell in ((M.DISTANCE_SQ, M.FUNC_GAP), (M.DISTANCE_SQ, M.RESIDUAL_GRAD_SQ),
+                         (M.FUNC_GAP, M.RESIDUAL_GRAD_SQ)):
+                for k in (1, 3):
+                    b = bound_lookup(*cell, ClassParams(L, L), 1 / L, k, conjectured=True)
+                    assert b.value == 0.0
+                    assert b.provenance is Provenance.CONJECTURED_TIGHT
+
     def test_proven_offdiagonal_cells(self):
         params = ClassParams(2, 5)
         g, k = 0.2, 4
