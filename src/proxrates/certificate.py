@@ -27,6 +27,17 @@ Two scalar modes share all the code:
   the identity for every step size at once at fixed rational (mu, L). Sign
   conditions depend on the step-size regime and are then checked by exact
   evaluation at sample points inside the regime interval.
+
+Every `RatFunc` is kept in one canonical form: numerator and denominator
+coprime, denominator monic, zero stored as 0/1. A reduced fraction with a
+monic denominator is unique, so equality is comparison of coefficients and
+every repr and report is determined by the value alone, whatever route built
+it. The arithmetic therefore skips work whose result is known. The gcd of a
+polynomial and a nonzero constant is 1, and rescaling by a leading coefficient
+of 1 is the identity, so skipping either returns what running it would. Two
+terms over the same denominator add without cross-multiplying, and a scalar
+operand scales or shifts the numerator directly; these routes reach the same
+value, hence the same canonical form, so no output can differ.
 """
 
 from __future__ import annotations
@@ -73,20 +84,24 @@ LABELS = ("k", "k+1", "*")
 # --------------------------------------------------------------------------
 
 
+def _frac(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 class Poly:
     """Univariate polynomial with Fraction coefficients, lowest degree first."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        c = [Fraction(v) for v in coeffs]
+        c = [_frac(v) for v in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.c = tuple(c)
 
     @classmethod
     def const(cls, v) -> "Poly":
-        return cls((Fraction(v),))
+        return cls((v,))
 
     @property
     def degree(self) -> int:
@@ -96,14 +111,8 @@ class Poly:
         return not self.c
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.c), len(other.c))
-        return Poly(
-            [
-                (self.c[i] if i < len(self.c) else 0)
-                + (other.c[i] if i < len(other.c) else 0)
-                for i in range(n)
-            ]
-        )
+        a, b = (self.c, other.c) if len(self.c) >= len(other.c) else (other.c, self.c)
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -121,7 +130,8 @@ class Poly:
         return Poly(out)
 
     def scale(self, v) -> "Poly":
-        return Poly([a * Fraction(v) for a in self.c])
+        v = _frac(v)
+        return Poly([a * v for a in self.c])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.c == other.c
@@ -133,20 +143,14 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.c)
-        quo = [Fraction(0)] * max(len(rem) - len(other.c) + 1, 0)
-        d = len(other.c) - 1
-        lead = other.c[-1]
-        while len(rem) - 1 >= d and any(v != 0 for v in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = rem[-1] / lead
-            quo[k] = q
-            for i, b in enumerate(other.c):
-                rem[k + i] -= q * b
-            rem.pop()
+        *low, lead = other.c
+        quo = [Fraction(0)] * max(len(rem) - len(low), 0)
+        while len(rem) > len(low):
+            k = len(rem) - 1 - len(low)
+            q = quo[k] = rem.pop() / lead  # the popped term cancels exactly
+            if q:
+                for i, b in enumerate(low):
+                    rem[k + i] -= q * b
         return Poly(quo), Poly(rem)
 
     def monic(self) -> "Poly":
@@ -161,9 +165,10 @@ class Poly:
         return a.monic() if not a.is_zero() else Poly()
 
     def eval(self, v) -> Fraction:
+        v = _frac(v)
         out = Fraction(0)
         for a in reversed(self.c):
-            out = out * Fraction(v) + a
+            out = out * v + a
         return out
 
     def __repr__(self):
@@ -177,66 +182,84 @@ class Poly:
         return " + ".join(parts)
 
 
+_ZERO, _ONE = Poly(), Poly.const(1)
+
+
 class RatFunc:
-    """Ratio of two `Poly`, normalized: reduced by their gcd, monic denominator."""
+    """Ratio of two `Poly` in canonical form (see the module docstring).
+
+    Every instance is built here: the numerator and denominator are reduced
+    by their gcd and the denominator is made monic. The gcd only runs when
+    both have degree >= 1, and the rescaling only when the leading
+    coefficient is not already 1; in every other case it is known to be 1.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        den = Poly.const(1) if den is None else den
+        den = _ONE if den is None else den
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly(), Poly.const(1)
+            num, den = _ZERO, _ONE
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+            if num.degree > 0 and den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.divmod(g)[0]
+                    den = den.divmod(g)[0]
             lead = den.c[-1]
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            if lead != 1:
+                num = num.scale(1 / lead)
+                den = den.scale(1 / lead)
         self.num, self.den = num, den
 
-    @staticmethod
-    def _lift(v) -> "RatFunc":
-        if isinstance(v, RatFunc):
-            return v
-        return RatFunc(Poly.const(Fraction(v)))
-
     def __add__(self, other):
-        o = self._lift(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not isinstance(other, RatFunc):
+            return RatFunc(self.num + self.den.scale(other), self.den)
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        if not isinstance(other, RatFunc):
+            return RatFunc(self.num - self.den.scale(other), self.den)
+        if self.den == other.den:
+            return RatFunc(self.num - other.num, self.den)
+        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return RatFunc(self.den.scale(other) - self.num, self.den)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not isinstance(other, RatFunc):
+            return RatFunc(self.num.scale(other), self.den)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o.num.is_zero():
+        if not isinstance(other, RatFunc):
+            other = _frac(other)
+            if other == 0:
+                raise ZeroDivisionError("division by the zero rational function")
+            return RatFunc(self.num.scale(1 / other), self.den)
+        if other.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        if self.num.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return RatFunc(self.den.scale(other), self.num)
 
     def __pow__(self, n: int):
-        out = RatFunc(Poly.const(1))
+        out = RatFunc(_ONE)
         for _ in range(n):
             out = out * self
         return out
@@ -248,7 +271,7 @@ class RatFunc:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
         try:
-            o = self._lift(other)
+            o = RatFunc(Poly.const(other))
         except (TypeError, ValueError):
             return NotImplemented
         return self == o
@@ -263,7 +286,7 @@ class RatFunc:
         return self.num.eval(v) / d
 
     def __repr__(self):
-        if self.den == Poly.const(1):
+        if self.den == _ONE:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
@@ -318,6 +341,13 @@ class VecExpr:
         return not self.coeffs
 
 
+def _accumulate(out: dict, items) -> dict:
+    """Add each (key, value) into `out` in place; a new key takes the value as is."""
+    for k, v in items:
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
 class SymbolicExpr:
     """Affine part (function-value symbols and a constant) plus a Gram part.
 
@@ -347,26 +377,31 @@ class SymbolicExpr:
                     if _is_zero_scalar(self.gram[key]):
                         del self.gram[key]
 
+    @classmethod
+    def _of_valid(cls, lin: dict, gram: dict) -> "SymbolicExpr":
+        """Build from parts whose symbols are known valid and whose pairs are ordered."""
+        out = cls.__new__(cls)
+        out.lin = {n: v for n, v in lin.items() if not _is_zero_scalar(v)}
+        out.gram = {k: v for k, v in gram.items() if not _is_zero_scalar(v)}
+        return out
+
     def __add__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        lin = dict(self.lin)
-        for n, v in other.lin.items():
-            lin[n] = lin.get(n, 0) + v
-        gram = dict(self.gram)
-        for k, v in other.gram.items():
-            gram[k] = gram.get(k, 0) + v
-        return SymbolicExpr(lin, gram)
+        return SymbolicExpr._of_valid(
+            _accumulate(dict(self.lin), other.lin.items()),
+            _accumulate(dict(self.gram), other.gram.items()),
+        )
 
     def __sub__(self, other: "SymbolicExpr") -> "SymbolicExpr":
         return self + (-other)
 
     def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr(
+        return SymbolicExpr._of_valid(
             {n: -v for n, v in self.lin.items()},
             {k: -v for k, v in self.gram.items()},
         )
 
     def scale(self, v) -> "SymbolicExpr":
-        return SymbolicExpr(
+        return SymbolicExpr._of_valid(
             {n: v * c for n, c in self.lin.items()},
             {k: v * c for k, c in self.gram.items()},
         )
@@ -399,12 +434,12 @@ class SymbolicExpr:
 
 
 def inner(u: VecExpr, v: VecExpr) -> SymbolicExpr:
-    gram: dict[tuple[str, str], object] = {}
-    for a, ca in u.coeffs.items():
-        for b, cb in v.coeffs.items():
-            key = (a, b) if a <= b else (b, a)
-            gram[key] = gram.get(key, 0) + ca * cb
-    return SymbolicExpr(gram=gram)
+    products = (
+        ((a, b) if a <= b else (b, a), ca * cb)
+        for a, ca in u.coeffs.items()
+        for b, cb in v.coeffs.items()
+    )
+    return SymbolicExpr._of_valid({}, _accumulate({}, products))
 
 
 def norm_sq(v: VecExpr) -> SymbolicExpr:

@@ -137,13 +137,21 @@ def pgm_step(
 
     gamma must be strictly positive: the extracted subgradient divides by it.
     """
-    if not gamma > 0:
-        raise ValueError("pgm_step requires gamma > 0")
+    _check_step(gamma)
     x_k = np.asarray(x_k, dtype=float)
     grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
     x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
-    s_next = (x_k - x_next) / gamma - grad_k
-    return x_next, s_next
+    return x_next, _prox_subgradient(gamma, x_k, grad_k, x_next)
+
+
+def _check_step(gamma: float) -> None:
+    if not gamma > 0:
+        raise ValueError("pgm_step requires gamma > 0")
+
+
+def _prox_subgradient(gamma: float, x_k, grad_k, x_next) -> np.ndarray:
+    """s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k), the subgradient the prox step certifies."""
+    return (x_k - x_next) / gamma - grad_k
 
 
 def _initial_subgradient(problem: CompositeProblem, x0, s0):
@@ -158,8 +166,11 @@ def _initial_subgradient(problem: CompositeProblem, x0, s0):
         return None
 
 
-def _iterate(problem: CompositeProblem, x0, N: int, s0, step_size) -> tuple[list[IterateRecord], list[float]]:
-    """The PGM loop: records 0..N and the N steps, each gamma = step_size(x_k, grad f(x_k))."""
+def _iterate(problem: CompositeProblem, x0, N: int, s0, step) -> tuple[list[IterateRecord], list[float]]:
+    """The PGM loop: records 0..N and the N steps.
+
+    Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)).
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     x0 = np.asarray(x0, dtype=float)
@@ -170,8 +181,7 @@ def _iterate(problem: CompositeProblem, x0, N: int, s0, step_size) -> tuple[list
     gammas: list[float] = []
     for _ in range(N):
         x, grad = records[-1].x, records[-1].grad_f
-        gamma = step_size(x, grad)
-        x, s = pgm_step(problem, gamma, x, grad)
+        gamma, x, s = step(x, grad)
         records.append(_record(problem, x, s, optimum))
         gammas.append(gamma)
     return records, gammas
@@ -192,7 +202,9 @@ def run(
     """
     if N >= 0 and not gamma > 0:  # a negative N is reported first, by _iterate
         raise ValueError("run requires gamma > 0")
-    records, gammas = _iterate(problem, x0, N, s0, lambda x, grad: gamma)
+    records, gammas = _iterate(
+        problem, x0, N, s0, lambda x, grad: (gamma, *pgm_step(problem, gamma, x, grad))
+    )
     outside = gamma > 2.0 / problem.params.L * (1 + 1e-12)
     return IterateTrace(problem, records, gammas, "fixed", outside)
 
@@ -222,10 +234,11 @@ def exact_line_search_step(
         denom = float(g @ Hg)
         gnorm = float(g @ g)
         if gnorm == 0.0:
-            return 1.0 / problem.params.L, x_k.copy()
-        if denom <= 0.0:
+            gamma = 1.0 / problem.params.L
+        elif denom <= 0.0:
             raise LineSearchError("objective is unbounded along the gradient ray", math.inf, x_k)
-        gamma = gnorm / denom
+        else:
+            gamma = gnorm / denom
         return gamma, x_k - gamma * g
 
     d, b = diagonal_form(problem.f)
@@ -261,9 +274,13 @@ def exact_line_search_step(
 
 def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace:
     """N exact-line-search steps; per-step gamma recorded, subgradients from the prox."""
-    records, gammas = _iterate(
-        problem, x0, N, None, lambda x, grad: exact_line_search_step(problem, x, grad)[0]
-    )
+
+    def step(x, grad):
+        gamma, x_next = exact_line_search_step(problem, x, grad)
+        _check_step(gamma)  # NaN when x_k or its gradient is not finite
+        return gamma, x_next, _prox_subgradient(gamma, x, grad, x_next)
+
+    records, gammas = _iterate(problem, x0, N, None, step)
     return IterateTrace(problem, records, gammas, "els", False)
 
 

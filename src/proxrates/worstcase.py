@@ -70,6 +70,8 @@ def quadratic_lower_bound(
     params.require_strongly_convex()
     if not 0 <= gamma <= 2.0 / params.L * (1 + 1e-12):
         raise ValueError("attaining instances exist only for 0 <= gamma <= 2/L")
+    if N < 0:
+        raise ValueError("N must be >= 0")
     a = params.mu if gamma <= 2.0 / (params.L + params.mu) else params.L
     f = ScaledSqNorm(a, dim, params)
     problem = CompositeProblem(f, Zero(dim), known_optimum=(np.zeros(dim), 0.0))

@@ -4,8 +4,9 @@ Everything here recomputes expected values by a route different from the
 library code it checks: brute-force one-dimensional minimization for prox
 maps, a grid search of the exact line search through the public prox and
 objective, a scalar per-coordinate loop for the closed-form optimum, direct
-recurrence iteration for the constrained quadratic family, and the long
-hand-expanded coefficient display for the distance certificate.
+recurrence iteration for the constrained quadratic family, the long
+hand-expanded coefficient display for the distance certificate, and an eager
+gcd normalization of rational functions on plain coefficient lists.
 """
 
 import math
@@ -241,3 +242,42 @@ def reference_display(mu, L, g) -> SymbolicExpr:
         ("x", "x"): xk_xk,
     }
     return SymbolicExpr(gram={k: pref * v for k, v in gram.items()})
+
+
+def _strip(coeffs) -> list:
+    c = [Fraction(v) for v in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _divmod_coeffs(a: list, b: list) -> tuple[list, list]:
+    """Schoolbook division of nonzero coefficient lists, lowest degree first."""
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        quo[k] = rem[-1] / b[-1]
+        for i, v in enumerate(b):
+            rem[k + i] -= quo[k] * v
+        rem = _strip(rem)
+    return _strip(quo), rem
+
+
+def ratfunc_oracle(num, den) -> tuple[tuple, tuple]:
+    """Canonical (numerator, denominator) coefficients of num/den, computed eagerly.
+
+    num and den are `Poly` or coefficient sequences, lowest degree first. The
+    Euclidean gcd always runs and the denominator is always rescaled to be
+    monic, whatever the degrees or the leading coefficient; zero is (), (1,).
+    """
+    num, den = _strip(getattr(num, "c", num)), _strip(getattr(den, "c", den))
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return (), (Fraction(1),)
+    a, b = num, den
+    while b:
+        a, b = b, _divmod_coeffs(a, b)[1]
+    g = [v / a[-1] for v in a]
+    num, den = _divmod_coeffs(num, g)[0], _divmod_coeffs(den, g)[0]
+    return tuple(v / den[-1] for v in num), tuple(v / den[-1] for v in den)

@@ -29,7 +29,7 @@ from proxrates.certificate import (
     verify_residual,
 )
 
-from helpers import reference_display, distance_weighted_sum
+from helpers import distance_weighted_sum, ratfunc_oracle, reference_display
 
 F = Fraction
 
@@ -67,6 +67,109 @@ class TestPolyRatFunc:
         t = gamma_symbol()
         with pytest.raises(ZeroDivisionError):
             (1 / t).eval(F(0))
+
+
+# Factors that the operands below share between numerator and denominator.
+SHARED_FACTORS = [(1,), (1, 1), (F(-1, 2), 1), (0, 1), (2, 0, 1)]
+
+
+def _mul(p, q):
+    out = [F(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _add(p, q, sign=1):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + sign * (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _parts(v):
+    return (v.num.c, v.den.c) if isinstance(v, RatFunc) else ((v,), (1,))
+
+
+def _assert_canonical(v):
+    assert isinstance(v, RatFunc)
+    assert (v.num.c, v.den.c) == ratfunc_oracle(v.num, v.den)
+    assert all(type(a) is F for a in v.num.c + v.den.c)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b): RatFunc, Fraction or int operands, at least one a RatFunc.
+
+    Covers zero, constants, a shared denominator, the same operand twice and
+    factors common to a numerator and its denominator.
+    """
+    coeffs = st.lists(fractions_st(), max_size=3)
+    magnitude = st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16)
+    lead = st.tuples(magnitude, st.sampled_from([1, -1])).map(lambda p: p[0] * p[1])
+    nonzero = st.tuples(st.lists(fractions_st(), max_size=2), lead).map(lambda p: [*p[0], p[1]])
+
+    def ratfunc(den):
+        num, factor = draw(coeffs), draw(st.sampled_from(SHARED_FACTORS))
+        r = RatFunc(Poly(num) * Poly(factor), Poly(den) * Poly(factor))
+        assert (r.num.c, r.den.c) == ratfunc_oracle(_mul(num, factor), _mul(den, factor))
+        return r
+
+    a = ratfunc(draw(nonzero))
+    mode = draw(st.sampled_from(["ratfunc", "same_den", "same", "fraction", "int"]))
+    if mode == "ratfunc":
+        b = ratfunc(draw(nonzero))
+    elif mode == "same_den":
+        b = ratfunc(a.den.c)
+    elif mode == "same":
+        b = a
+    elif mode == "fraction":
+        b = draw(fractions_st())
+    else:
+        b = draw(st.integers(-3, 3))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestCanonicalForm:
+    """The RatFunc fast paths give exactly the eagerly normalized result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs(), st.sampled_from("+-*/"))
+    def test_operations_match_eager_oracle(self, pair, op):
+        a, b = pair
+        (na, da), (nb, db) = _parts(a), _parts(b)
+        raw = {
+            "+": (_add(_mul(na, db), _mul(nb, da)), _mul(da, db)),
+            "-": (_add(_mul(na, db), _mul(nb, da), -1), _mul(da, db)),
+            "*": (_mul(na, nb), _mul(da, db)),
+            "/": (_mul(na, db), _mul(da, nb)),
+        }[op]
+        compute = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b, "/": lambda: a / b}[op]
+        if op == "/" and not any(nb):
+            with pytest.raises(ZeroDivisionError):
+                compute()
+            return
+        out = compute()
+        _assert_canonical(out)
+        assert (out.num.c, out.den.c) == ratfunc_oracle(*raw)
+
+    def test_symbolic_verification_skips_known_gcds(self, monkeypatch):
+        calls = []
+        gcd = Poly.gcd
+        monkeypatch.setattr(Poly, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        mu, L = F(21, 10), F(3)
+        reports = [fn(mu, L, gamma_symbol(), regime) for fn in VERIFIERS.values() for regime in Regime]
+        # 234 calls here; normalizing every RatFunc eagerly made 3,329
+        assert len(calls) <= 300
+        assert all(rep.verified for rep in reports)
+        values = []
+        for rep in reports:
+            values += [rep.gamma] + [m.value for m in rep.multipliers]
+            for t in rep.sos_terms:
+                values += [t.coefficient, *t.combination.values()]
+        ratfuncs = [v for v in values if isinstance(v, RatFunc)]
+        assert len(ratfuncs) > len(reports)
+        for v in ratfuncs:
+            _assert_canonical(v)
 
 
 # ------------------------------------------------------------- expressions

@@ -154,6 +154,13 @@ class TestTight:
         assert code == 2
         assert "horizon N must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu", ["2", "1"])
+    def test_qlb_rejects_negative_horizon(self, tmp_path, capsys, mu):
+        # mu = L makes the decay 0 ** -2, mu < L a finite one; both are usage errors
+        code, out = run_cli(["tight", "qlb", "--mu", mu, "--L", "2", "--N", "-1"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert "N must be >= 0" in capsys.readouterr().err
+
     def test_unbounded_rows(self, tmp_path):
         code, out = run_cli(["tight", "unbounded", "--c", "0.05", "--N", "5", "--L", "1"], tmp_path)
         assert code == 0

@@ -217,6 +217,22 @@ class TestExactLineSearch:
                 assert gamma == trace.gammas[k]
                 assert x.tobytes() == trace.records[k + 1].x.tobytes()
 
+    def test_one_prox_per_step(self, monkeypatch):
+        N = 7
+        for kind in ("zero", "nonneg", "box", "l1"):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 6, kind, seed=3)
+            calls = []
+            prox = problem.h.prox
+            monkeypatch.setattr(problem.h, "prox", lambda g, v: calls.append(1) or prox(g, v))
+            trace = run_exact_line_search(problem, x0, N)
+            assert len(calls) == (0 if kind == "zero" else N)
+            monkeypatch.undo()
+            # each record is the fixed-step PGM step at the recorded gamma
+            for k in range(N):
+                x, s = pgm_step(problem, trace.gammas[k], trace.records[k].x)
+                assert x.tobytes() == trace.records[k + 1].x.tobytes()
+                assert s.tobytes() == trace.records[k + 1].s.tobytes()
+
     def test_isotropic_converges_in_one_step(self):
         mu = 2.0
         problem = isotropic_problem(mu, 3, ClassParams(mu, 5.0))
