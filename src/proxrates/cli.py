@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -70,6 +71,8 @@ def _parse_grid(spec: str) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise UsageError(f"--grid must look like start:stop:count, got {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"--grid bounds must be finite, got {spec!r}")
     return np.linspace(start, stop, count)
 
 
@@ -131,26 +134,23 @@ def _cmd_rate(args) -> int:
 
 
 def _trace_rows(trace, params: ClassParams, gamma: float) -> tuple[list[dict], bool]:
+    """One row per iterate, built column by column from the trace; and whether a step broke rho^2."""
     rate = contraction(params, gamma)
-    rows = []
+    n = len(trace)
+    geometric = np.array([rate.geometric(k) for k in range(n)])
+    columns: dict[str, list] = {"k": list(range(n)), "F": trace.F.tolist()}
     violated = False
-    initial = {m: trace.measure(m, 0) for m in _MEASURES}
-    ratios = {m: [None, *trace.step_ratios(m)] for m in _MEASURES}
-    for k, rec in enumerate(trace.records):
-        row = {"k": k, "F": rec.F_val}
-        for m in _MEASURES:
-            row[m.value] = rec.measure(m)
-            m0 = initial[m]
-            row[f"envelope_{m.value}"] = (
-                rate.geometric(k) * m0 if m0 is not None else None
-            )
-        for m in _MEASURES:
-            row[f"ratio_{m.value}"] = ratios[m][k]
-            prev, cur = (trace.measure(m, k - 1) if k > 0 else None), row[m.value]
-            if prev is not None and cur is not None and not trace.outside_theory:
-                violated |= cur > rate.rho_squared * prev * (1 + _RATIO_TOL) + trace.measure_floor(m, k)
-        rows.append(row)
-    return rows, violated
+    for m in _MEASURES:
+        values, defined = trace.measures[m], trace.defined[m]
+        columns[m.value] = [v if d else None for v, d in zip(values.tolist(), defined.tolist())]
+        columns[f"envelope_{m.value}"] = (geometric * values[0]).tolist() if defined[0] else [None] * n
+        if not trace.outside_theory:
+            prev, cur = values[:-1], values[1:]
+            above = cur > rate.rho_squared * prev * (1 + _RATIO_TOL) + trace.floors[m][1:]
+            violated |= bool(np.any(above & defined[:-1] & defined[1:]))
+    for m in _MEASURES:
+        columns[f"ratio_{m.value}"] = [None, *trace.step_ratios(m)]
+    return [dict(zip(columns, row)) for row in zip(*columns.values())], violated
 
 
 def _cmd_simulate(args) -> int:
@@ -443,9 +443,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` shares across calls; parse_args only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -15,6 +15,7 @@ gradient mapping (x_k - x_{k+1}) / gamma.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,7 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _FLOOR_FACTOR = 256.0
+_BLOCK = 1 << 16  # floats per temporary when a measure is computed over rows
 
 
 class LineSearchError(RuntimeError):
@@ -51,6 +53,8 @@ class LineSearchError(RuntimeError):
 
 @dataclass
 class IterateRecord:
+    """Iterate k of a trace: views of its rows, with None for an undefined measure."""
+
     x: np.ndarray
     grad_f: np.ndarray
     s: np.ndarray | None
@@ -63,44 +67,100 @@ class IterateRecord:
         return getattr(self, kind.value)
 
 
-@dataclass
-class IterateTrace:
-    problem: CompositeProblem
-    records: list[IterateRecord]
-    gammas: list[float]
-    method: str = "fixed"
-    outside_theory: bool = False
+class _Records(Sequence):
+    """The IterateRecord row views of a trace, built on access."""
+
+    def __init__(self, trace: IterateTrace):
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._trace.F)
 
-    def measure(self, kind: MeasureKind, k: int) -> float | None:
-        return self.records[k].measure(kind)
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        t = self._trace
+        k = range(len(self))[k]
+        s = t.S[k] if t.defined[MeasureKind.RESIDUAL_GRAD_SQ][k] else None
+        measures = (t.measure(m, k) for m in MeasureKind)
+        return IterateRecord(t.X[k], t.G[k], s, float(t.F[k]), *measures)
 
-    def measure_floor(self, kind: MeasureKind, k: int) -> float:
-        """Absolute double-precision noise floor of measure `kind` at record k.
 
-        The function gap is a difference of comparable values, the distance a
-        square of one, and the residual a square of the gradient/subgradient
-        sum; each inherits a floor of a few hundred ulps of its inputs. Below
-        this level the stored value carries no information, a measured "gap"
-        may even be negative, and no ratio or bound check is meaningful.
-        """
-        rec = self.records[k]
-        if kind is MeasureKind.FUNC_GAP:
-            return _FLOOR_FACTOR * _EPS * max(abs(rec.F_val), self._optimum_scale[1])
-        if kind is MeasureKind.DISTANCE_SQ:
-            return (_FLOOR_FACTOR * _EPS * max(float(np.linalg.norm(rec.x)), self._optimum_scale[0])) ** 2
-        if rec.s is None:
-            return 0.0
-        scale = float(np.linalg.norm(rec.grad_f)) + float(np.linalg.norm(rec.s))
-        return (_FLOOR_FACTOR * _EPS * scale) ** 2
+class IterateTrace:
+    """A run stored as columns: row k of every array belongs to iterate k.
+
+    X, G and S are the (N+1, dim) iterates, gradients of f and subgradients
+    of h, and F the composite values. `measures[kind]` holds each
+    performance measure; an entry is meaningful only where `defined[kind]`
+    is True (the distance and the gap need the optimum, the residual at
+    iterate 0 a subgradient of h at x0). The noise floors (`floors`) and the
+    step ratios are computed for every iterate at once, on first use; a run
+    whose floors are never read (a library line-search run) does not pay for
+    them. `records` views the rows as IterateRecords.
+    """
+
+    def __init__(
+        self,
+        problem: CompositeProblem,
+        X: np.ndarray,
+        G: np.ndarray,
+        S: np.ndarray,
+        F: np.ndarray,
+        s0_known: bool,
+        optimum: tuple[np.ndarray, float] | None,
+        gammas: list[float],
+        method: str = "fixed",
+        outside_theory: bool = False,
+    ):
+        self.problem, self.X, self.G, self.S, self.F = problem, X, G, S, F
+        self.gammas, self.method, self.outside_theory = gammas, method, outside_theory
+        self._optimum = optimum
+        n = len(F)
+        has_opt = np.full(n, optimum is not None)
+        has_s = np.ones(n, dtype=bool)
+        has_s[0] = s0_known
+        self.defined = {
+            MeasureKind.DISTANCE_SQ: has_opt,
+            MeasureKind.FUNC_GAP: has_opt,
+            MeasureKind.RESIDUAL_GRAD_SQ: has_s,
+        }
+        if optimum is None:
+            dist = gap = np.full(n, np.nan)
+        else:
+            x_star, F_star = optimum
+            dist = _row_blocks(lambda x: np.sum((x - x_star) ** 2, axis=1), X)
+            gap = F - F_star
+        self.measures = {
+            MeasureKind.DISTANCE_SQ: dist,
+            MeasureKind.FUNC_GAP: gap,
+            MeasureKind.RESIDUAL_GRAD_SQ: _row_blocks(lambda g, s: _row_dots(g + s), G, S),
+        }
 
     @cached_property
-    def _optimum_scale(self) -> tuple[float, float]:
-        """(||x*||, |F*|) for the floors, zeros when the optimum is unknown."""
-        opt = self.problem.try_optimum()
-        return (float(np.linalg.norm(opt[0])), abs(opt[1])) if opt is not None else (0.0, 0.0)
+    def floors(self) -> dict[MeasureKind, np.ndarray]:
+        """The noise floor of each measure at each iterate (see _noise_floors)."""
+        has_s = self.defined[MeasureKind.RESIDUAL_GRAD_SQ]
+        return _noise_floors(self.X, self.G, self.S, self.F, self._optimum, has_s)
+
+    @cached_property
+    def _ratios(self) -> dict[MeasureKind, list[float | None]]:
+        return {m: _ratios(self.measures[m], self.defined[m], self.floors[m]) for m in MeasureKind}
+
+    @property
+    def records(self) -> _Records:
+        # a fresh view per access: a stored one would make a reference cycle
+        # that keeps the columns alive until the cyclic collector runs
+        return _Records(self)
+
+    def __len__(self) -> int:
+        return len(self.F)
+
+    def measure(self, kind: MeasureKind, k: int) -> float | None:
+        return float(self.measures[kind][k]) if self.defined[kind][k] else None
+
+    def measure_floor(self, kind: MeasureKind, k: int) -> float:
+        """Absolute double-precision noise floor of measure `kind` at iterate k (see _noise_floors)."""
+        return float(self.floors[kind][k])
 
     def step_ratios(self, kind: MeasureKind) -> list[float | None]:
         """measure(k+1) / measure(k) per step.
@@ -108,26 +168,47 @@ class IterateTrace:
         None where a measure is missing, zero, or below its noise floor (a
         ratio of rounding noise says nothing about contraction).
         """
-        out: list[float | None] = []
-        for k, (prev, nxt) in enumerate(zip(self.records, self.records[1:])):
-            a, b = prev.measure(kind), nxt.measure(kind)
-            defined = a is not None and b is not None and a > self.measure_floor(kind, k)
-            out.append(b / a if defined else None)
-        return out
+        return list(self._ratios[kind])
 
 
-def _record(problem: CompositeProblem, x, s, optimum) -> IterateRecord:
-    grad = problem.f.grad(x)
-    F_val = problem.value(x)
-    dist_sq = func_gap = residual = None
-    if optimum is not None:
-        x_star, F_star = optimum
-        dist_sq = float(np.sum((x - x_star) ** 2))
-        func_gap = F_val - F_star
-    if s is not None:
-        r = grad + s
-        residual = float(r @ r)
-    return IterateRecord(x, grad, s, F_val, dist_sq, func_gap, residual)
+def _noise_floors(X, G, S, F, optimum, has_s) -> dict[MeasureKind, np.ndarray]:
+    """Absolute double-precision noise floor of each measure at each iterate.
+
+    The function gap is a difference of comparable values, the distance a
+    square of one, and the residual a square of the gradient/subgradient
+    sum; each inherits a floor of a few hundred ulps of its inputs. Below
+    this level the stored value carries no information, a measured "gap"
+    may even be negative, and no ratio or bound check is meaningful. The
+    optimum's scale (||x*||, |F*|) enters when the optimum is known; the
+    residual floor is 0 where `has_s` says no subgradient is known.
+    """
+    x_scale, F_scale = (float(np.linalg.norm(optimum[0])), abs(optimum[1])) if optimum else (0.0, 0.0)
+    unit = _FLOOR_FACTOR * _EPS
+    residual = (unit * (np.sqrt(_row_dots(G)) + np.sqrt(_row_dots(S)))) ** 2
+    return {
+        MeasureKind.DISTANCE_SQ: (unit * np.maximum(np.sqrt(_row_dots(X)), x_scale)) ** 2,
+        MeasureKind.FUNC_GAP: unit * np.maximum(np.abs(F), F_scale),
+        MeasureKind.RESIDUAL_GRAD_SQ: np.where(has_s, residual, 0.0),
+    }
+
+
+def _row_dots(A: np.ndarray) -> np.ndarray:
+    """x @ x for each row x of A, by the same BLAS dot as a single vector."""
+    return (A[:, None, :] @ A[:, :, None]).reshape(len(A))
+
+
+def _row_blocks(fn, *arrays) -> np.ndarray:
+    """fn over blocks of rows, so that its temporaries stay near _BLOCK floats (or one row)."""
+    n, dim = arrays[0].shape
+    step = max(1, _BLOCK // max(dim, 1))
+    return np.concatenate([fn(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
+
+
+def _ratios(values: np.ndarray, defined: np.ndarray, floors: np.ndarray) -> list[float | None]:
+    a, b = values[:-1], values[1:]
+    ok = defined[:-1] & defined[1:] & (a > floors[:-1])
+    ratio = np.divide(b, a, out=np.zeros_like(a), where=ok)
+    return [r if o else None for r, o in zip(ratio.tolist(), ok.tolist())]
 
 
 def pgm_step(
@@ -157,6 +238,8 @@ def _prox_subgradient(gamma: float, x_k, grad_k, x_next) -> np.ndarray:
 def _initial_subgradient(problem: CompositeProblem, x0, s0):
     if s0 is not None:
         s0 = np.asarray(s0, dtype=float)
+        if not np.isfinite(s0).all():
+            raise ValueError("s0 must be finite")
         if not problem.h.subgradient_membership(x0, s0, _MEMBERSHIP_TOL):
             raise ValueError("supplied s0 is not a subgradient of h at x0")
         return s0
@@ -166,25 +249,34 @@ def _initial_subgradient(problem: CompositeProblem, x0, s0):
         return None
 
 
-def _iterate(problem: CompositeProblem, x0, N: int, s0, step) -> tuple[list[IterateRecord], list[float]]:
-    """The PGM loop: records 0..N and the N steps.
+def _iterate(
+    problem: CompositeProblem, x0, N: int, s0, step, method: str, outside_theory: bool = False
+) -> IterateTrace:
+    """The PGM loop: iterates 0..N and the N steps, filled into the trace's columns.
 
     Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)).
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     if math.isinf(problem.h.value(x0)):
         raise ValueError("infeasible start: F(x0) = +inf")
     optimum = problem.try_optimum()
-    records = [_record(problem, x0, _initial_subgradient(problem, x0, s0), optimum)]
+    s0 = _initial_subgradient(problem, x0, s0)
+    X = np.empty((N + 1, *x0.shape))
+    G, S, F = np.empty_like(X), np.empty_like(X), np.empty(N + 1)
+    X[0] = x0
+    S[0] = 0.0 if s0 is None else s0
     gammas: list[float] = []
-    for _ in range(N):
-        x, grad = records[-1].x, records[-1].grad_f
-        gamma, x, s = step(x, grad)
-        records.append(_record(problem, x, s, optimum))
-        gammas.append(gamma)
-    return records, gammas
+    for k in range(N + 1):
+        G[k] = problem.f.grad(X[k])
+        F[k] = problem.value(X[k])
+        if k < N:
+            gamma, X[k + 1], S[k + 1] = step(X[k], G[k])
+            gammas.append(gamma)
+    return IterateTrace(problem, X, G, S, F, s0 is not None, optimum, gammas, method, outside_theory)
 
 
 def run(
@@ -196,17 +288,21 @@ def run(
 ) -> IterateTrace:
     """Run N fixed-step PGM iterations from x0, producing N+1 records.
 
-    x0 must be feasible (F(x0) finite). Record 0 carries s0 when supplied, the
-    canonical subgradient of h at x0 otherwise. Steps with gamma > 2/L are
-    allowed for exploration but mark the trace as outside the theory.
+    x0 must be finite and feasible (F(x0) finite), and gamma finite. Record 0
+    carries s0 (finite) when supplied, the canonical subgradient of h at x0
+    otherwise. Steps with gamma > 2/L are allowed for exploration but mark
+    the trace as outside the theory.
     """
     if N >= 0 and not gamma > 0:  # a negative N is reported first, by _iterate
         raise ValueError("run requires gamma > 0")
-    records, gammas = _iterate(
-        problem, x0, N, s0, lambda x, grad: (gamma, *pgm_step(problem, gamma, x, grad))
-    )
+    if N >= 0 and math.isinf(gamma):
+        raise ValueError("run requires a finite gamma")
     outside = gamma > 2.0 / problem.params.L * (1 + 1e-12)
-    return IterateTrace(problem, records, gammas, "fixed", outside)
+
+    def step(x, grad):
+        return gamma, *pgm_step(problem, gamma, x, grad)
+
+    return _iterate(problem, x0, N, s0, step, "fixed", outside)
 
 
 def exact_line_search_step(
@@ -280,8 +376,7 @@ def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace
         _check_step(gamma)  # NaN when x_k or its gradient is not finite
         return gamma, x_next, _prox_subgradient(gamma, x, grad, x_next)
 
-    records, gammas = _iterate(problem, x0, N, None, step)
-    return IterateTrace(problem, records, gammas, "els", False)
+    return _iterate(problem, x0, N, None, step, "els")
 
 
 def residual_line_search_step(f: SmoothFunction, x_k) -> tuple[float, np.ndarray]:

@@ -5,8 +5,9 @@ library code it checks: brute-force one-dimensional minimization for prox
 maps, a grid search of the exact line search through the public prox and
 objective, a scalar per-coordinate loop for the closed-form optimum, direct
 recurrence iteration for the constrained quadratic family, the long
-hand-expanded coefficient display for the distance certificate, and an eager
-gcd normalization of rational functions on plain coefficient lists.
+hand-expanded coefficient display for the distance certificate, an eager
+gcd normalization of rational functions on plain coefficient lists, and the
+list-of-records PGM trace with noise floors and step ratios recomputed per call.
 """
 
 import math
@@ -20,6 +21,10 @@ from proxrates.certificate import (
     interp_convex,
     interp_smooth,
 )
+from proxrates.engine import IterateRecord
+from proxrates.rates import MeasureKind
+
+_FLOOR = 256.0 * float(np.finfo(float).eps)
 
 
 def _rational_value_1d(h):
@@ -281,3 +286,86 @@ def ratfunc_oracle(num, den) -> tuple[tuple, tuple]:
     g = [v / a[-1] for v in a]
     num, den = _divmod_coeffs(num, g)[0], _divmod_coeffs(den, g)[0]
     return tuple(v / den[-1] for v in num), tuple(v / den[-1] for v in den)
+
+
+def _oracle_record(problem, x, s, optimum) -> IterateRecord:
+    grad = problem.f.grad(x)
+    F_val = problem.value(x)
+    dist_sq = func_gap = residual = None
+    if optimum is not None:
+        x_star, F_star = optimum
+        dist_sq = float(np.sum((x - x_star) ** 2))
+        func_gap = F_val - F_star
+    if s is not None:
+        r = grad + s
+        residual = float(r @ r)
+    return IterateRecord(x, grad, s, F_val, dist_sq, func_gap, residual)
+
+
+class _OracleTrace:
+    def __init__(self, problem, records, gammas):
+        self.problem, self.records, self.gammas = problem, records, gammas
+
+    def measure_floor(self, kind, k: int) -> float:
+        rec = self.records[k]
+        opt = self.problem.try_optimum()
+        x_scale, F_scale = (float(np.linalg.norm(opt[0])), abs(opt[1])) if opt is not None else (0.0, 0.0)
+        if kind is MeasureKind.FUNC_GAP:
+            return _FLOOR * max(abs(rec.F_val), F_scale)
+        if kind is MeasureKind.DISTANCE_SQ:
+            return (_FLOOR * max(float(np.linalg.norm(rec.x)), x_scale)) ** 2
+        if rec.s is None:
+            return 0.0
+        return (_FLOOR * (float(np.linalg.norm(rec.grad_f)) + float(np.linalg.norm(rec.s)))) ** 2
+
+    def step_ratios(self, kind) -> list:
+        out = []
+        for k, (prev, nxt) in enumerate(zip(self.records, self.records[1:])):
+            a, b = prev.measure(kind), nxt.measure(kind)
+            defined = a is not None and b is not None and a > self.measure_floor(kind, k)
+            out.append(b / a if defined else None)
+        return out
+
+
+def trace_oracle(problem, x0, N: int, step, s0=None) -> _OracleTrace:
+    """A PGM trace as one IterateRecord per iterate, each measure computed on its own.
+
+    step(x_k, grad f(x_k)) returns (gamma, x_{k+1}, s_{k+1}). Record 0 carries
+    s0, or the canonical subgradient of h at x0 when h has one. The floors and
+    step ratios are recomputed from the records on every call, with the norms
+    of each stored vector taken one at a time.
+    """
+    optimum = problem.try_optimum()
+    x0 = np.asarray(x0, dtype=float)
+    if s0 is None:
+        try:
+            s0 = problem.h.subgradient(x0)
+        except NotImplementedError:
+            pass
+    records = [_oracle_record(problem, x0, s0, optimum)]
+    gammas = []
+    for _ in range(N):
+        gamma, x, s = step(records[-1].x, records[-1].grad_f)
+        records.append(_oracle_record(problem, x, s, optimum))
+        gammas.append(gamma)
+    return _OracleTrace(problem, records, gammas)
+
+
+def trace_rows_oracle(oracle: _OracleTrace, rate, outside_theory: bool, tol: float):
+    """The `simulate` rows and rho^2-violation flag of an oracle trace, one record at a time."""
+    kinds = list(MeasureKind)
+    rows, violated = [], False
+    initial = {m: oracle.records[0].measure(m) for m in kinds}
+    ratios = {m: [None, *oracle.step_ratios(m)] for m in kinds}
+    for k, rec in enumerate(oracle.records):
+        row = {"k": k, "F": rec.F_val}
+        for m in kinds:
+            row[m.value] = rec.measure(m)
+            row[f"envelope_{m.value}"] = rate.geometric(k) * initial[m] if initial[m] is not None else None
+        for m in kinds:
+            row[f"ratio_{m.value}"] = ratios[m][k]
+            prev = oracle.records[k - 1].measure(m) if k > 0 else None
+            if prev is not None and row[m.value] is not None and not outside_theory:
+                violated |= row[m.value] > rate.rho_squared * prev * (1 + tol) + oracle.measure_floor(m, k)
+        rows.append(row)
+    return rows, violated

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
-from proxrates import ClassParams, MeasureKind, bound_lookup, run
-from proxrates.cli import main
+from proxrates import ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, pgm_step, run
+from proxrates import cli
+from proxrates.cli import build_parser, main
 from proxrates.smooth import random_composite
+
+from helpers import trace_oracle, trace_rows_oracle
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -50,6 +53,12 @@ class TestRate:
         code, _ = run_cli(["rate", "--mu", "1", "--L", "10", "--grid", "oops"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0:nan:3", "0:inf:3", "nan:1:3"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
+        code, out = run_cli(["rate", "--mu", "1", "--L", "10", "--grid", grid], tmp_path)
+        assert code == 2 and not out.exists()
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_round_trip_bit_for_bit(self, tmp_path):
@@ -77,6 +86,30 @@ class TestSimulate:
                 if r is not None:
                     assert r <= rho_sq * (1 + 1e-8)
         assert doc["verdict"] == "pass"
+
+    def test_infinite_step_is_usage_error(self, tmp_path, capsys):
+        args = ["simulate", "--mu", "1", "--L", "10", "--gamma", "inf", "--N", "3", "--dim", "2"]
+        code, out = run_cli(args, tmp_path)
+        assert code == 2 and not out.exists()
+        assert "finite gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_rows_match_record_oracle(self, kind):
+        # N = 100 reaches the rounding floor, where the violation test turns on
+        # each step's floor; both verdicts occur among these seeds
+        params = ClassParams(1.0, 10.0)
+        verdicts = set()
+        runs = [(optimal_step(params)[0], 100, range(24)), (0.19, 20, range(2)), (0.25, 6, range(2))]
+        for gamma, N, seeds in runs:
+            for seed in seeds:
+                problem, x0 = random_composite(params, 8, kind, seed)
+                trace = run(problem, gamma, x0, N)
+                oracle = trace_oracle(problem, x0, N, lambda x, g: (gamma, *pgm_step(problem, gamma, x, g)))
+                rate = contraction(params, gamma)
+                want = trace_rows_oracle(oracle, rate, trace.outside_theory, cli._RATIO_TOL)
+                assert cli._trace_rows(trace, params, gamma) == want
+                verdicts.add(want[1])
+        assert verdicts == {False, True}
 
     def test_rational_string_rejected(self, tmp_path):
         code, _ = run_cli(
@@ -327,3 +360,46 @@ class TestFormats:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    SIM = ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.1", "--N", "2", "--dim", "3"]
+
+    def test_arguments_do_not_leak_between_calls(self, tmp_path):
+        code, out = run_cli(self.SIM + ["--h", "l1", "--seed", "4", "--format", "csv"], tmp_path, "a.csv")
+        assert code == 0
+        code, out = run_cli(self.SIM, tmp_path, "b.json")
+        config = load_json(out)["config"]
+        assert code == 0 and config["h"] == "zero" and config["seed"] == 0
+
+    def test_built_once_across_calls(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for k in range(4):
+                assert run_cli(self.SIM + ["--seed", str(k)], tmp_path)[0] == 0
+            assert run_cli(["rate", "--mu", "1", "--L", "10"], tmp_path)[0] == 0
+            assert built == [1]
+            assert build_parser() is not build_parser()
+        finally:
+            cli._parser.cache_clear()
+
+    @staticmethod
+    def _exit(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["simulate", "--help"], ["certify", "-h"], [], ["frobnicate"], ["simulate", "--mu", "1"],
+         ["tight", "qlb", "--N", "x"], ["rate", "--mu", "1", "--L", "2", "--bogus"]],
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, tmp_path, capsys, argv):
+        run_cli(self.SIM, tmp_path)  # the shared parser has served a command first
+        shared = self._exit(main, argv, capsys)
+        fresh = self._exit(build_parser().parse_args, argv, capsys)
+        assert shared == fresh
+        assert shared[0] in (0, 2) and (shared[1] or shared[2])

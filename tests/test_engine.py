@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from proxrates import (
 )
 from proxrates.worstcase import DIST_TO_FUNCGAP, mixed_measure_instance
 
-from helpers import line_search_oracle, line_search_phi
+from helpers import line_search_oracle, line_search_phi, trace_oracle
 
 M = MeasureKind
 
@@ -383,3 +385,117 @@ class TestResidualLineSearch:
                 _, x = residual_line_search_step(f, x)
                 g_after = float(f.grad(x) @ f.grad(x))
                 assert g_after <= rho_sq_star * g_before * (1 + 1e-8)
+
+
+def _oracle_step(problem, gamma):
+    """The step of `run` at gamma, or of `run_exact_line_search` when gamma is None."""
+    if gamma is not None:
+        return lambda x, g: (gamma, *pgm_step(problem, gamma, x, g))
+
+    def step(x, g):
+        t, x_next = exact_line_search_step(problem, x, g)
+        return t, x_next, (x - x_next) / t - g
+
+    return step
+
+
+def _matches_oracle(problem, x0, N, gamma=None, s0=None) -> bool:
+    """The columnar trace equals the per-record oracle bit for bit (True), or both raise alike (False)."""
+    try:
+        oracle = trace_oracle(problem, x0, N, _oracle_step(problem, gamma), s0=s0)
+    except (ValueError, LineSearchError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            run_exact_line_search(problem, x0, N) if gamma is None else run(problem, gamma, x0, N, s0=s0)
+        return False
+    trace = run_exact_line_search(problem, x0, N) if gamma is None else run(problem, gamma, x0, N, s0=s0)
+    assert len(trace) == len(trace.records) == len(oracle.records)
+    assert trace.gammas == oracle.gammas
+    for k, (rec, want) in enumerate(zip(trace.records, oracle.records)):
+        assert rec.x.tobytes() == want.x.tobytes()
+        assert rec.grad_f.tobytes() == want.grad_f.tobytes()
+        assert (rec.s is None) == (want.s is None)
+        assert rec.s is None or rec.s.tobytes() == want.s.tobytes()
+        assert rec.F_val == want.F_val
+        for m in M:
+            assert (trace.measure(m, k) is None) == (want.measure(m) is None)
+            assert rec.measure(m) == trace.measure(m, k) == want.measure(m)
+            assert trace.measure_floor(m, k) == oracle.measure_floor(m, k)
+    for m in M:
+        assert trace.step_ratios(m) == oracle.step_ratios(m)
+    return True
+
+
+class TestColumnarTrace:
+    """The trace's columns, floors and ratios against the list-of-records oracle."""
+
+    @pytest.mark.parametrize("dim", [1, 8, 1000])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_matches_record_oracle(self, kind, mu, dim):
+        compared = 0
+        for seed in (0, 1):
+            problem, x0 = random_composite(ClassParams(mu, 10.0), dim, kind, seed)
+            s0 = problem.h.subgradient(x0) + 0.0
+            for N in (0, 12):
+                compared += _matches_oracle(problem, x0, N, gamma=0.15)
+                compared += _matches_oracle(problem, x0, N, gamma=0.15, s0=s0)
+                compared += _matches_oracle(problem, x0, N)
+        assert compared >= 8
+
+    def test_missing_measures_stay_none(self):
+        class OpaqueOrthant(NonnegIndicator):
+            def subgradient(self, x):
+                raise NotImplementedError
+
+        f = DenseQuadratic(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, -1.0]), ClassParams(1.0, 4.0))
+        problem = CompositeProblem(f, OpaqueOrthant(2))
+        x0 = np.array([1.0, 2.0])
+        assert problem.try_optimum() is None
+        assert _matches_oracle(problem, x0, 0, gamma=0.2) and _matches_oracle(problem, x0, 5, gamma=0.2)
+        trace = run(problem, 0.2, x0, 5)
+        assert trace.records[0].s is None and trace.records[1].s is not None
+        assert trace.measure(M.RESIDUAL_GRAD_SQ, 0) is None and trace.measure(M.DISTANCE_SQ, 3) is None
+        assert trace.step_ratios(M.FUNC_GAP) == [None] * 5
+
+    def test_records_are_a_sequence_of_row_views(self):
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 4, "l1", 0)
+        trace = run(problem, 0.1, x0, 6)
+        records = trace.records
+        assert len(records) == 7 and len(list(records)) == 7
+        assert [r.F_val for r in records[2:5]] == [records[k].F_val for k in (2, 3, 4)]
+        assert records[-1].x.tobytes() == trace.X[6].tobytes()
+        assert np.shares_memory(records[3].x, trace.X)
+        with pytest.raises(IndexError):
+            records[7]
+        x0[0] += 1.0  # the trace holds its own copy of the start
+        assert records[0].x[0] != x0[0]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("kind", ["zero", "l1"])
+    def test_non_finite_start_rejected(self, kind):
+        problem = CompositeProblem(
+            random_composite(ClassParams(1.0, 10.0), 2, "zero", 0)[0].f,
+            Zero(2) if kind == "zero" else L1Norm(0.5, 2),
+        )
+        for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                run(problem, 0.1, bad, 3)
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                run_exact_line_search(problem, bad, 3)
+
+    def test_non_finite_s0_rejected(self):
+        # -inf lies in the normal cone of the orthant at the boundary
+        f = random_composite(ClassParams(1.0, 10.0), 2, "zero", 0)[0].f
+        problem = CompositeProblem(f, NonnegIndicator(2))
+        x0 = np.array([0.0, 1.0])
+        run(problem, 0.1, x0, 2, s0=[-5.0, 0.0])
+        for bad in ([-np.inf, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="s0 must be finite"):
+                run(problem, 0.1, x0, 2, s0=bad)
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, -np.inf])
+    def test_non_finite_step_rejected(self, gamma):
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 3, "box", 0)
+        with pytest.raises(ValueError, match="run requires"):
+            run(problem, gamma, x0, 3)
