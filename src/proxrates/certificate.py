@@ -862,16 +862,15 @@ def default_grid() -> list[tuple[Fraction, Fraction, Fraction, Regime]]:
         for frac in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
             mu = frac * L
             g_star = 2 / (L + mu)
-            gammas = [eps, 1 / L, g_star - eps, g_star, g_star + eps, 2 / L - eps, 2 / L]
-            for g in gammas:
-                if g < g_star:
-                    grid.append((mu, L, g, Regime.SMALL_STEP))
-                elif g > g_star:
-                    grid.append((mu, L, g, Regime.LARGE_STEP))
-                else:
-                    grid.append((mu, L, g, Regime.SMALL_STEP))
-                    grid.append((mu, L, g, Regime.LARGE_STEP))
+            for g in (eps, 1 / L, g_star - eps, g_star, g_star + eps, 2 / L - eps, 2 / L):
+                grid += [(mu, L, g, regime) for regime in _regimes(mu, L, g)]
     return grid
+
+
+def _regimes(mu, L, gamma) -> list[Regime]:
+    """The regimes covering gamma: small below 2/(L+mu), large above, both (small first) at it."""
+    g_star = 2 / (L + mu)
+    return [Regime.SMALL_STEP] * (gamma <= g_star) + [Regime.LARGE_STEP] * (gamma >= g_star)
 
 
 # --------------------------------------------------------------------------

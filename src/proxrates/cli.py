@@ -1,8 +1,10 @@
 """Command-line front end: rate tables, simulations, tightness and certificate reports.
 
-Output is a single JSON document {command, config, rows, verdict} or the rows
-as CSV with a header line. Exit status: 0 on success, 1 when any bound or
-certificate in the command's scope is violated, 2 on usage errors.
+Each command maps its parsed arguments to (config, rows, verdict); `main`
+alone writes them, as one JSON document {command, config, rows, verdict} or
+as CSV rows with a header line, and sets the exit status: 0 on "pass", 1 on
+"fail" (a bound or certificate in the command's scope is violated), 2 on a
+usage error (any ValueError, before anything is written).
 
 Step sizes are parsed as decimals on the simulation commands and as exact
 rational strings (e.g. "1/3") on the certificate command; passing a rational
@@ -43,15 +45,11 @@ _GAP_TOL = 1e-8
 _MEASURES = list(MeasureKind)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_decimal(text: str, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"{what} must be a decimal on this command (got {text!r}); "
             "rational strings like 1/3 belong to `certify`"
         ) from None
@@ -70,13 +68,14 @@ def _parse_grid(spec: str) -> np.ndarray:
         if count < 2 or stop <= start:
             raise ValueError
     except ValueError:
-        raise UsageError(f"--grid must look like start:stop:count, got {spec!r}") from None
+        raise ValueError(f"--grid must look like start:stop:count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"--grid bounds must be finite, got {spec!r}")
+        raise ValueError(f"--grid bounds must be finite, got {spec!r}")
     return np.linspace(start, stop, count)
 
 
 def _emit(command: str, config: dict, rows: list[dict], verdict: str, args) -> None:
+    """Write the command's document, as JSON or as CSV rows, to --out or stdout."""
     if args.format == "json":
         text = json.dumps(
             {"command": command, "config": config, "rows": rows, "verdict": verdict},
@@ -89,18 +88,16 @@ def _emit(command: str, config: dict, rows: list[dict], verdict: str, args) -> N
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args):
     params = ClassParams(args.mu, args.L)
     grid_spec = args.grid or f"0:{2.0 / params.L}:81"
     gammas = list(_parse_grid(grid_spec))
@@ -112,12 +109,8 @@ def _cmd_rate(args) -> int:
     if params.mu > 0:
         markers["1/mu"] = 1.0 / params.mu
     rows = []
-    seen = set()
     marked = {v: k for k, v in markers.items()}
     for g in sorted(set(gammas) | set(markers.values())):
-        if g in seen:
-            continue
-        seen.add(g)
         rate = contraction(params, g)
         rows.append(
             {
@@ -128,9 +121,7 @@ def _cmd_rate(args) -> int:
                 "marker": marked.get(g, ""),
             }
         )
-    config = {"mu": params.mu, "L": params.L, "grid": grid_spec}
-    _emit("rate", config, rows, "pass", args)
-    return 0
+    return {"mu": params.mu, "L": params.L, "grid": grid_spec}, rows, "pass"
 
 
 def _trace_rows(trace, params: ClassParams, gamma: float) -> tuple[list[dict], bool]:
@@ -153,12 +144,12 @@ def _trace_rows(trace, params: ClassParams, gamma: float) -> tuple[list[dict], b
     return [dict(zip(columns, row)) for row in zip(*columns.values())], violated
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     params = ClassParams(args.mu, args.L)
     gamma = _parse_gamma(args.gamma, params)
     if args.instance == "worst-case":
         if args.h != "zero":
-            raise UsageError("the worst-case quadratic instance is unconstrained (--h zero)")
+            raise ValueError("the worst-case quadratic instance is unconstrained (--h zero)")
         spec = quadratic_lower_bound(params, gamma, dim=args.dim, N=args.N)
         problem, x0 = spec.problem, spec.x0
     else:
@@ -178,21 +169,11 @@ def _cmd_simulate(args) -> int:
         "instance": args.instance,
         "outside_theory": trace.outside_theory,
     }
-    _emit("simulate", config, rows, "fail" if violated else "pass", args)
-    return 1 if violated else 0
+    return config, rows, "fail" if violated else "pass"
 
 
 def _cell_name(cell) -> str:
     return f"{cell[0].value}->{cell[1].value}"
-
-
-def _attained(trace, cell, k: int) -> float:
-    init, final = cell
-    m0 = trace.measure(init, 0)
-    mk = trace.measure(final, k)
-    if init == final:
-        return mk / m0
-    return mk
 
 
 def _rel_gap(predicted: float, attained: float) -> float:
@@ -200,73 +181,50 @@ def _rel_gap(predicted: float, attained: float) -> float:
     return abs(predicted - attained) / scale if scale > 0 else 0.0
 
 
-def _cmd_tight(args) -> int:
-    params = ClassParams(args.mu, args.L)
-    rows = []
-    if args.generator == "qlb":
-        gamma = _parse_gamma(args.gamma or "opt", params)
-        spec = quadratic_lower_bound(params, gamma, dim=args.dim, N=args.N)
-        trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
-        for cell, predicted in spec.predicted.items():
-            attained = _attained(trace, cell, spec.N)
-            rows.append(
-                {
-                    "cell": _cell_name(cell),
-                    "predicted": predicted,
-                    "attained": attained,
-                    "rel_gap": _rel_gap(predicted, attained),
-                }
-            )
-    elif args.generator == "mixed":
-        gamma = _parse_gamma(args.gamma, params) if args.gamma else 1.0 / params.L
-        if not math.isclose(gamma, 1.0 / params.L, rel_tol=1e-12):
-            raise UsageError("mixed-measure instances are tuned for gamma = 1/L")
-        for target in (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL):
-            spec = mixed_measure_instance(params, args.N, args.x0, target)
-            trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
-            predicted = spec.predicted[target]
-            attained = _attained(trace, target, spec.N)
-            rows.append(
-                {
-                    "cell": _cell_name(target),
-                    "predicted": predicted,
-                    "attained": attained,
-                    "rel_gap": _rel_gap(predicted, attained),
-                }
-            )
-    elif args.generator == "els":
-        spec = els_worst_quadratic(params, N=args.N)
-        trace = run_exact_line_search(spec.problem, spec.x0, spec.N)
-        predicted = spec.predicted[(MeasureKind.FUNC_GAP, MeasureKind.FUNC_GAP)]
-        ratios = [r for r in trace.step_ratios(MeasureKind.FUNC_GAP) if r is not None]
-        attained = max(ratios)
-        rows.append(
-            {
-                "cell": "func_gap->func_gap (per step)",
-                "predicted": predicted,
-                "attained": attained,
-                "rel_gap": _rel_gap(predicted, attained),
-            }
-        )
-    elif args.generator == "unbounded":
-        spec = unbounded_family(args.c, x0=args.x0, N=args.N, L=params.L)
-        trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
-        for cell, predicted in spec.predicted.items():
-            init, final = cell
-            attained = trace.measure(final, spec.N) / trace.measure(init, 0)
-            rows.append(
-                {
-                    "cell": _cell_name(cell),
-                    "predicted": predicted,
-                    "attained": attained,
-                    "rel_gap": _rel_gap(predicted, attained),
-                }
-            )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown generator {args.generator!r}")
+def _measured(spec):
+    """Run spec; per predicted (init, final) cell, measure `final` at N over measure `init` at 0."""
+    trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
+    for (init, final), predicted in spec.predicted.items():
+        yield _cell_name((init, final)), predicted, trace.measure(final, spec.N) / trace.measure(init, 0)
 
+
+def _tight_qlb(args, params: ClassParams):
+    gamma = _parse_gamma(args.gamma or "opt", params)
+    yield from _measured(quadratic_lower_bound(params, gamma, dim=args.dim, N=args.N))
+
+
+def _tight_mixed(args, params: ClassParams):
+    gamma = _parse_gamma(args.gamma, params) if args.gamma else 1.0 / params.L
+    if not math.isclose(gamma, 1.0 / params.L, rel_tol=1e-12):
+        raise ValueError("mixed-measure instances are tuned for gamma = 1/L")
+    for target in (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL):
+        spec = mixed_measure_instance(params, args.N, args.x0, target)
+        trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
+        yield _cell_name(target), spec.predicted[target], trace.measure(target[1], spec.N)
+
+
+def _tight_els(args, params: ClassParams):
+    spec = els_worst_quadratic(params, N=args.N)
+    trace = run_exact_line_search(spec.problem, spec.x0, spec.N)
+    predicted = spec.predicted[(MeasureKind.FUNC_GAP, MeasureKind.FUNC_GAP)]
+    ratios = [r for r in trace.step_ratios(MeasureKind.FUNC_GAP) if r is not None]
+    yield "func_gap->func_gap (per step)", predicted, max(ratios)
+
+
+def _tight_unbounded(args, params: ClassParams):
+    yield from _measured(unbounded_family(args.c, x0=args.x0, N=args.N, L=params.L))
+
+
+_TIGHT = {"qlb": _tight_qlb, "mixed": _tight_mixed, "els": _tight_els, "unbounded": _tight_unbounded}
+
+
+def _cmd_tight(args):
+    params = ClassParams(args.mu, args.L)
+    rows = [
+        {"cell": cell, "predicted": predicted, "attained": attained, "rel_gap": _rel_gap(predicted, attained)}
+        for cell, predicted, attained in _TIGHT[args.generator](args, params)
+    ]
     worst = max((r["rel_gap"] for r in rows), default=0.0)
-    verdict = "pass" if worst <= _GAP_TOL else "fail"
     config = {
         "generator": args.generator,
         "mu": params.mu,
@@ -275,62 +233,45 @@ def _cmd_tight(args) -> int:
         "x0": args.x0,
         "c": args.c,
     }
-    _emit("tight", config, rows, verdict, args)
-    return 0 if verdict == "pass" else 1
+    return config, rows, "pass" if worst <= _GAP_TOL else "fail"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{what} must be an exact rational string, got {text!r}") from None
+        raise ValueError(f"{what} must be an exact rational string, got {text!r}") from None
 
 
 def _certify_points(args):
     if args.mu is None and args.L is None and args.gamma is None:
         return cert.default_grid()
     if args.mu is None or args.L is None:
-        raise UsageError("certify needs both --mu and --L (or neither, for the default grid)")
+        raise ValueError("certify needs both --mu and --L (or neither, for the default grid)")
     mu = _parse_rational(args.mu, "--mu")
     L = _parse_rational(args.L, "--L")
     if not 0 <= mu < L:
-        raise UsageError("certificates require 0 <= mu < L")
+        raise ValueError("certificates require 0 <= mu < L")
     if args.gamma is None:
-        raise UsageError("certify needs --gamma with --mu/--L (use a rational string)")
-    if args.gamma == "opt":
-        gamma = 2 / (L + mu)
-    else:
-        gamma = _parse_rational(args.gamma, "--gamma")
-    g_star = 2 / (L + mu)
-    if gamma < g_star:
-        return [(mu, L, gamma, cert.Regime.SMALL_STEP)]
-    if gamma > g_star:
-        return [(mu, L, gamma, cert.Regime.LARGE_STEP)]
-    return [(mu, L, gamma, cert.Regime.SMALL_STEP), (mu, L, gamma, cert.Regime.LARGE_STEP)]
+        raise ValueError("certify needs --gamma with --mu/--L (use a rational string)")
+    gamma = 2 / (L + mu) if args.gamma == "opt" else _parse_rational(args.gamma, "--gamma")
+    return [(mu, L, gamma, regime) for regime in cert._regimes(mu, L, gamma)]
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     theorems = list(cert.VERIFIERS) if args.theorem == "all" else [args.theorem]
     mutate = None
     if args.selftest_mutate:
         name, _, delta = args.selftest_mutate.partition(":")
         mutate = (name, _parse_rational(delta or "1/1000", "--selftest-mutate delta"))
     points = _certify_points(args)
-    rows = []
-    all_ok = True
-    for mu, L, gamma, regime in points:
-        for theorem in theorems:
-            report = cert.VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
-            all_ok &= report.verified
-            row = report.to_json_dict()
-            rows.append(row)
-    config = {
-        "theorem": args.theorem,
-        "points": len(points),
-        "mutate": args.selftest_mutate or "",
-    }
-    _emit("certify", config, rows, "pass" if all_ok else "fail", args)
-    return 0 if all_ok else 1
+    reports = [
+        cert.VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
+        for mu, L, gamma, regime in points
+        for theorem in theorems
+    ]
+    config = {"theorem": args.theorem, "points": len(points), "mutate": args.selftest_mutate or ""}
+    return config, [r.to_json_dict() for r in reports], "pass" if all(r.verified for r in reports) else "fail"
 
 
 def _table_rows(table: str, params: ClassParams, gamma: float, k: int, conjectured: bool) -> list[dict]:
@@ -354,16 +295,14 @@ def _table_rows(table: str, params: ClassParams, gamma: float, k: int, conjectur
     return rows
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args):
     params = ClassParams(args.mu, args.L)
     gamma = _parse_gamma(args.gamma or "opt", params)
     short = 1.0 / params.L
     rows = _table_rows("global", params, gamma, args.N, conjectured=False)
     rows += _table_rows("step_1_over_L", params, short, args.N, conjectured=True)
     rows += _table_rows("smooth_convex_limit", ClassParams(0.0, params.L), short, args.N, conjectured=False)
-    config = {"mu": params.mu, "L": params.L, "gamma": gamma, "k": args.N}
-    _emit("tables", config, rows, "pass", args)
-    return 0
+    return {"mu": params.mu, "L": params.L, "gamma": gamma, "k": args.N}, rows, "pass"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
 
     p_tight = sub.add_parser("tight", help="attained vs predicted worst-case values")
-    p_tight.add_argument("generator", choices=("qlb", "mixed", "els", "unbounded"))
+    p_tight.add_argument("generator", choices=tuple(_TIGHT))
     p_tight.add_argument("--mu", type=float, default=1.0)
     p_tight.add_argument("--L", type=float, default=2.0)
     p_tight.add_argument("--gamma", default=None, help='decimal step size or "opt"')
@@ -450,15 +389,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its document; the exit status follows its verdict (2: a usage error)."""
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        config, rows, verdict = _COMMANDS[args.command](args)
+        _emit(args.command, config, rows, verdict, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if verdict == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ gradient mapping (x_k - x_{k+1}) / gamma.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,25 +66,6 @@ class IterateRecord:
         return getattr(self, kind.value)
 
 
-class _Records(Sequence):
-    """The IterateRecord row views of a trace, built on access."""
-
-    def __init__(self, trace: IterateTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.F)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        t = self._trace
-        k = range(len(self))[k]
-        s = t.S[k] if t.defined[MeasureKind.RESIDUAL_GRAD_SQ][k] else None
-        measures = (t.measure(m, k) for m in MeasureKind)
-        return IterateRecord(t.X[k], t.G[k], s, float(t.F[k]), *measures)
-
-
 class IterateTrace:
     """A run stored as columns: row k of every array belongs to iterate k.
 
@@ -96,7 +76,7 @@ class IterateTrace:
     iterate 0 a subgradient of h at x0). The noise floors (`floors`) and the
     step ratios are computed for every iterate at once, on first use; a run
     whose floors are never read (a library line-search run) does not pay for
-    them. `records` views the rows as IterateRecords.
+    them. `records` lists the rows as IterateRecords, built on each access.
     """
 
     def __init__(
@@ -147,10 +127,13 @@ class IterateTrace:
         return {m: _ratios(self.measures[m], self.defined[m], self.floors[m]) for m in MeasureKind}
 
     @property
-    def records(self) -> _Records:
-        # a fresh view per access: a stored one would make a reference cycle
-        # that keeps the columns alive until the cyclic collector runs
-        return _Records(self)
+    def records(self) -> list[IterateRecord]:
+        has_s = self.defined[MeasureKind.RESIDUAL_GRAD_SQ]
+        return [
+            IterateRecord(self.X[k], self.G[k], self.S[k] if has_s[k] else None, float(self.F[k]),
+                          *(self.measure(m, k) for m in MeasureKind))
+            for k in range(len(self))
+        ]
 
     def __len__(self) -> int:
         return len(self.F)
@@ -216,7 +199,8 @@ def pgm_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One proximal gradient step; returns (x_{k+1}, s_{k+1}).
 
-    gamma must be strictly positive: the extracted subgradient divides by it.
+    gamma must be strictly positive (the extracted subgradient divides by it)
+    and finite.
     """
     _check_step(gamma)
     x_k = np.asarray(x_k, dtype=float)
@@ -228,6 +212,8 @@ def pgm_step(
 def _check_step(gamma: float) -> None:
     if not gamma > 0:
         raise ValueError("pgm_step requires gamma > 0")
+    if math.isinf(gamma):
+        raise ValueError("pgm_step requires a finite gamma")
 
 
 def _prox_subgradient(gamma: float, x_k, grad_k, x_next) -> np.ndarray:

@@ -36,6 +36,8 @@ class ProxFunction:
     def _check_gamma(self, gamma: float) -> float:
         if not gamma > 0:
             raise ValueError(f"prox step size must be positive, got {gamma}")
+        if math.isinf(gamma):
+            raise ValueError(f"prox step size must be finite, got {gamma}")
         return float(gamma)
 
     def value(self, x) -> float:

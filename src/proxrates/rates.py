@@ -70,7 +70,15 @@ class Rate:
 
     def geometric(self, k: int) -> float:
         """rho^(2k), the k-iteration squared-measure factor."""
-        return self.rho_squared ** k
+        return _power(self.rho_squared, k, "rho^(2k)")
+
+
+def _power(base: float, k: int, what: str) -> float:
+    """base ** k, where a float overflow is a ValueError naming k."""
+    try:
+        return base**k
+    except OverflowError:
+        raise ValueError(f"{what} overflows a float at k = {k}") from None
 
 
 class MeasureKind(Enum):
@@ -261,7 +269,7 @@ def classical_nontight_bound(
     if measure is MeasureKind.FUNC_GAP:
         value = ratio * rate.geometric(k)
     elif measure is MeasureKind.RESIDUAL_GRAD_SQ:
-        value = ratio * rate.rho**k
+        value = ratio * _power(rate.rho, k, "rho^k")
     else:
         raise ValueError("classical bound is stated for func_gap and residual measures")
     return BoundValue(value, Provenance.CLASSICAL_NOT_TIGHT)

@@ -14,6 +14,7 @@ from proxrates.certificate import (
     SymbolicExpr,
     VERIFIERS,
     VecExpr,
+    _regimes,
     alpha_large,
     alpha_small,
     default_grid,
@@ -329,6 +330,26 @@ class TestVerifiers:
         for mu, L, gamma, regime in grid:
             for fn in VERIFIERS.values():
                 assert fn(mu, L, gamma, regime).verified
+
+    @pytest.mark.parametrize("mu,L", [(F(1), F(3)), (F(0), F(1)), (F(9, 10), F(1))])
+    def test_regime_of_a_step(self, mu, L):
+        g_star, eps = 2 / (L + mu), F(1, 1000)
+        assert _regimes(mu, L, g_star - eps) == [Regime.SMALL_STEP]
+        assert _regimes(mu, L, g_star) == [Regime.SMALL_STEP, Regime.LARGE_STEP]
+        assert _regimes(mu, L, g_star + eps) == [Regime.LARGE_STEP]
+
+    def test_default_grid_points(self):
+        # seven steps per (mu, L) pair; the boundary 2/(L+mu) once per regime, small first
+        expected = []
+        for L in (F(1), F(3), F(10)):
+            for mu in (L / 10, L / 2, 9 * L / 10):
+                g_star, eps = 2 / (L + mu), F(1, 1000)
+                for g in (eps, 1 / L, g_star - eps, g_star, g_star + eps, 2 / L - eps, 2 / L):
+                    if g <= g_star:
+                        expected.append((mu, L, g, Regime.SMALL_STEP))
+                    if g >= g_star:
+                        expected.append((mu, L, g, Regime.LARGE_STEP))
+        assert default_grid() == expected and len(expected) == 72
 
     def test_spec_perturbation_of_convex_multiplier(self):
         # forcing lambda2 from 1 to 2 must break the identity

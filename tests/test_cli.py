@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -403,3 +407,101 @@ class TestSharedParser:
         fresh = self._exit(build_parser().parse_args, argv, capsys)
         assert shared == fresh
         assert shared[0] in (0, 2) and (shared[1] or shared[2])
+
+
+class TestPipeline:
+    """Each command returns its document; `main` alone writes it and maps the verdict to the exit status."""
+
+    @pytest.mark.parametrize(
+        "argv,verdict",
+        [
+            (["rate", "--mu", "1", "--L", "10"], "pass"),
+            (["simulate", "--mu", "1", "--L", "10", "--gamma", "0.1", "--N", "5", "--dim", "3"], "pass"),
+            (["tight", "qlb", "--N", "3"], "pass"),
+            (["tight", "els", "--mu", "1", "--L", "10", "--N", "4"], "pass"),
+            (["certify", "--mu", "1", "--L", "3", "--gamma", "1/3"], "pass"),
+            (["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", "lambda0"], "fail"),
+            (["certify", "--theorem", "residual", "--mu", "0", "--L", "1", "--gamma", "opt",
+              "--selftest-mutate", "subgrad_change:-1/7"], "fail"),
+            (["tables", "--mu", "1", "--L", "10"], "pass"),
+        ],
+    )
+    def test_exit_status_follows_verdict(self, tmp_path, argv, verdict):
+        code, out = run_cli(argv, tmp_path)
+        doc = load_json(out)
+        assert doc["command"] == argv[0] and doc["verdict"] == verdict
+        assert code == {"pass": 0, "fail": 1}[verdict]
+
+    @pytest.mark.parametrize("verdict,status", [("pass", 0), ("fail", 1)])
+    @pytest.mark.parametrize("command", ["rate", "simulate", "tight", "certify", "tables"])
+    def test_main_maps_every_commands_verdict(self, tmp_path, monkeypatch, command, verdict, status):
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: ({"n": 1}, [{"a": 2}], verdict))
+        argv = {"tight": ["tight", "qlb"], "certify": ["certify"]}.get(command, [command])
+        required = {"rate": ["--mu", "1", "--L", "2"], "simulate": ["--mu", "1", "--L", "2", "--gamma", "opt"],
+                    "tables": ["--mu", "1", "--L", "2"]}
+        code, out = run_cli(argv + required.get(command, []), tmp_path)
+        assert code == status
+        assert load_json(out) == {"command": command, "config": {"n": 1}, "rows": [{"a": 2}], "verdict": verdict}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--mu", "1", "--L", "10", "--grid", "oops"],
+            ["simulate", "--mu", "1", "--L", "10", "--gamma", "1/3"],
+            ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--h", "box"],
+            ["tight", "mixed", "--gamma", "0.3"],
+            ["certify", "--mu", "1"],
+            ["tables", "--mu", "1", "--L", "10", "--gamma", "1/3"],
+        ],
+    )
+    def test_usage_error_writes_nothing(self, tmp_path, capsys, argv):
+        code, out = run_cli(argv, tmp_path)
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists()
+        assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_long_envelope_overflow_names_k(self, tmp_path, capsys):
+        # gamma = 0.5 > 2/L: the envelope grows as 16^k, past a float at k = 256; the box keeps the iterates finite
+        argv = ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--h", "box", "--N"]
+        code, _ = run_cli(argv + ["400"], tmp_path)
+        assert code == 2 and "k = 256" in capsys.readouterr().err
+        code, out = run_cli(argv + ["250"], tmp_path)
+        doc = load_json(out)
+        assert code == 0 and doc["config"]["outside_theory"] is True and len(doc["rows"]) == 251
+        assert doc["rows"][-1]["envelope_dist_sq"] == 16.0**250 * doc["rows"][0]["dist_sq"]
+
+
+class TestEntryPoint:
+    """`python -m proxrates.cli` exits with main's status and writes main's bytes."""
+
+    @staticmethod
+    def _module(argv):
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "proxrates.cli", *argv],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["tight", "qlb", "--N", "3"], 0),
+            (["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", "lambda0",
+              "--format", "csv"], 1),
+            (["tables", "--mu", "1", "--L", "10", "--gamma", "1/3"], 2),
+        ],
+    )
+    def test_module_matches_in_process_main(self, capsys, argv, status):
+        done = self._module(argv)
+        assert main(argv) == done.returncode == status
+        out, err = capsys.readouterr()
+        assert done.stdout == out.encode() and done.stderr == err.encode()
+        assert (done.stdout == b"") == (status == 2)
+
+    def test_diverging_run_past_the_envelope_exits_2(self, tmp_path):
+        # the unconstrained run overflows too, with numpy warnings on stderr, but it ends in a usage error
+        out = tmp_path / "out.json"
+        done = self._module(["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--out", str(out)])
+        assert done.returncode == 2 and not out.exists()
+        assert b"error: rho^(2k) overflows a float at k = 256" in done.stderr and b"Traceback" not in done.stderr

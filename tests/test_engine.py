@@ -461,6 +461,7 @@ class TestColumnarTrace:
         problem, x0 = random_composite(ClassParams(1.0, 10.0), 4, "l1", 0)
         trace = run(problem, 0.1, x0, 6)
         records = trace.records
+        assert isinstance(records, list) and trace.records is not records  # a fresh list per access
         assert len(records) == 7 and len(list(records)) == 7
         assert [r.F_val for r in records[2:5]] == [records[k].F_val for k in (2, 3, 4)]
         assert records[-1].x.tobytes() == trace.X[6].tobytes()
@@ -499,3 +500,10 @@ class TestNonFiniteInputs:
         problem, x0 = random_composite(ClassParams(1.0, 10.0), 3, "box", 0)
         with pytest.raises(ValueError, match="run requires"):
             run(problem, gamma, x0, 3)
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_public_step_rejects_non_finite_gamma(self, kind, gamma):
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 3, kind, 0)
+        with pytest.raises(ValueError, match="pgm_step requires"):
+            pgm_step(problem, gamma, x0)

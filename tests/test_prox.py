@@ -105,6 +105,12 @@ class TestArgumentErrors:
             with pytest.raises(ValueError):
                 h.prox(-1.0, np.zeros(3))
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma(self, gamma):
+        for h in catalog_members(3):
+            with pytest.raises(ValueError, match="prox step size"):
+                h.prox(gamma, np.ones(3))
+
     def test_dimension_mismatch(self):
         for h in catalog_members(3):
             with pytest.raises(ValueError):

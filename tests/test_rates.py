@@ -54,6 +54,13 @@ class TestContraction:
                 assert contraction(params, g).rho > rate_star.rho
 
 
+def test_geometric_overflow_names_k():
+    rate = contraction(ClassParams(1, 10), 0.5)
+    assert rate.geometric(250) == 16.0**250
+    with pytest.raises(ValueError, match="k = 256"):
+        rate.geometric(256)
+
+
 class TestOptimalStep:
     def test_standard(self):
         g, rate = optimal_step(ClassParams(1, 10))
@@ -212,6 +219,13 @@ class TestClassicalBound:
             classical_nontight_bound(ClassParams(0, 1), 0.5, 1, M.FUNC_GAP)
         with pytest.raises(ValueError):
             classical_nontight_bound(ClassParams(1, 2), 0.5, 1, M.DISTANCE_SQ)
+
+    @pytest.mark.parametrize("measure", [M.FUNC_GAP, M.RESIDUAL_GRAD_SQ])
+    def test_overflow_names_k(self, measure):
+        # gamma = 0.5 > 2/L: rho = 4, and 16^400 is beyond a float
+        with pytest.raises(ValueError, match="k = 800"):
+            classical_nontight_bound(ClassParams(1, 10), 0.5, 800, measure)
+        assert classical_nontight_bound(ClassParams(1, 10), 0.5, 250, measure).value > 1e150
 
     def test_not_even_a_contraction_for_small_k(self):
         # the L/mu constant exceeds 1 for few iterations, unlike the tight bound
