@@ -9,24 +9,40 @@ functions, which after substituting
     x_{k+1} = x_k - gamma (g_k + s_{k+1})        (prox optimality)
     s_*     = -g_*                               (optimality of x_*)
 
-equals the claimed bound minus an explicit nonnegative sum of squares. This
-module expands those weighted sums symbolically, with exact rational
-coefficients over the Gram basis
+equals the claimed bound minus an explicit nonnegative sum of squares. The
+residual, weighted sum minus bound plus the sum of squares, expands with
+exact coefficients over the Gram basis
 
     X = x_k - x_*,  g_k,  g_{k+1},  g_*,  s_k,  s_{k+1}
 
-plus the affine function-value symbols f_k, f_{k+1}, f_*, h_k, h_{k+1}, h_*,
-and checks that the residual is identically zero and that every multiplier
-and sum-of-squares coefficient has the right sign. No floating point is used
-anywhere on this path.
+plus the affine function-value symbols f_k, f_{k+1}, f_*, h_k, h_{k+1}, h_*.
+No floating point is used anywhere on this path.
 
+The residual is proven zero once, for all parameters: the test suite
+(`TestParametricProof` in tests/test_certificate.py) expands it for each
+theorem and regime with mu, L and gamma all symbolic, in Q(mu, L, gamma)
+(`ParamRat` in tests/helpers.py), and finds the zero numerator. A point
+evaluation of that proof is sound. The residual is a polynomial in the
+certificate's inputs: the multipliers, the SOS and combination coefficients,
+rho, 1/L and mu/(2(1 - mu/L)). Each input is a rational function of
+(mu, L, gamma). A polynomial in them that is the zero element of
+Q(mu, L, gamma) is zero wherever they all evaluate without dividing by zero.
+That is exactly when `verify_*` returns: it evaluates every input except the
+two interpolation constants, and 0 <= mu < L keeps those finite. The same
+argument holds for fixed (mu, L) with gamma symbolic.
+
+So `verify_*` evaluates the proven certificate: it computes the multipliers,
+SOS coefficients and combinations and checks their signs, and reports the
+residual as zero. It expands the residual only when the `_mutate` test hook
+(`certify --selftest-mutate`) perturbs one of that certificate's own terms.
 Two scalar modes share all the code:
 
-* exact rationals (`fractions.Fraction`): verifies one (mu, L, gamma) point;
-* univariate rational functions in the step size (`gamma_symbol()`): verifies
-  the identity for every step size at once at fixed rational (mu, L). Sign
-  conditions depend on the step-size regime and are then checked by exact
-  evaluation at sample points inside the regime interval.
+* exact rationals (`fractions.Fraction`): one (mu, L, gamma) point, with
+  every sign checked exactly;
+* univariate rational functions in the step size (`gamma_symbol()`): every
+  step size at once at fixed rational (mu, L). Sign conditions depend on the
+  step-size regime and are checked by exact evaluation at sample points
+  inside the regime interval, which is not yet a proof.
 
 Every `RatFunc` is kept in one canonical form: numerator and denominator
 coprime, denominator monic, zero stored as 0/1. A reduced fraction with a
@@ -46,6 +62,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 __all__ = [
     "Poly",
@@ -488,6 +505,11 @@ def interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
     mu, L = Fraction(mu), Fraction(L)
     if not 0 <= mu < L:
         raise ValueError("interp_smooth requires 0 <= mu < L")
+    return _interp_smooth(i, j, mu, L, gamma)
+
+
+def _interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
+    """`interp_smooth` for any scalars: labels and the class range already checked."""
     x, g, _, fsym, _ = _points(gamma)
     dx = x[i] - x[j]
     dg = g[i] - g[j]
@@ -505,6 +527,11 @@ def interp_convex(i: str, j: str, gamma) -> SymbolicExpr:
     """The convex (subgradient) inequality h_i - h_j - <s_j, x_i - x_j> >= 0."""
     _check_label(i)
     _check_label(j)
+    return _interp_convex(i, j, gamma)
+
+
+def _interp_convex(i: str, j: str, gamma) -> SymbolicExpr:
+    """`interp_convex` for any scalar step: labels already checked."""
     x, _, s, _, hsym = _points(gamma)
     return fval(hsym[i]) - fval(hsym[j]) - inner(s[j], x[i] - x[j])
 
@@ -618,85 +645,58 @@ def _apply_mutation(name, value, mutate):
     return value
 
 
-def _assemble(
-    theorem: str,
-    regime: Regime,
-    mu,
-    L,
-    gamma,
-    weighted: list[tuple[str, object, SymbolicExpr]],
-    target: SymbolicExpr,
-    sos: list[tuple[str, object, VecExpr]],
-    mutate,
-) -> CertificateReport:
-    multipliers = []
-    total = SymbolicExpr()
-    for name, lam, ineq in weighted:
-        lam = _apply_mutation(name, lam, mutate)
-        multipliers.append(Multiplier(name, lam, _nonneg(lam, regime, mu, L)))
-        total = total + ineq.scale(lam)
-    residual = total - target
-    sos_terms = []
-    for name, coeff, comb in sos:
-        coeff = _apply_mutation(name, coeff, mutate)
-        sos_terms.append(SosTerm(name, coeff, _nonneg(coeff, regime, mu, L), dict(comb.coeffs)))
-        residual = residual + norm_sq(comb).scale(coeff)
-    return CertificateReport(
-        theorem, regime, mu, L, gamma, multipliers, sos_terms, residual.is_zero(), residual
-    )
-
-
 def _rho(regime: Regime, mu, L, gamma):
     return 1 - gamma * mu if regime is Regime.SMALL_STEP else gamma * L - 1
 
 
-def verify_distance(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateReport:
-    """Certificate for ||x_{k+1} - x_*||^2 <= rho^2 ||x_k - x_*||^2.
+# A certificate is a triple (weighted, target, sos): per multiplier its name,
+# value and a zero-argument builder of its inequality; a zero-argument builder
+# of the target; per SOS term its name, coefficient and combination. The
+# builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
+# and L), and `smooth`/`convex` build the interpolation inequalities.
 
-    Multipliers 2*gamma*rho on the smooth inequalities between x_k and x_*
-    (both orders) and 2*gamma on the convex inequalities between x_{k+1} and
-    x_*; the weighted sum equals the bound minus gamma^2 ||g_* + s_{k+1}||^2
-    minus the regime's squared-norm term.
-    """
-    mu, L, gamma = _coerce(mu, L, gamma)
+
+def _distance_certificate(regime: Regime, mu, L, gamma, smooth, convex):
     rho = _rho(regime, mu, L, gamma)
     lam_f = 2 * gamma * rho
     lam_h = 2 * gamma
     weighted = [
-        ("lambda0", lam_f, interp_smooth("*", "k", mu, L, gamma)),
-        ("lambda1", lam_f, interp_smooth("k", "*", mu, L, gamma)),
-        ("lambda2", lam_h, interp_convex("*", "k+1", gamma)),
-        ("lambda3", lam_h, interp_convex("k+1", "*", gamma)),
+        ("lambda0", lam_f, partial(smooth, "*", "k", mu, L, gamma)),
+        ("lambda1", lam_f, partial(smooth, "k", "*", mu, L, gamma)),
+        ("lambda2", lam_h, partial(convex, "*", "k+1", gamma)),
+        ("lambda3", lam_h, partial(convex, "k+1", "*", gamma)),
     ]
-    x, _, _, _, _ = _points(gamma)
-    target = norm_sq(x["k"]).scale(rho * rho) - norm_sq(x["k+1"])
+
+    def target():
+        x = _points(gamma)[0]
+        return norm_sq(x["k"]).scale(rho * rho) - norm_sq(x["k+1"])
+
     if regime is Regime.SMALL_STEP:
         reg = ("regime", gamma * (2 - gamma * (L + mu)) / (L - mu), VecExpr({"x": mu, "gk": -1, "gs": 1}))
     else:
         reg = ("regime", gamma * (gamma * (L + mu) - 2) / (L - mu), VecExpr({"x": L, "gk": -1, "gs": 1}))
     sos = [("prox_residual", gamma * gamma, VecExpr({"gs": 1, "sk1": 1})), reg]
-    return _assemble("distance", regime, mu, L, gamma, weighted, target, sos, _mutate)
+    return weighted, target, sos
 
 
-def verify_residual(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateReport:
-    """Certificate for ||g_{k+1} + s_{k+1}||^2 <= rho^2 ||g_k + s_k||^2.
-
-    Uses only the inequalities between the consecutive iterates, with
-    multipliers 2*rho/gamma (smooth pair) and 2*rho^2/gamma (convex pair).
-    """
-    mu, L, gamma = _coerce(mu, L, gamma)
+def _residual_certificate(regime: Regime, mu, L, gamma, smooth, convex):
+    if gamma == 0:
+        raise ValueError("residual certificate requires gamma != 0: its multipliers divide by gamma")
     rho = _rho(regime, mu, L, gamma)
     lam_f = 2 * rho / gamma
     lam_h = 2 * rho * rho / gamma
     weighted = [
-        ("lambda0", lam_f, interp_smooth("k", "k+1", mu, L, gamma)),
-        ("lambda1", lam_f, interp_smooth("k+1", "k", mu, L, gamma)),
-        ("lambda2", lam_h, interp_convex("k", "k+1", gamma)),
-        ("lambda3", lam_h, interp_convex("k+1", "k", gamma)),
+        ("lambda0", lam_f, partial(smooth, "k", "k+1", mu, L, gamma)),
+        ("lambda1", lam_f, partial(smooth, "k+1", "k", mu, L, gamma)),
+        ("lambda2", lam_h, partial(convex, "k", "k+1", gamma)),
+        ("lambda3", lam_h, partial(convex, "k+1", "k", gamma)),
     ]
-    gk_sk = VecExpr({"gk": 1, "sk": 1})
-    gk1_sk1 = VecExpr({"gk1": 1, "sk1": 1})
-    target = norm_sq(gk_sk).scale(rho * rho) - norm_sq(gk1_sk1)
+
+    def target():
+        gk_sk = VecExpr({"gk": 1, "sk": 1})
+        gk1_sk1 = VecExpr({"gk1": 1, "sk1": 1})
+        return norm_sq(gk_sk).scale(rho * rho) - norm_sq(gk1_sk1)
+
     if regime is Regime.SMALL_STEP:
         reg = (
             "regime",
@@ -710,7 +710,7 @@ def verify_residual(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateRe
             VecExpr({"gk": 1 - L * gamma, "gk1": -1, "sk1": -L * gamma}),
         )
     sos = [("subgrad_change", rho * rho, VecExpr({"sk": 1, "sk1": -1})), reg]
-    return _assemble("residual", regime, mu, L, gamma, weighted, target, sos, _mutate)
+    return weighted, target, sos
 
 
 def alpha_small(mu, L, gamma):
@@ -739,31 +739,26 @@ def beta_large(mu, L, gamma):
     return gamma * (L + mu) - 2
 
 
-def verify_funcvalue(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateReport:
-    """Certificate for F(x_{k+1}) - F_* <= rho^2 (F(x_k) - F_*).
-
-    Five inequalities with multipliers rho, (1-rho)rho, 1-rho, rho^2, 1-rho^2
-    and three squared-norm terms whose coefficients carry the regime scaling
-    polynomials alpha and beta. Requires mu > 0: the stored combinations
-    divide by mu.
-    """
-    mu, L, gamma = _coerce(mu, L, gamma)
+def _funcvalue_certificate(regime: Regime, mu, L, gamma, smooth, convex):
     if mu == 0:
         raise ValueError("function-value certificate requires mu > 0")
     rho = _rho(regime, mu, L, gamma)
     one = Fraction(1)
     weighted = [
-        ("lambda0", rho, interp_smooth("k", "k+1", mu, L, gamma)),
-        ("lambda1", (1 - rho) * rho, interp_smooth("*", "k", mu, L, gamma)),
-        ("lambda2", 1 - rho, interp_smooth("*", "k+1", mu, L, gamma)),
-        ("lambda3", rho * rho, interp_convex("k", "k+1", gamma)),
-        ("lambda4", 1 - rho * rho, interp_convex("*", "k+1", gamma)),
+        ("lambda0", rho, partial(smooth, "k", "k+1", mu, L, gamma)),
+        ("lambda1", (1 - rho) * rho, partial(smooth, "*", "k", mu, L, gamma)),
+        ("lambda2", 1 - rho, partial(smooth, "*", "k+1", mu, L, gamma)),
+        ("lambda3", rho * rho, partial(convex, "k", "k+1", gamma)),
+        ("lambda4", 1 - rho * rho, partial(convex, "*", "k+1", gamma)),
     ]
-    target = (
-        (fval("fk") + fval("hk")).scale(rho * rho)
-        - (fval("fk1") + fval("hk1"))
-        + (fval("fs") + fval("hs")).scale(1 - rho * rho)
-    )
+
+    def target():
+        return (
+            (fval("fk") + fval("hk")).scale(rho * rho)
+            - (fval("fk1") + fval("hk1"))
+            + (fval("fs") + fval("hs")).scale(1 - rho * rho)
+        )
+
     if regime is Regime.SMALL_STEP:
         al = alpha_small(mu, L, gamma)
         be = beta_small(mu, L, gamma)
@@ -838,7 +833,95 @@ def verify_funcvalue(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateR
                 ),
             ),
         ]
-    return _assemble("funcvalue", regime, mu, L, gamma, weighted, target, sos, _mutate)
+    return weighted, target, sos
+
+
+_CERTIFICATES = {
+    "distance": _distance_certificate,
+    "residual": _residual_certificate,
+    "funcvalue": _funcvalue_certificate,
+}
+
+
+def _certificate(theorem: str, regime: Regime, mu, L, gamma, interp=None):
+    """The (weighted, target, sos) certificate of one theorem in one regime, for any scalars.
+
+    `interp` is the (smooth, convex) pair of inequality builders, by default
+    the public `interp_smooth` and `interp_convex`; the parametric proof passes
+    their scalar-generic bodies.
+    """
+    smooth, convex = interp or (interp_smooth, interp_convex)
+    return _CERTIFICATES[theorem](regime, mu, L, gamma, smooth, convex)
+
+
+def _term_names(theorem: str) -> list[str]:
+    """The names of a theorem's multipliers and SOS terms, in report order (the same in both regimes)."""
+    weighted, _, sos = _certificate(theorem, Regime.SMALL_STEP, Fraction(1), Fraction(2), Fraction(1, 2))
+    return [name for name, _, _ in weighted + sos]
+
+
+def _residual(weighted, target, sos, mutate=None) -> SymbolicExpr:
+    """A certificate's weighted inequalities minus its target plus its SOS terms, expanded."""
+    total = SymbolicExpr()
+    for name, lam, ineq in weighted:
+        total = total + ineq().scale(_apply_mutation(name, lam, mutate))
+    residual = total - target()
+    for name, coeff, comb in sos:
+        residual = residual + norm_sq(comb).scale(_apply_mutation(name, coeff, mutate))
+    return residual
+
+
+def _assemble(theorem: str, mu, L, gamma, regime: Regime, mutate) -> CertificateReport:
+    """The report of one certificate at exact (mu, L) and an exact or symbolic step.
+
+    The unperturbed residual is proven zero (see the module docstring), so it
+    is expanded only when `mutate` perturbs one of this certificate's terms.
+    """
+    mu, L, gamma = _coerce(mu, L, gamma)
+    weighted, target, sos = _certificate(theorem, regime, mu, L, gamma)
+    multipliers, sos_terms = [], []
+    for name, lam, _ in weighted:
+        lam = _apply_mutation(name, lam, mutate)
+        multipliers.append(Multiplier(name, lam, _nonneg(lam, regime, mu, L)))
+    for name, coeff, comb in sos:
+        coeff = _apply_mutation(name, coeff, mutate)
+        sos_terms.append(SosTerm(name, coeff, _nonneg(coeff, regime, mu, L), dict(comb.coeffs)))
+    own = mutate is not None and mutate[0] in [t.name for t in multipliers + sos_terms]
+    residual = _residual(weighted, target, sos, mutate) if own else SymbolicExpr()
+    return CertificateReport(
+        theorem, regime, mu, L, gamma, multipliers, sos_terms, residual.is_zero(), residual
+    )
+
+
+def verify_distance(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateReport:
+    """Certificate for ||x_{k+1} - x_*||^2 <= rho^2 ||x_k - x_*||^2.
+
+    Multipliers 2*gamma*rho on the smooth inequalities between x_k and x_*
+    (both orders) and 2*gamma on the convex inequalities between x_{k+1} and
+    x_*; the weighted sum equals the bound minus gamma^2 ||g_* + s_{k+1}||^2
+    minus the regime's squared-norm term.
+    """
+    return _assemble("distance", mu, L, gamma, regime, _mutate)
+
+
+def verify_residual(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateReport:
+    """Certificate for ||g_{k+1} + s_{k+1}||^2 <= rho^2 ||g_k + s_k||^2.
+
+    Uses only the inequalities between the consecutive iterates, with
+    multipliers 2*rho/gamma (smooth pair) and 2*rho^2/gamma (convex pair).
+    """
+    return _assemble("residual", mu, L, gamma, regime, _mutate)
+
+
+def verify_funcvalue(mu, L, gamma, regime: Regime, _mutate=None) -> CertificateReport:
+    """Certificate for F(x_{k+1}) - F_* <= rho^2 (F(x_k) - F_*).
+
+    Five inequalities with multipliers rho, (1-rho)rho, 1-rho, rho^2, 1-rho^2
+    and three squared-norm terms whose coefficients carry the regime scaling
+    polynomials alpha and beta. Requires mu > 0: the stored combinations
+    divide by mu.
+    """
+    return _assemble("funcvalue", mu, L, gamma, regime, _mutate)
 
 
 VERIFIERS = {

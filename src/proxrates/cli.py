@@ -265,6 +265,14 @@ def _cmd_certify(args):
         name, _, delta = args.selftest_mutate.partition(":")
         mutate = (name, _parse_rational(delta or "1/1000", "--selftest-mutate delta"))
     points = _certify_points(args)
+    if mutate is not None:
+        names = sorted({n for theorem in theorems for n in cert._term_names(theorem)})
+        if name not in names:
+            raise ValueError(
+                f"--selftest-mutate NAME must be a term of the selected theorems ({', '.join(names)}), got {name!r}"
+            )
+        if mutate[1] == 0:
+            raise ValueError("--selftest-mutate DELTA must be nonzero")
     reports = [
         cert.VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
         for mu, L, gamma, regime in points

@@ -240,7 +240,9 @@ def _iterate(
 ) -> IterateTrace:
     """The PGM loop: iterates 0..N and the N steps, filled into the trace's columns.
 
-    Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)).
+    Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)). The first
+    non-finite F(x_k) (a run that diverges, outside the theory) raises a
+    ValueError naming k.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -258,7 +260,9 @@ def _iterate(
     gammas: list[float] = []
     for k in range(N + 1):
         G[k] = problem.f.grad(X[k])
-        F[k] = problem.value(X[k])
+        F[k] = value = problem.value(X[k])
+        if not math.isfinite(value):
+            raise ValueError(f"F(x_k) is not finite at k = {k}: the iterates diverge")
         if k < N:
             gamma, X[k + 1], S[k + 1] = step(X[k], G[k])
             gammas.append(gamma)

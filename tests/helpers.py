@@ -6,18 +6,31 @@ maps, a grid search of the exact line search through the public prox and
 objective, a scalar per-coordinate loop for the closed-form optimum, direct
 recurrence iteration for the constrained quadratic family, the long
 hand-expanded coefficient display for the distance certificate, an eager
-gcd normalization of rational functions on plain coefficient lists, and the
-list-of-records PGM trace with noise floors and step ratios recomputed per call.
+gcd normalization of rational functions on plain coefficient lists, the
+list-of-records PGM trace with noise floors and step ratios recomputed per call,
+and the certificate report with its residual always expanded.
+
+It also holds the parametric certificate proof: `ParamRat`, exact arithmetic
+in Q(mu, L, gamma) with denominators kept as named factors, in which each
+certificate's residual expands to zero.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from proxrates.certificate import (
+    VERIFIERS,
+    CertificateReport,
     Regime,
     SymbolicExpr,
+    _certificate,
+    _coerce,
+    _interp_convex,
+    _interp_smooth,
+    _residual,
     interp_convex,
     interp_smooth,
 )
@@ -369,3 +382,251 @@ def trace_rows_oracle(oracle: _OracleTrace, rate, outside_theory: bool, tol: flo
                 violated |= row[m.value] > rate.rho_squared * prev * (1 + tol) + oracle.measure_floor(m, k)
         rows.append(row)
     return rows, violated
+
+
+# ------------------------------------------------------------------------
+# the parametric certificate proof: exact arithmetic in Q(mu, L, gamma)
+#
+# A polynomial in (mu, L, gamma) is a dict {(i, j, k): int} for the monomial
+# mu^i L^j gamma^k, zero coefficients dropped. An element of the field is
+# num / (d * mu^a L^b gamma^c * prod_f f^e_f) with d a positive integer and f
+# running over the named factors below. Division is allowed only by such a
+# product, which is stripped off the divisor's numerator by exact division;
+# no multivariate gcd is needed, and an element is zero exactly when its
+# numerator is.
+
+
+def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        v = out.get(m, 0) + sign * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a1, b1, c1), v1 in p.items():
+        for (a2, b2, c2), v2 in q.items():
+            m = (a1 + a2, b1 + b2, c1 + c2)
+            out[m] = out.get(m, 0) + v1 * v2
+    return {m: v for m, v in out.items() if v}
+
+
+def _poly_div_exact(p: dict, d: dict):
+    """p / d when d divides p, else None; d's leading coefficient is +-1.
+
+    Division by the lexicographically leading term of d: if d divides p, the
+    leading term of every remainder is a multiple of d's, so the first one
+    that is not proves d does not divide p. A leading coefficient of +-1
+    keeps the quotient's coefficients integers.
+    """
+    lead = max(d)
+    rem, quo = dict(p), {}
+    while rem:
+        m = max(rem)
+        e = (m[0] - lead[0], m[1] - lead[1], m[2] - lead[2])
+        if min(e) < 0:
+            return None
+        quo[e] = rem[m] * d[lead]
+        rem = _poly_add(rem, _poly_mul({e: quo[e]}, d), -1)
+    return quo
+
+
+# The named denominator factors, expanded by hand from their definitions.
+PROOF_FACTORS = {
+    "L - mu": {(0, 1, 0): 1, (1, 0, 0): -1},
+    "2 - gamma*mu": {(0, 0, 0): 2, (1, 0, 1): -1},
+    "2 - gamma*L": {(0, 0, 0): 2, (0, 1, 1): -1},
+    # -(gamma^2 L^2 mu + 2 L (gamma mu - 2) + mu (gamma mu - 2)^2)
+    "alpha_small": {(1, 2, 2): -1, (1, 1, 1): -2, (0, 1, 0): 4, (3, 0, 2): -1, (2, 0, 1): 4, (1, 0, 0): -4},
+    # -2 L^2 - 2 mu^2 + 2 L mu + gamma L^3 + gamma L mu^2
+    "alpha_large": {(0, 2, 0): -2, (2, 0, 0): -2, (1, 1, 0): 2, (0, 3, 1): 1, (2, 1, 1): 1},
+}
+_FACTORS = tuple(PROOF_FACTORS.values())
+_NO_FACTORS = (0,) * len(_FACTORS)
+assert all(f[max(f)] in (1, -1) for f in _FACTORS)
+
+
+def _strip_factors(num: dict, limits) -> tuple[dict, tuple]:
+    """Divide num by each named factor as often as it divides, at most limits[i] times."""
+    counts = []
+    for f, limit in zip(_FACTORS, limits):
+        n = 0
+        while n < limit:
+            q = _poly_div_exact(num, f)
+            if q is None:
+                break
+            num, n = q, n + 1
+        counts.append(n)
+    return num, tuple(counts)
+
+
+def _monomial_content(num: dict) -> tuple:
+    return tuple(min(m[i] for m in num) for i in range(3))
+
+
+def _shift(num: dict, mono, sign: int = 1) -> dict:
+    return {tuple(a + sign * b for a, b in zip(m, mono)): v for m, v in num.items()}
+
+
+class ParamRat:
+    """An element of Q(mu, L, gamma): num / (d * mu^a L^b gamma^c * prod of named factors^e).
+
+    Every instance is reduced: no integer above 1, no power of mu, L or gamma
+    and no named factor divides both the numerator and the denominator. Zero
+    is {} / 1.
+    """
+
+    __slots__ = ("num", "d", "mono", "fac")
+
+    def __init__(self, num: dict, d: int = 1, mono=(0, 0, 0), fac=_NO_FACTORS):
+        if not num:
+            d, mono, fac = 1, (0, 0, 0), _NO_FACTORS
+        else:
+            g = math.gcd(d, *num.values())
+            if g > 1:
+                num, d = {m: v // g for m, v in num.items()}, d // g
+            low = tuple(min(a, b) for a, b in zip(_monomial_content(num), mono))
+            if any(low):
+                num, mono = _shift(num, low, -1), tuple(a - b for a, b in zip(mono, low))
+            if any(fac):
+                num, cancelled = _strip_factors(num, fac)
+                fac = tuple(a - b for a, b in zip(fac, cancelled))
+        self.num, self.d, self.mono, self.fac = num, d, mono, fac
+
+    @classmethod
+    def lift(cls, v) -> "ParamRat":
+        if isinstance(v, ParamRat):
+            return v
+        if type(v) is int:
+            return cls({(0, 0, 0): v} if v else {})
+        v = Fraction(v)
+        return cls({(0, 0, 0): v.numerator} if v else {}, v.denominator)
+
+    def _over(self, d: int, mono, fac) -> dict:
+        """The numerator over the larger denominator d * mu^.. L^.. gamma^.. * factors^fac."""
+        num, scale = self.num, d // self.d
+        if mono != self.mono:
+            num = _shift(num, tuple(a - b for a, b in zip(mono, self.mono)))
+        if scale != 1:
+            num = {m: v * scale for m, v in num.items()}
+        for f, new, old in zip(_FACTORS, fac, self.fac):
+            for _ in range(new - old):
+                num = _poly_mul(num, f)
+        return num
+
+    def _add(self, other, sign: int) -> "ParamRat":
+        other = ParamRat.lift(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign > 0 else -other
+        d = self.d * other.d // math.gcd(self.d, other.d)
+        mono = tuple(map(max, self.mono, other.mono))
+        fac = tuple(map(max, self.fac, other.fac))
+        return ParamRat(_poly_add(self._over(d, mono, fac), other._over(d, mono, fac), sign), d, mono, fac)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        return ParamRat.lift(other)._add(self, -1)
+
+    def __neg__(self):
+        return ParamRat({m: -v for m, v in self.num.items()}, self.d, self.mono, self.fac)
+
+    def __mul__(self, other):
+        other = ParamRat.lift(other)
+        return ParamRat(
+            _poly_mul(self.num, other.num),
+            self.d * other.d,
+            tuple(map(sum, zip(self.mono, other.mono))),
+            tuple(map(sum, zip(self.fac, other.fac))),
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "ParamRat":
+        """1 / self; raises ValueError unless the numerator is a monomial times named factors."""
+        if not self.num:
+            raise ZeroDivisionError("division by zero in Q(mu, L, gamma)")
+        mono = _monomial_content(self.num)
+        rest, fac = _strip_factors(_shift(self.num, mono, -1), [math.inf] * len(_FACTORS))
+        if set(rest) != {(0, 0, 0)}:
+            raise ValueError(f"division by a polynomial outside the named factors: {self.num}")
+        c = rest[(0, 0, 0)]
+        den = ParamRat({(0, 0, 0): self.d * (1 if c > 0 else -1)})._over(1, self.mono, self.fac)
+        return ParamRat(den, abs(c), mono, fac)
+
+    def __truediv__(self, other):
+        return self * ParamRat.lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return ParamRat.lift(other) * self.inverse()
+
+    def __pow__(self, n: int):
+        out = ParamRat.lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return not (self - other).num
+
+    __hash__ = None
+
+    def eval(self, mu, L, gamma) -> Fraction:
+        """The value at a rational point; ZeroDivisionError where the denominator vanishes."""
+
+        def at(poly):
+            return sum((c * mu**i * L**j * gamma**k for (i, j, k), c in poly.items()), Fraction(0))
+
+        den = self.d * mu ** self.mono[0] * L ** self.mono[1] * gamma ** self.mono[2]
+        for f, e in zip(_FACTORS, self.fac):
+            den *= at(f) ** e
+        return at(self.num) / den
+
+    def factors(self) -> set:
+        """The named factors in the reduced denominator."""
+        return {name for name, e in zip(PROOF_FACTORS, self.fac) if e}
+
+    def __repr__(self):
+        return f"ParamRat({self.num}, {self.d}, {self.mono}, {self.fac})"
+
+
+PARAM_MU = ParamRat({(1, 0, 0): 1})
+PARAM_L = ParamRat({(0, 1, 0): 1})
+PARAM_GAMMA = ParamRat({(0, 0, 1): 1})
+
+
+def parametric_certificate(theorem: str, regime: Regime):
+    """The certificate of `theorem` in `regime` with mu, L and gamma all symbolic."""
+    return _certificate(
+        theorem, regime, PARAM_MU, PARAM_L, PARAM_GAMMA, interp=(_interp_smooth, _interp_convex)
+    )
+
+
+def certificate_inputs(certificate) -> list:
+    """Every scalar a certificate feeds its residual: multipliers, SOS and combination coefficients."""
+    weighted, _, sos = certificate
+    values = [lam for _, lam, _ in weighted]
+    for _, coeff, comb in sos:
+        values += [coeff, *comb.coeffs.values()]
+    return values
+
+
+def expanded_report(theorem: str, mu, L, gamma, regime: Regime, mutate=None) -> CertificateReport:
+    """The report of verify_<theorem> with its residual always expanded, as before the proof."""
+    report = VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
+    mu, L, gamma = _coerce(mu, L, gamma)
+    residual = _residual(*_certificate(theorem, regime, mu, L, gamma), mutate)
+    return dataclasses.replace(report, residual_zero=residual.is_zero(), residual=residual)

@@ -1,3 +1,5 @@
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,10 @@ from proxrates.certificate import (
     SymbolicExpr,
     VERIFIERS,
     VecExpr,
+    _certificate,
     _regimes,
+    _residual,
+    _term_names,
     alpha_large,
     alpha_small,
     default_grid,
@@ -30,7 +35,19 @@ from proxrates.certificate import (
     verify_residual,
 )
 
-from helpers import distance_weighted_sum, ratfunc_oracle, reference_display
+from helpers import (
+    PARAM_GAMMA,
+    PARAM_L,
+    PARAM_MU,
+    PROOF_FACTORS,
+    ParamRat,
+    certificate_inputs,
+    distance_weighted_sum,
+    expanded_report,
+    parametric_certificate,
+    ratfunc_oracle,
+    reference_display,
+)
 
 F = Fraction
 
@@ -159,7 +176,8 @@ class TestCanonicalForm:
         monkeypatch.setattr(Poly, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
         mu, L = F(21, 10), F(3)
         reports = [fn(mu, L, gamma_symbol(), regime) for fn in VERIFIERS.values() for regime in Regime]
-        # 234 calls here; normalizing every RatFunc eagerly made 3,329
+        # 17 calls here (234 while every verification expanded its residual); normalizing
+        # every RatFunc eagerly made 3,329
         assert len(calls) <= 300
         assert all(rep.verified for rep in reports)
         values = []
@@ -498,3 +516,161 @@ class TestNumericSpotCheck:
             a = evaluate_expr(lhs, vectors, values)
             b = evaluate_expr(rhs, vectors, values)
             assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
+
+
+# ------------------------------------------------------- the parametric proof
+
+
+class TestParametricProof:
+    """Each certificate's residual is the zero element of Q(mu, L, gamma).
+
+    This is what lets `verify_*` skip the expansion: see the module docstring
+    of `proxrates.certificate`.
+    """
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_residual_is_identically_zero(self, theorem, regime):
+        certificate = parametric_certificate(theorem, regime)
+        assert _residual(*certificate).is_zero()
+        inputs = certificate_inputs(certificate)
+        assert any(isinstance(v, ParamRat) and v.factors() for v in inputs)
+        for v in inputs:
+            assert ParamRat.lift(v).factors() <= set(PROOF_FACTORS)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_every_perturbed_term_leaves_a_residual(self, theorem, regime):
+        names = _term_names(theorem)
+        assert len(names) == len(set(names))
+        for name in names:
+            for delta in (ParamRat.lift(1), PARAM_GAMMA * PARAM_MU):
+                weighted, target, sos = parametric_certificate(theorem, regime)
+                weighted = [(n, v + delta if n == name else v, ineq) for n, v, ineq in weighted]
+                sos = [(n, v + delta if n == name else v, comb) for n, v, comb in sos]
+                assert not _residual(weighted, target, sos).is_zero(), (name, delta)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_proof_inputs_are_the_point_inputs(self, theorem, regime):
+        # the symbolic certificate evaluated at a point is the point certificate
+        rng = random.Random(7)
+        symbolic = certificate_inputs(parametric_certificate(theorem, regime))
+        for _ in range(5):
+            L = Fraction(rng.randint(1, 20), rng.randint(1, 5))
+            mu, gamma = L * Fraction(rng.randint(1, 19), 20), Fraction(rng.randint(1, 40), 10) / L
+            point = certificate_inputs(_certificate(theorem, regime, mu, L, gamma))
+            assert [ParamRat.lift(v).eval(mu, L, gamma) for v in symbolic] == point
+
+    def test_arithmetic_against_fractions(self):
+        rng = random.Random(3)
+        atoms = [PARAM_MU, PARAM_L, PARAM_GAMMA, ParamRat.lift(Fraction(-3, 2))]
+        atoms += [1 / ParamRat(dict(f)) for f in PROOF_FACTORS.values()]
+        for _ in range(200):
+            a, b = rng.choice(atoms), rng.choice(atoms)
+            point = (Fraction(rng.randint(1, 9), 7), Fraction(rng.randint(10, 30), 7), Fraction(rng.randint(1, 9), 11))
+            try:
+                x, y = a.eval(*point), b.eval(*point)
+            except ZeroDivisionError:
+                continue
+            assert (a + b).eval(*point) == x + y
+            assert (a - b).eval(*point) == x - y
+            assert (a * b).eval(*point) == x * y
+            assert (a * b / a).eval(*point) == y
+            assert (a * b - b * a) == 0 and (a - a).num == {}
+
+    def test_division_outside_the_named_factors_is_refused(self):
+        with pytest.raises(ValueError, match="named factors"):
+            ParamRat.lift(1) / (PARAM_L + PARAM_MU)
+
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_term_names_are_the_report_names_in_both_regimes(self, theorem):
+        for regime in Regime:
+            rep = VERIFIERS[theorem](F(1), F(3), F(1, 3), regime)
+            assert [m.name for m in rep.multipliers] + [t.name for t in rep.sos_terms] == _term_names(theorem)
+
+
+# ------------------------------------------------ the fast path against expansion
+
+
+def _outcome(theorem, mu, L, gamma, regime, mutate=None, expand=False):
+    """The report's JSON text, key order included, or the exception's type and message."""
+    try:
+        if expand:
+            rep = expanded_report(theorem, mu, L, gamma, regime, mutate)
+        else:
+            rep = VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return json.dumps(rep.to_json_dict())
+
+
+def _seeded_pairs(n=40, seed=11):
+    rng = random.Random(seed)
+    pairs = [(F(0), F(1)), (F(0), F(7, 3))]
+    while len(pairs) < n:
+        L = F(rng.randint(1, 12), rng.randint(1, 4))
+        pairs.append((L * F(rng.randint(0, 9), 10), L))
+    return pairs
+
+
+def _agree(*args, **kwargs):
+    fast, slow = _outcome(*args, **kwargs), _outcome(*args, **kwargs, expand=True)
+    assert fast == slow, args
+    return fast
+
+
+class TestFastPathMatchesExpansion:
+    """verify_* (no expansion unless its own term is mutated) against the forced expansion."""
+
+    def test_default_grid(self):
+        for mu, L, gamma, regime in default_grid():
+            for theorem in VERIFIERS:
+                assert json.loads(_agree(theorem, mu, L, gamma, regime))["verified"]
+
+    def test_seeded_pairs_symbolic(self):
+        pairs = _seeded_pairs()
+        outcomes = [_agree(t, mu, L, gamma_symbol(), r) for mu, L in pairs for r in Regime for t in VERIFIERS]
+        assert len(outcomes) == 240
+        assert sum(isinstance(o, tuple) for o in outcomes) == 2 * sum(mu == 0 for mu, _ in pairs)
+
+    def test_seeded_pairs_exact_steps(self):
+        rng = random.Random(5)
+        outcomes = []
+        for mu, L in _seeded_pairs():
+            g_star, share = 2 / (L + mu), F(rng.randint(1, 999), 1000)
+            steps = [F(0), g_star * share, g_star, g_star + (2 / L - g_star) * share, 2 / L * (1 + share)]
+            for gamma in rng.sample(steps, 3):
+                outcomes += [_agree(t, mu, L, gamma, r) for r in Regime for t in VERIFIERS]
+        assert any(isinstance(o, tuple) for o in outcomes) and any(isinstance(o, str) for o in outcomes)
+
+    @pytest.mark.parametrize("delta", [F(1, 1000), F(-3, 7)])
+    def test_every_mutation_name(self, delta):
+        names = sorted({n for t in VERIFIERS for n in _term_names(t)})
+        assert len(names) == 11
+        points = [(F(1), F(2), F(1, 2), Regime.SMALL_STEP), (F(3), F(10), F(1, 6), Regime.LARGE_STEP),
+                  (F(1, 2), F(3), gamma_symbol(), Regime.SMALL_STEP)]
+        for mu, L, gamma, regime in points:
+            for theorem in VERIFIERS:
+                for name in names:
+                    doc = json.loads(_agree(theorem, mu, L, gamma, regime, (name, delta)))
+                    assert doc["residual_zero"] is (name not in _term_names(theorem))
+
+    def test_residual_expanded_only_for_an_own_mutated_term(self, monkeypatch):
+        from proxrates import certificate
+
+        calls = []
+        for fn in ("interp_smooth", "interp_convex"):
+            original = getattr(certificate, fn)
+            monkeypatch.setattr(certificate, fn, lambda *a, _f=original: calls.append(1) or _f(*a))
+        point = (F(1), F(3), F(1, 3), Regime.SMALL_STEP)
+        assert verify_funcvalue(*point).verified and verify_distance(*point, _mutate=("lambda4", 1)).verified
+        assert calls == []
+        assert not verify_funcvalue(*point, _mutate=("lambda4", 1)).verified
+        assert len(calls) == 5
+
+    def test_residual_certificate_rejects_a_zero_step(self):
+        with pytest.raises(ValueError, match="gamma"):
+            verify_residual(1, 3, 0, Regime.SMALL_STEP)
+        assert verify_distance(1, 3, 0, Regime.SMALL_STEP).verified
+        assert verify_funcvalue(1, 3, 0, Regime.SMALL_STEP).verified

@@ -8,11 +8,12 @@ import sys
 import pytest
 
 from proxrates import ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, pgm_step, run
+from proxrates import certificate as cert
 from proxrates import cli
 from proxrates.cli import build_parser, main
 from proxrates.smooth import random_composite
 
-from helpers import trace_oracle, trace_rows_oracle
+from helpers import expanded_report, trace_oracle, trace_rows_oracle
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -253,6 +254,41 @@ class TestCertify:
         assert code == 0
         rows = load_json(out)["rows"]
         assert {r["gamma"] for r in rows} == {"4/3"}  # 2/(1 + 1/2) exactly
+
+
+    def test_zero_step_residual_is_a_usage_error(self, tmp_path, capsys):
+        code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "0"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: residual certificate requires gamma != 0") and "Traceback" not in err
+
+    def test_zero_step_distance_still_verifies(self, tmp_path):
+        code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "0", "--theorem", "distance"], tmp_path)
+        assert code == 0
+        expected = expanded_report("distance", 1, 3, 0, cert.Regime.SMALL_STEP).to_json_dict()
+        assert load_json(out)["rows"] == [expected] and expected["verified"]
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--selftest-mutate", "bogus"], "NAME must be a term of the selected theorems (grad_combination, lambda0"),
+            (["--selftest-mutate", "lambda0:0"], "DELTA must be nonzero"),
+            (["--selftest-mutate", "lambda4", "--theorem", "distance"],
+             "(lambda0, lambda1, lambda2, lambda3, prox_residual, regime), got 'lambda4'"),
+        ],
+    )
+    def test_mutation_that_changes_nothing_is_a_usage_error(self, tmp_path, capsys, extra, message):
+        code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", *extra], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: --selftest-mutate ") and message in err
+
+    def test_mutation_fails_only_the_theorems_that_own_the_term(self, tmp_path):
+        code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", "lambda4"],
+                            tmp_path)
+        rows = load_json(out)["rows"]
+        assert code == 1 and [r["verified"] for r in rows] == [True, True, False]
+        assert rows[2]["theorem"] == "funcvalue" and rows[2]["residual"]["lin"]
 
 
 class TestTables:
@@ -500,8 +536,8 @@ class TestEntryPoint:
         assert (done.stdout == b"") == (status == 2)
 
     def test_diverging_run_past_the_envelope_exits_2(self, tmp_path):
-        # the unconstrained run overflows too, with numpy warnings on stderr, but it ends in a usage error
+        # the unconstrained run's objective overflows at k = 256 (a numpy warning on stderr); the run stops there
         out = tmp_path / "out.json"
         done = self._module(["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--out", str(out)])
         assert done.returncode == 2 and not out.exists()
-        assert b"error: rho^(2k) overflows a float at k = 256" in done.stderr and b"Traceback" not in done.stderr
+        assert b"error: F(x_k) is not finite at k = 256" in done.stderr and b"Traceback" not in done.stderr

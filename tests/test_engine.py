@@ -507,3 +507,12 @@ class TestNonFiniteInputs:
         problem, x0 = random_composite(ClassParams(1.0, 10.0), 3, kind, 0)
         with pytest.raises(ValueError, match="pgm_step requires"):
             pgm_step(problem, gamma, x0)
+
+    def test_diverging_objective_raises_naming_k(self):
+        # simulate --mu 1 --L 10 --gamma 0.5: outside the theory, F grows as 16^k and passes a float at k = 256
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 5, "zero", 0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"F\(x_k\) is not finite at k = 256"):
+                run(problem, 0.5, x0, 400)
+            trace = run(problem, 0.5, x0, 255)
+        assert trace.outside_theory and np.isfinite(trace.F).all()
