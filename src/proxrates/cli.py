@@ -255,6 +255,8 @@ def _certify_points(args):
     if args.gamma is None:
         raise ValueError("certify needs --gamma with --mu/--L (use a rational string)")
     gamma = 2 / (L + mu) if args.gamma == "opt" else _parse_rational(args.gamma, "--gamma")
+    if gamma > 2 / L:
+        raise ValueError(f"certificates cover steps up to 2/L = {2 / L}, got gamma = {gamma}")
     return [(mu, L, gamma, regime) for regime in cert._regimes(mu, L, gamma)]
 
 
@@ -265,6 +267,10 @@ def _cmd_certify(args):
         name, _, delta = args.selftest_mutate.partition(":")
         mutate = (name, _parse_rational(delta or "1/1000", "--selftest-mutate delta"))
     points = _certify_points(args)
+    if args.theorem == "all" and any(mu == 0 for mu, *_ in points):
+        raise ValueError(
+            "function-value certificate requires mu > 0; at mu = 0 use --theorem distance or --theorem residual"
+        )
     if mutate is not None:
         names = sorted({n for theorem in theorems for n in cert._term_names(theorem)})
         if name not in names:

@@ -10,13 +10,22 @@ the optimum, function-value gap, squared residual gradient norm) wherever the
 optimum is available. The residual measure at an iterate always uses that
 iterate's own gradient and subgradient, which distinguishes it from the
 gradient mapping (x_k - x_{k+1}) / gamma.
+
+A trace's memory is O(dim) for any number of steps. The loop writes the
+rows of iterates, gradients and subgradients into a buffer of about _BLOCK
+floats and reduces each full block into per-iterate columns: the measures
+and the squared norms the noise floors need. A run that fits in one block
+keeps its rows; a longer one rebuilds them, by running the loop again, the
+first time they are read, and raises RuntimeError if the problem was changed
+in place since the run.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -38,7 +47,7 @@ __all__ = [
 _MEMBERSHIP_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _FLOOR_FACTOR = 256.0
-_BLOCK = 1 << 16  # floats per temporary when a measure is computed over rows
+_BLOCK = 1 << 16  # floats per row buffer of the PGM loop, and per temporary of its reductions
 
 
 class LineSearchError(RuntimeError):
@@ -77,24 +86,34 @@ class IterateTrace:
     step ratios are computed for every iterate at once, on first use; a run
     whose floors are never read (a library line-search run) does not pay for
     them. `records` lists the rows as IterateRecords, built on each access.
+
+    A trace holds O(dim) memory for any N: the measures, F and the squared
+    row norms the floors need are per-iterate columns, filled block by block
+    inside the loop (see _iterate). A run that fits in one block keeps its
+    rows as X, G and S. A longer run keeps only its arguments, and the first
+    read of X, G, S or `records` runs the loop again in one block; if the
+    values of F it gets differ from the stored ones (the problem was changed
+    in place since the run), the read raises RuntimeError.
     """
 
     def __init__(
         self,
         problem: CompositeProblem,
-        X: np.ndarray,
-        G: np.ndarray,
-        S: np.ndarray,
         F: np.ndarray,
+        sums: np.ndarray,
         s0_known: bool,
         optimum: tuple[np.ndarray, float] | None,
         gammas: list[float],
         method: str = "fixed",
         outside_theory: bool = False,
+        rows: np.ndarray | None = None,
+        rerun: Callable[[], IterateTrace] | None = None,
     ):
-        self.problem, self.X, self.G, self.S, self.F = problem, X, G, S, F
+        self.problem, self.F = problem, F
         self.gammas, self.method, self.outside_theory = gammas, method, outside_theory
-        self._optimum = optimum
+        self._optimum, self._sums, self._rerun = optimum, sums, rerun
+        if rows is not None:
+            self._rows = rows
         n = len(F)
         has_opt = np.full(n, optimum is not None)
         has_s = np.ones(n, dtype=bool)
@@ -104,23 +123,37 @@ class IterateTrace:
             MeasureKind.FUNC_GAP: has_opt,
             MeasureKind.RESIDUAL_GRAD_SQ: has_s,
         }
-        if optimum is None:
-            dist = gap = np.full(n, np.nan)
-        else:
-            x_star, F_star = optimum
-            dist = _row_blocks(lambda x: np.sum((x - x_star) ** 2, axis=1), X)
-            gap = F - F_star
         self.measures = {
-            MeasureKind.DISTANCE_SQ: dist,
-            MeasureKind.FUNC_GAP: gap,
-            MeasureKind.RESIDUAL_GRAD_SQ: _row_blocks(lambda g, s: _row_dots(g + s), G, S),
+            MeasureKind.DISTANCE_SQ: sums[0],
+            MeasureKind.FUNC_GAP: F - optimum[1] if optimum else np.full(n, np.nan),
+            MeasureKind.RESIDUAL_GRAD_SQ: sums[1],
         }
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The (3, N+1, dim) stack of X, G and S, rebuilt by running the loop again in one block."""
+        trace = self._rerun()
+        if trace.F.tobytes() != self.F.tobytes():
+            raise RuntimeError("the problem changed since the run: its iterates can no longer be rebuilt")
+        return trace._rows
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self._rows[1]
+
+    @property
+    def S(self) -> np.ndarray:
+        return self._rows[2]
 
     @cached_property
     def floors(self) -> dict[MeasureKind, np.ndarray]:
         """The noise floor of each measure at each iterate (see _noise_floors)."""
         has_s = self.defined[MeasureKind.RESIDUAL_GRAD_SQ]
-        return _noise_floors(self.X, self.G, self.S, self.F, self._optimum, has_s)
+        return _noise_floors(*self._sums[2:], self.F, self._optimum, has_s)
 
     @cached_property
     def _ratios(self) -> dict[MeasureKind, list[float | None]]:
@@ -129,8 +162,9 @@ class IterateTrace:
     @property
     def records(self) -> list[IterateRecord]:
         has_s = self.defined[MeasureKind.RESIDUAL_GRAD_SQ]
+        X, G, S = self._rows
         return [
-            IterateRecord(self.X[k], self.G[k], self.S[k] if has_s[k] else None, float(self.F[k]),
+            IterateRecord(X[k], G[k], S[k] if has_s[k] else None, float(self.F[k]),
                           *(self.measure(m, k) for m in MeasureKind))
             for k in range(len(self))
         ]
@@ -154,22 +188,24 @@ class IterateTrace:
         return list(self._ratios[kind])
 
 
-def _noise_floors(X, G, S, F, optimum, has_s) -> dict[MeasureKind, np.ndarray]:
+def _noise_floors(xx, gg, ss, F, optimum, has_s) -> dict[MeasureKind, np.ndarray]:
     """Absolute double-precision noise floor of each measure at each iterate.
 
     The function gap is a difference of comparable values, the distance a
     square of one, and the residual a square of the gradient/subgradient
-    sum; each inherits a floor of a few hundred ulps of its inputs. Below
-    this level the stored value carries no information, a measured "gap"
-    may even be negative, and no ratio or bound check is meaningful. The
-    optimum's scale (||x*||, |F*|) enters when the optimum is known; the
-    residual floor is 0 where `has_s` says no subgradient is known.
+    sum; each inherits a floor of a few hundred ulps of its inputs, whose
+    squared norms per iterate are xx (the iterate), gg (the gradient of f)
+    and ss (the subgradient of h). Below this level the stored value carries
+    no information, a measured "gap" may even be negative, and no ratio or
+    bound check is meaningful. The optimum's scale (||x*||, |F*|) enters
+    when the optimum is known; the residual floor is 0 where `has_s` says no
+    subgradient is known.
     """
     x_scale, F_scale = (float(np.linalg.norm(optimum[0])), abs(optimum[1])) if optimum else (0.0, 0.0)
     unit = _FLOOR_FACTOR * _EPS
-    residual = (unit * (np.sqrt(_row_dots(G)) + np.sqrt(_row_dots(S)))) ** 2
+    residual = (unit * (np.sqrt(gg) + np.sqrt(ss))) ** 2
     return {
-        MeasureKind.DISTANCE_SQ: (unit * np.maximum(np.sqrt(_row_dots(X)), x_scale)) ** 2,
+        MeasureKind.DISTANCE_SQ: (unit * np.maximum(np.sqrt(xx), x_scale)) ** 2,
         MeasureKind.FUNC_GAP: unit * np.maximum(np.abs(F), F_scale),
         MeasureKind.RESIDUAL_GRAD_SQ: np.where(has_s, residual, 0.0),
     }
@@ -180,11 +216,15 @@ def _row_dots(A: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ A[:, :, None]).reshape(len(A))
 
 
-def _row_blocks(fn, *arrays) -> np.ndarray:
-    """fn over blocks of rows, so that its temporaries stay near _BLOCK floats (or one row)."""
-    n, dim = arrays[0].shape
-    step = max(1, _BLOCK // max(dim, 1))
-    return np.concatenate([fn(*(a[i : i + step] for a in arrays)) for i in range(0, n, step)])
+def _row_sums(X, G, S, optimum, out) -> None:
+    """Reduce a block of rows into `out`: the distance and residual measures, |x|^2, |g|^2 and |s|^2.
+
+    Each row's values depend on that row alone, not on the rows that share
+    its block.
+    """
+    out[0] = np.sum((X - optimum[0]) ** 2, axis=1) if optimum else np.nan
+    out[1] = _row_dots(G + S)
+    out[2], out[3], out[4] = _row_dots(X), _row_dots(G), _row_dots(S)
 
 
 def _ratios(values: np.ndarray, defined: np.ndarray, floors: np.ndarray) -> list[float | None]:
@@ -236,13 +276,18 @@ def _initial_subgradient(problem: CompositeProblem, x0, s0):
 
 
 def _iterate(
-    problem: CompositeProblem, x0, N: int, s0, step, method: str, outside_theory: bool = False
+    problem: CompositeProblem, x0, N: int, s0, step, method: str, outside_theory: bool = False, nb: int = 0
 ) -> IterateTrace:
-    """The PGM loop: iterates 0..N and the N steps, filled into the trace's columns.
+    """The PGM loop: iterates 0..N and the N steps, reduced into the trace's columns.
 
-    Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)). The first
-    non-finite F(x_k) (a run that diverges, outside the theory) raises a
-    ValueError naming k.
+    Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)). Row k of
+    X, G and S is written to row k % nb of a buffer of nb rows (by default
+    enough for about _BLOCK floats, at most N + 1), and each full block, and
+    the last, is reduced into per-iterate columns (_row_sums) before the
+    next step overwrites it. A run of more than one block keeps its
+    arguments, to rebuild its rows in one block (nb = N + 1) when they are
+    read. The first non-finite F(x_k) (a run that diverges, outside the
+    theory) raises a ValueError naming k.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -252,21 +297,33 @@ def _iterate(
     if math.isinf(problem.h.value(x0)):
         raise ValueError("infeasible start: F(x0) = +inf")
     optimum = problem.try_optimum()
+    s0_given = s0 is not None
     s0 = _initial_subgradient(problem, x0, s0)
-    X = np.empty((N + 1, *x0.shape))
-    G, S, F = np.empty_like(X), np.empty_like(X), np.empty(N + 1)
+    nb = nb or min(N + 1, max(1, _BLOCK // max(x0.size, 1)))
+    buffer = np.empty((3, nb, *x0.shape))
+    X, G, S = buffer
+    F, sums = np.empty(N + 1), np.empty((5, N + 1))
     X[0] = x0
     S[0] = 0.0 if s0 is None else s0
     gammas: list[float] = []
     for k in range(N + 1):
-        G[k] = problem.f.grad(X[k])
-        F[k] = value = problem.value(X[k])
+        r = k % nb
+        G[r] = problem.f.grad(X[r])
+        F[k] = value = problem.value(X[r])
         if not math.isfinite(value):
             raise ValueError(f"F(x_k) is not finite at k = {k}: the iterates diverge")
+        if r == nb - 1 or k == N:
+            _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1])
         if k < N:
-            gamma, X[k + 1], S[k + 1] = step(X[k], G[k])
+            gamma, X[(k + 1) % nb], S[(k + 1) % nb] = step(X[r], G[r])
             gammas.append(gamma)
-    return IterateTrace(problem, X, G, S, F, s0 is not None, optimum, gammas, method, outside_theory)
+    if nb == N + 1:
+        rows, rerun = buffer, None
+    else:
+        rows = None
+        s0_arg = s0.copy() if s0_given else None
+        rerun = partial(_iterate, problem, x0.copy(), N, s0_arg, step, method, outside_theory, N + 1)
+    return IterateTrace(problem, F, sums, s0 is not None, optimum, gammas, method, outside_theory, rows, rerun)
 
 
 def run(

@@ -283,6 +283,30 @@ class TestCertify:
         assert code == 2 and not out.exists()
         assert err.startswith("error: --selftest-mutate ") and message in err
 
+    @pytest.mark.parametrize("theorem", ["all", "distance"])
+    def test_step_beyond_two_over_L_is_a_usage_error(self, tmp_path, capsys, theorem):
+        code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "1", "--theorem", theorem], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: ") and "gamma = 1" in err and "2/L = 2/3" in err
+
+    def test_step_at_two_over_L_still_verifies(self, tmp_path):
+        code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "2/3"], tmp_path)
+        rows = load_json(out)["rows"]
+        assert code == 0 and len(rows) == 3 and all(r["verified"] and r["regime"] == "large_step" for r in rows)
+        assert all(gamma <= 2 / L for _, L, gamma, _ in cert.default_grid())
+        assert len({(mu, L) for mu, L, gamma, _ in cert.default_grid() if gamma == 2 / L}) == 9
+        # the library verifiers still evaluate a step beyond 2/L
+        assert cert.VERIFIERS["distance"](1, 3, 1, cert.Regime.LARGE_STEP).verified
+
+    def test_mu_zero_with_all_theorems_names_the_ones_that_apply(self, tmp_path, capsys):
+        code, out = run_cli(["certify", "--mu", "0", "--L", "1", "--gamma", "1/2"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "requires mu > 0" in err and "--theorem distance" in err and "--theorem residual" in err
+        code, out = run_cli(["certify", "--mu", "0", "--L", "1", "--gamma", "1/2", "--theorem", "distance"], tmp_path)
+        assert code == 0 and load_json(out)["verdict"] == "pass"
+
     def test_mutation_fails_only_the_theorems_that_own_the_term(self, tmp_path):
         code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", "lambda4"],
                             tmp_path)

@@ -1,5 +1,6 @@
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from proxrates import (
     run,
     run_exact_line_search,
 )
+from proxrates import engine
 from proxrates.worstcase import DIST_TO_FUNCGAP, mixed_measure_instance
 
 from helpers import line_search_oracle, line_search_phi, trace_oracle
@@ -410,6 +412,8 @@ def _matches_oracle(problem, x0, N, gamma=None, s0=None) -> bool:
     trace = run_exact_line_search(problem, x0, N) if gamma is None else run(problem, gamma, x0, N, s0=s0)
     assert len(trace) == len(trace.records) == len(oracle.records)
     assert trace.gammas == oracle.gammas
+    assert trace.X.tobytes() == np.stack([r.x for r in oracle.records]).tobytes()
+    assert trace.G.tobytes() == np.stack([r.grad_f for r in oracle.records]).tobytes()
     for k, (rec, want) in enumerate(zip(trace.records, oracle.records)):
         assert rec.x.tobytes() == want.x.tobytes()
         assert rec.grad_f.tobytes() == want.grad_f.tobytes()
@@ -441,6 +445,43 @@ class TestColumnarTrace:
                 compared += _matches_oracle(problem, x0, N, gamma=0.15, s0=s0)
                 compared += _matches_oracle(problem, x0, N)
         assert compared >= 8
+
+    @pytest.mark.parametrize("dim", [1, 8, 1000])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_multi_block_matches_record_oracle(self, monkeypatch, kind, mu, dim):
+        # 3-row blocks: N = 12 reduces blocks of 3, 3, 3, 3 and 1 rows, and reading a row rebuilds the run
+        monkeypatch.setattr(engine, "_BLOCK", 3 * dim)
+        problem, x0 = random_composite(ClassParams(mu, 10.0), dim, kind, 0)
+        assert run(problem, 0.15, x0, 12)._rerun is not None and run(problem, 0.15, x0, 2)._rerun is None
+        self.test_matches_record_oracle(kind, mu, dim)
+
+    def test_memory_does_not_grow_with_N(self):
+        # at dim 2e4 the rows of N = 200 and N = 400 would take 96 and 192 MB
+        peaks = []
+        for N in (200, 400):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 20_000, "l1", 0)
+            problem.try_optimum()
+            tracemalloc.start()
+            try:
+                trace = run(problem, 0.15, x0, N)
+                for m in M:
+                    trace.measures[m], trace.floors[m], trace.step_ratios(m)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 8e6 and max(peaks) < 1.1 * min(peaks), peaks
+
+    def test_rebuild_after_the_problem_changed_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "_BLOCK", 3 * 8)
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 8, "l1", 0)
+        trace = run(problem, 0.15, x0, 12)
+        b0 = problem.f.b[0]
+        problem.f.b[0] += 1.0
+        with pytest.raises(RuntimeError, match="problem changed since the run"):
+            trace.X
+        problem.f.b[0] = b0  # a failed rebuild is not cached: the restored problem rebuilds the run
+        assert trace.records[12].F_val == trace.F[12]
 
     def test_missing_measures_stay_none(self):
         class OpaqueOrthant(NonnegIndicator):
