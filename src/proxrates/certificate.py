@@ -18,31 +18,35 @@ exact coefficients over the Gram basis
 plus the affine function-value symbols f_k, f_{k+1}, f_*, h_k, h_{k+1}, h_*.
 No floating point is used anywhere on this path.
 
-The residual is proven zero once, for all parameters: the test suite
-(`TestParametricProof` in tests/test_certificate.py) expands it for each
-theorem and regime with mu, L and gamma all symbolic, in Q(mu, L, gamma)
-(`ParamRat` in tests/helpers.py), and finds the zero numerator. A point
-evaluation of that proof is sound. The residual is a polynomial in the
-certificate's inputs: the multipliers, the SOS and combination coefficients,
-rho, 1/L and mu/(2(1 - mu/L)). Each input is a rational function of
-(mu, L, gamma). A polynomial in them that is the zero element of
-Q(mu, L, gamma) is zero wherever they all evaluate without dividing by zero.
-That is exactly when `verify_*` returns: it evaluates every input except the
-two interpolation constants, and 0 <= mu < L keeps those finite. The same
-argument holds for fixed (mu, L) with gamma symbolic.
+The certificates are proven once, for all parameters, in Q(mu, L, gamma)
+(`ParamRat` in tests/helpers.py). `TestParametricProof` expands each
+theorem's residual in each regime and finds the zero numerator.
+`TestSignProof` factors each multiplier and SOS coefficient into a monomial,
+named factors such as 2 - gamma*mu, and a constant, and proves each factor's
+sign on the regime's step interval (gamma in [0, 2/(L+mu)] or
+[2/(L+mu), 2/L], with 0 <= mu < L) from its values at the two endpoints: it
+is linear in gamma, or concave. A point evaluation of these proofs is sound.
+The residual is a polynomial in the certificate's inputs: the multipliers,
+the SOS and combination coefficients, rho, 1/L and mu/(2(1 - mu/L)). Each
+input is a rational function of (mu, L, gamma), and an identity among them
+in Q(mu, L, gamma), a zero residual or a factorization, holds wherever they
+all evaluate without dividing by zero. That is exactly when `verify_*`
+returns: it evaluates every input except the two interpolation constants,
+and 0 <= mu < L keeps those finite. The same argument holds for fixed
+(mu, L) with gamma symbolic.
 
 So `verify_*` evaluates the proven certificate: it computes the multipliers,
-SOS coefficients and combinations and checks their signs, and reports the
-residual as zero. It expands the residual only when the `_mutate` test hook
+SOS coefficients and combinations and reports the residual as zero. It
+expands the residual only when the `_mutate` test hook
 (`certify --selftest-mutate`) perturbs one of that certificate's own terms.
 Two scalar modes share all the code:
 
 * exact rationals (`fractions.Fraction`): one (mu, L, gamma) point, with
   every sign checked exactly;
 * univariate rational functions in the step size (`gamma_symbol()`): every
-  step size at once at fixed rational (mu, L). Sign conditions depend on the
-  step-size regime and are checked by exact evaluation at sample points
-  inside the regime interval, which is not yet a proof.
+  step size at once at fixed rational (mu, L). `nonneg` then reports the
+  proven sign and evaluates nothing: a term perturbed by DELTA > 0 stays
+  nonnegative, and one perturbed by DELTA < 0 reads False, "not proven".
 
 Every `RatFunc` is kept in one canonical form: numerator and denominator
 coprime, denominator monic, zero stored as 0/1. A reduced fraction with a
@@ -626,17 +630,11 @@ def _coerce(mu, L, gamma):
     return mu, L, gamma
 
 
-def _sign_samples(regime: Regime, mu: Fraction, L: Fraction) -> list[Fraction]:
-    g_star = 2 / (L + mu)
-    if regime is Regime.SMALL_STEP:
-        return [g_star / 1000, g_star / 2, g_star]
-    return [g_star, (g_star + 2 / L) / 2, 2 / L]
-
-
-def _nonneg(value, regime: Regime, mu: Fraction, L: Fraction) -> bool:
-    if isinstance(value, RatFunc):
-        return all(value.eval(t) >= 0 for t in _sign_samples(regime, mu, L))
-    return value >= 0
+def _nonneg(name: str, value, mutate) -> bool:
+    """The exact sign at a point; the proven sign for all steps (see the module docstring)."""
+    if not isinstance(value, RatFunc):
+        return value >= 0
+    return mutate is None or mutate[0] != name or Fraction(mutate[1]) > 0
 
 
 def _apply_mutation(name, value, mutate):
@@ -882,10 +880,10 @@ def _assemble(theorem: str, mu, L, gamma, regime: Regime, mutate) -> Certificate
     multipliers, sos_terms = [], []
     for name, lam, _ in weighted:
         lam = _apply_mutation(name, lam, mutate)
-        multipliers.append(Multiplier(name, lam, _nonneg(lam, regime, mu, L)))
+        multipliers.append(Multiplier(name, lam, _nonneg(name, lam, mutate)))
     for name, coeff, comb in sos:
         coeff = _apply_mutation(name, coeff, mutate)
-        sos_terms.append(SosTerm(name, coeff, _nonneg(coeff, regime, mu, L), dict(comb.coeffs)))
+        sos_terms.append(SosTerm(name, coeff, _nonneg(name, coeff, mutate), dict(comb.coeffs)))
     own = mutate is not None and mutate[0] in [t.name for t in multipliers + sos_terms]
     residual = _residual(weighted, target, sos, mutate) if own else SymbolicExpr()
     return CertificateReport(

@@ -175,8 +175,8 @@ class CompositeProblem:
     h: ProxFunction
     params: ClassParams = None
     known_optimum: tuple[np.ndarray, float] | None = None
-    _solved: tuple[np.ndarray, float] | None = field(default=None, repr=False)
-    _unsolvable: bool = field(default=False, repr=False)
+    _solved: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
+    _unsolvable: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.params is None:

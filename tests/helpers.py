@@ -624,6 +624,119 @@ def certificate_inputs(certificate) -> list:
     return values
 
 
+# The sign proof. The domain is 0 <= mu < L and a regime's step interval,
+# small [0, 2/(L+mu)] or large [2/(L+mu), 2/L], so a monomial in (mu, L,
+# gamma) is >= 0 and so is a polynomial whose coefficients are all >= 0. A
+# coefficient is factored into a monomial, named factors and such a leftover;
+# each named factor's sign on the interval is proven from its values at the
+# two endpoints.
+
+# The named factors of the sign proof: the denominator factors above, plus
+# three that occur only in numerators.
+SIGN_FACTORS = {
+    **PROOF_FACTORS,
+    "1 - gamma*mu": {(0, 0, 0): 1, (1, 0, 1): -1},
+    "gamma*L - 1": {(0, 1, 1): 1, (0, 0, 0): -1},
+    "2 - gamma*(L+mu)": {(0, 0, 0): 2, (0, 1, 1): -1, (1, 0, 1): -1},
+}
+assert all(f[max(f)] in (1, -1) for f in SIGN_FACTORS.values())
+# L - mu > 0 is part of the domain; every other factor's sign is proven.
+DOMAIN_SIGNS = {"L - mu": 1}
+
+# Each regime's step interval as its two endpoints gamma = p / q, with p and q
+# polynomials in (mu, L); q is L + mu, L or 1, positive on the domain.
+_ONE_POLY = {(0, 0, 0): 1}
+_G_STAR = ({(0, 0, 0): 2}, {(0, 1, 0): 1, (1, 0, 0): 1})  # 2/(L+mu)
+STEP_INTERVALS = {
+    Regime.SMALL_STEP: (({}, _ONE_POLY), _G_STAR),
+    Regime.LARGE_STEP: (_G_STAR, ({(0, 0, 0): 2}, {(0, 1, 0): 1})),
+}
+
+
+def _gamma_degree(f: dict) -> int:
+    return max(m[2] for m in f)
+
+
+def _poly_pow(p: dict, n: int) -> dict:
+    out = _ONE_POLY
+    for _ in range(n):
+        out = _poly_mul(out, p)
+    return out
+
+
+def at_step(f: dict, endpoint) -> dict:
+    """q^n f(mu, L, p/q) for the endpoint p/q and n f's degree in gamma: f's sign there, in (mu, L)."""
+    p, q = endpoint
+    n, out = _gamma_degree(f), {}
+    for (i, j, k), c in f.items():
+        out = _poly_add(out, _poly_mul({(i, j, 0): c}, _poly_mul(_poly_pow(p, k), _poly_pow(q, n - k))))
+    return out
+
+
+def polynomial_sign(poly: dict, signs: dict) -> tuple:
+    """(sign, reason): 1 if poly >= 0 on the domain, -1 if <= 0, 0 if it is zero, None if unproven.
+
+    poly is a monomial times the named factors of `signs` (each divided out
+    as often as it divides) times a leftover whose coefficients must share
+    one sign. A named factor without a proven sign (None) fails the proof.
+    `reason` names the factors used, or what failed.
+    """
+    if not poly:
+        return 0, "zero"
+    rest, sign, used = _shift(poly, _monomial_content(poly), -1), 1, []
+    for name, factor_sign in signs.items():
+        while (quo := _poly_div_exact(rest, SIGN_FACTORS[name])) is not None:
+            if factor_sign is None:
+                return None, f"factor {name} has no proven sign"
+            rest, sign = quo, sign * factor_sign
+            used.append(name)
+    leftover = {c > 0 for c in rest.values()}
+    if len(leftover) != 1:
+        return None, f"leftover {rest} has coefficients of both signs"
+    sign *= 1 if leftover.pop() else -1
+    return sign, f"monomial times {used or 'no factor'} times {rest}"
+
+
+def factor_signs(regime: Regime) -> dict:
+    """The sign of each named factor on the regime's step interval, None where it is not proven.
+
+    A factor linear in gamma takes its extremes at the endpoints. A concave
+    one (gamma^2 coefficient <= 0, degree 2) lies above the chord between
+    them, so nonnegative endpoint values prove it nonnegative. An endpoint
+    value is a polynomial in (mu, L), factored over L - mu.
+    """
+    signs = dict(DOMAIN_SIGNS)
+    for name, f in SIGN_FACTORS.items():
+        if name in signs:
+            continue
+        ends = {polynomial_sign(at_step(f, e), DOMAIN_SIGNS)[0] for e in STEP_INTERVALS[regime]} - {0}
+        degree = _gamma_degree(f)
+        concave = degree == 2 and all(c < 0 for m, c in f.items() if m[2] == 2)
+        if ends <= {1} and (degree <= 1 or concave):
+            signs[name] = 1
+        elif ends <= {-1} and degree <= 1:
+            signs[name] = -1
+        else:
+            signs[name] = None
+    return signs
+
+
+def coefficient_sign(value, signs: dict) -> tuple:
+    """(sign, reason) of a certificate coefficient in Q(mu, L, gamma), as `polynomial_sign`.
+
+    The denominator is a positive integer, a monomial and named factors; each
+    of those factors needs a proven sign.
+    """
+    value = ParamRat.lift(value)
+    sign, reason = polynomial_sign(value.num, signs)
+    for name, e in zip(PROOF_FACTORS, value.fac):
+        if e and sign:
+            if signs[name] is None:
+                return None, f"denominator factor {name} has no proven sign"
+            sign *= signs[name] ** e
+    return sign, reason
+
+
 def expanded_report(theorem: str, mu, L, gamma, regime: Regime, mutate=None) -> CertificateReport:
     """The report of verify_<theorem> with its residual always expanded, as before the proof."""
     report = VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -34,16 +35,20 @@ from proxrates.certificate import (
     verify_funcvalue,
     verify_residual,
 )
+from proxrates.cli import main
 
 from helpers import (
     PARAM_GAMMA,
     PARAM_L,
     PARAM_MU,
     PROOF_FACTORS,
+    SIGN_FACTORS,
     ParamRat,
     certificate_inputs,
+    coefficient_sign,
     distance_weighted_sum,
     expanded_report,
+    factor_signs,
     parametric_certificate,
     ratfunc_oracle,
     reference_display,
@@ -429,11 +434,34 @@ class TestSymbolicGammaMode:
             for regime in Regime:
                 rep = fn(mu, L, t, regime)
                 assert rep.residual_zero
-                assert rep.verified  # sign samples inside the regime interval
+                assert rep.verified  # every sign proven on the regime interval (TestSignProof)
 
     def test_mutated_symbolic_identity_fails(self):
         rep = verify_distance(1, 2, gamma_symbol(), Regime.SMALL_STEP, _mutate=("lambda0", F(1, 7)))
         assert not rep.residual_zero
+
+    def test_negative_perturbation_is_not_proven(self):
+        # lambda2 - 1/1000 = 2*t - 1/1000 is negative for t < 1/2000, inside the small-step interval (0, 2/3]
+        for delta, nonneg in ((F(-1, 1000), False), (F(1, 1000), True)):
+            rep = verify_distance(1, 2, gamma_symbol(), Regime.SMALL_STEP, _mutate=("lambda2", delta))
+            signs = {m.name: m.nonneg for m in rep.multipliers} | {t.name: t.nonneg for t in rep.sos_terms}
+            assert signs == {name: nonneg or name != "lambda2" for name in _term_names("distance")}
+            assert not rep.verified
+
+    def test_verify_path_evaluates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rational function was evaluated")
+
+        monkeypatch.setattr(RatFunc, "eval", refuse)
+        monkeypatch.setattr(Poly, "eval", refuse)
+        for mu, L in _seeded_pairs():
+            for regime in Regime:
+                for theorem in VERIFIERS:
+                    outcome = _outcome(theorem, mu, L, gamma_symbol(), regime)
+                    if mu == 0 and theorem == "funcvalue":
+                        assert outcome == (ValueError, "function-value certificate requires mu > 0")
+                    else:
+                        assert json.loads(outcome)["verified"], (theorem, mu, L, regime)
 
     def test_spot_check_rejects_symbolic(self):
         expr = interp_smooth("k", "k+1", 1, 2, gamma_symbol())
@@ -590,6 +618,63 @@ class TestParametricProof:
             assert [m.name for m in rep.multipliers] + [t.name for t in rep.sos_terms] == _term_names(theorem)
 
 
+class TestSignProof:
+    """Each multiplier and SOS coefficient is nonnegative on its regime, for all (mu, L, gamma).
+
+    The domain is 0 <= mu < L and the regime's step interval (see
+    `helpers.factor_signs`); `verify_*` reports this proven sign in the
+    all-step-sizes mode, see the module docstring of `proxrates.certificate`.
+    The combination entries have free sign and are not covered.
+    """
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_every_coefficient_is_nonnegative(self, theorem, regime):
+        signs = factor_signs(regime)
+        weighted, _, sos = parametric_certificate(theorem, regime)
+        terms = [(name, lam) for name, lam, _ in weighted] + [(name, coeff) for name, coeff, _ in sos]
+        assert [name for name, _ in terms] == _term_names(theorem)
+        for name, value in terms:
+            sign, reason = coefficient_sign(value, signs)
+            assert sign == 1, f"{theorem}, {regime.value}, {name}: sign {sign}, {reason}"
+
+    def test_factor_signs_from_the_endpoints(self):
+        # 1: >= 0 on the regime's interval, -1: <= 0, None: not proven (the sign changes there)
+        small = {name: 1 for name in SIGN_FACTORS} | {"alpha_large": None, "gamma*L - 1": None}
+        large = {name: 1 for name in SIGN_FACTORS} | {"alpha_small": None, "1 - gamma*mu": None}
+        assert factor_signs(Regime.SMALL_STEP) == small
+        assert factor_signs(Regime.LARGE_STEP) == large | {"2 - gamma*(L+mu)": -1}
+
+    def test_factor_signs_hold_at_points(self):
+        # an independent check of the endpoint argument: evaluate each factor inside its interval
+        rng = random.Random(13)
+        for regime in Regime:
+            signs = factor_signs(regime)
+            for _ in range(40):
+                L = F(rng.randint(1, 30), rng.randint(1, 7))
+                mu = L * F(rng.randint(0, 99), 100)
+                lo, hi = (F(0), 2 / (L + mu)) if regime is Regime.SMALL_STEP else (2 / (L + mu), 2 / L)
+                gamma = lo + (hi - lo) * F(rng.randint(0, 64), 64)
+                for name, sign in signs.items():
+                    if sign is not None:
+                        value = ParamRat(dict(SIGN_FACTORS[name])).eval(mu, L, gamma)
+                        assert sign * value >= 0, (regime, name, mu, L, gamma)
+
+    def test_the_proof_rejects_what_is_not_nonnegative(self):
+        small = factor_signs(Regime.SMALL_STEP)
+        lam = parametric_certificate("distance", Regime.SMALL_STEP)[0][0][1]  # 2 gamma (1 - gamma mu)
+        assert coefficient_sign(lam, small)[0] == 1
+        assert coefficient_sign(-lam, small)[0] == -1
+        sign, reason = coefficient_sign(lam - F(1, 1000), small)
+        assert sign is None and "both signs" in reason
+        sign, reason = coefficient_sign(PARAM_GAMMA * PARAM_L - 1, small)
+        assert sign is None and "gamma*L - 1" in reason
+        sign, reason = coefficient_sign(1 / ParamRat(dict(PROOF_FACTORS["alpha_large"])), small)
+        assert sign is None and "denominator factor alpha_large" in reason
+        # a concave factor is proven only nonnegative, and only from nonnegative endpoint values
+        assert factor_signs(Regime.LARGE_STEP)["alpha_small"] is None
+
+
 # ------------------------------------------------ the fast path against expansion
 
 
@@ -674,3 +759,71 @@ class TestFastPathMatchesExpansion:
             verify_residual(1, 3, 0, Regime.SMALL_STEP)
         assert verify_distance(1, 3, 0, Regime.SMALL_STEP).verified
         assert verify_funcvalue(1, 3, 0, Regime.SMALL_STEP).verified
+
+
+# ------------------------------------------------------------ frozen output
+
+
+# SHA-256 digests of certificate outputs that must stay byte-identical.
+# `certify --out` bytes over the default grid, per --theorem:
+GRID_DIGESTS = {
+    "all": "da80b2af2add1f59aa51b085ee5f920671167c621e9448801945ba36c8c3c68f",
+    "distance": "d960b062913a0d647bd439cd401e889880f5483914a4ab02649ae820935b4f5a",
+    "residual": "924ea66d9539f700f272c8166a4b785dcfc95101a442f2ba2f4a9a8a623db345",
+    "funcvalue": "28a01a45637ce442a4d7c1055fd78e40de23a99cef68b8d2b6539e012b2e88cb",
+}
+# `certify --mu 1 --L 3 --gamma 1/3 --selftest-mutate NAME --out` bytes (all theorems, delta 1/1000):
+MUTATION_DIGESTS = {
+    "grad_combination": "b113ae156bf7ea85babe99198866945976c9e500fc6fdc70daba43d49ca871fb",
+    "lambda0": "9a7b302e21ebd4dd57abc0f3df98b495fefac15613d5d0f630afbbc4cc2595ff",
+    "lambda1": "10d5a4f48f6efcbeb3325a67718500bc61b670ca0590e193401b5e24f318b824",
+    "lambda2": "06c6cfff78dae805672a572ff1b91ecd4555bfd53291254f9f3b0551c58e9427",
+    "lambda3": "8327dc4cf52501f10263a2428314dcadfc6eaf9ea634d5b4f8eddd3ca3bade3d",
+    "lambda4": "7946f1edc5b353fbb4fb6cc20c54bab48293af7a79eade2ed26d314f8a6f0ff0",
+    "point_combination": "686f324e4066014e46c89098e1fe9af2d5e6f4f7045b3730a453b5f430353f78",
+    "prox_residual": "c1af9aea14da285d2ed591a4829263461ef569b741e39d233ebe935d102d0f38",
+    "regime": "146b135ee16044889d33f11420faf99cef69bba2a92f7304e25b51b4b6f291b6",
+    "subgrad_change": "a37ae62b64161fae385c5a675c116ce4c4cf48c1b6bd13807f23535b2095b505",
+    "subgrad_combination": "d18ebd396140567440e8282cdd3e8456a6e871c0b06aa4aba381f8c5184f5120",
+}
+# The unmutated all-step-sizes reports at the distinct seeded pairs, in sorted order, one
+# `json.dumps(to_json_dict())` text per line (or "ValueError: message"), per theorem and regime:
+SYMBOLIC_DIGESTS = {
+    ("distance", "small_step"): "42af8b3866bf6181ad88ac6e8b95be8341eda800804e00567af3074774d4bd2b",
+    ("distance", "large_step"): "09546656e7ba78df7e2062757f7af5b0ff9c9f795d8a1306b11f54e71abce80f",
+    ("residual", "small_step"): "bb126a86643f29dac2347456de5d991b4cb657d974da332db6bd91ea03d10745",
+    ("residual", "large_step"): "bd1f2cc9102d37b772d2b7e5598ed0e38a5e6fb724a612491a2dcb9536b7351d",
+    ("funcvalue", "small_step"): "d416316e8d7f652446009f8ecca8cf22fae4da977a577b309bc08d78c3669ac9",
+    ("funcvalue", "large_step"): "39533fd503882974b21ee8829f395cbbbfb92132e392cec3b63c3a1440e788a5",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestFrozenOutput:
+    def _certify(self, tmp_path, argv) -> tuple[int, bytes]:
+        out = tmp_path / "out.json"
+        code = main(["certify", *argv, "--out", str(out)])
+        return code, out.read_bytes()
+
+    @pytest.mark.parametrize("theorem", list(GRID_DIGESTS))
+    def test_default_grid(self, tmp_path, theorem):
+        code, data = self._certify(tmp_path, ["--theorem", theorem])
+        assert code == 0 and _sha256(data) == GRID_DIGESTS[theorem]
+
+    @pytest.mark.parametrize("name", list(MUTATION_DIGESTS))
+    def test_every_mutation_name(self, tmp_path, name):
+        code, data = self._certify(tmp_path, ["--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", name])
+        assert code == 1 and _sha256(data) == MUTATION_DIGESTS[name]
+
+    def test_symbolic_reports(self):
+        pairs = sorted(set(_seeded_pairs()))
+        assert len(pairs) == 37
+        for (theorem, regime), digest in SYMBOLIC_DIGESTS.items():
+            texts = []
+            for mu, L in pairs:
+                outcome = _outcome(theorem, mu, L, gamma_symbol(), Regime(regime))
+                texts.append(outcome if isinstance(outcome, str) else f"{outcome[0].__name__}: {outcome[1]}")
+            assert _sha256("\n".join(texts).encode()) == digest, (theorem, regime)

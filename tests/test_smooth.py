@@ -220,6 +220,26 @@ class TestCompositeProblem:
         assert problem.try_optimum() is None
         assert len(solves) == 1
 
+    def test_optimum_caches_are_not_constructor_arguments(self):
+        f = DiagonalQuadratic([1.0, 4.0, 2.5], [0.3, -1.2, 0.8], ClassParams(1.0, 4.0))
+        for cache, value in (("_solved", (np.zeros(3), -5.0)), ("_unsolvable", True)):
+            with pytest.raises(TypeError, match=cache):
+                CompositeProblem(f, Zero(3), **{cache: value})
+        x_star, F_star = CompositeProblem(f, Zero(3)).optimum()
+        np.testing.assert_allclose(f.grad(x_star), np.zeros(3), atol=1e-12)
+        assert F_star < 0
+
+    def test_equality_ignores_the_optimum_caches(self):
+        f = DiagonalQuadratic([1.0, 4.0, 2.5], [0.3, -1.2, 0.8], ClassParams(1.0, 4.0))
+        h = NonnegIndicator(3)
+        solved, fresh = CompositeProblem(f, h), CompositeProblem(f, h)
+        solved.optimum()
+        assert solved == fresh and "_solved" not in repr(solved)
+        dense = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
+        unsolvable = CompositeProblem(dense, NonnegIndicator(2))
+        fresh = CompositeProblem(dense, unsolvable.h)
+        assert unsolvable.try_optimum() is None and unsolvable == fresh
+
     def test_unbounded_composite_rejected(self):
         f = DiagonalQuadratic([0.0], [-1.0], ClassParams(0.0, 1.0))
         with pytest.raises(ValueError):
