@@ -637,10 +637,15 @@ def _nonneg(name: str, value, mutate) -> bool:
     return mutate is None or mutate[0] != name or Fraction(mutate[1]) > 0
 
 
-def _apply_mutation(name, value, mutate):
-    if mutate is not None and mutate[0] == name:
-        return value + Fraction(mutate[1])
-    return value
+def _perturb(certificate, mutate):
+    """The certificate with the term that `mutate = (name, delta)` names shifted by delta."""
+    if mutate is None:
+        return certificate
+    weighted, target, sos = certificate
+    name, delta = mutate
+    weighted = [(n, v + Fraction(delta) if n == name else v, ineq) for n, v, ineq in weighted]
+    sos = [(n, v + Fraction(delta) if n == name else v, comb) for n, v, comb in sos]
+    return weighted, target, sos
 
 
 def _rho(regime: Regime, mu, L, gamma):
@@ -651,18 +656,18 @@ def _rho(regime: Regime, mu, L, gamma):
 # value and a zero-argument builder of its inequality; a zero-argument builder
 # of the target; per SOS term its name, coefficient and combination. The
 # builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
-# and L), and `smooth`/`convex` build the interpolation inequalities.
+# and L): `_coerce` has checked 0 <= mu < L, and the point labels are literals.
 
 
-def _distance_certificate(regime: Regime, mu, L, gamma, smooth, convex):
+def _distance_certificate(regime: Regime, mu, L, gamma):
     rho = _rho(regime, mu, L, gamma)
     lam_f = 2 * gamma * rho
     lam_h = 2 * gamma
     weighted = [
-        ("lambda0", lam_f, partial(smooth, "*", "k", mu, L, gamma)),
-        ("lambda1", lam_f, partial(smooth, "k", "*", mu, L, gamma)),
-        ("lambda2", lam_h, partial(convex, "*", "k+1", gamma)),
-        ("lambda3", lam_h, partial(convex, "k+1", "*", gamma)),
+        ("lambda0", lam_f, partial(_interp_smooth, "*", "k", mu, L, gamma)),
+        ("lambda1", lam_f, partial(_interp_smooth, "k", "*", mu, L, gamma)),
+        ("lambda2", lam_h, partial(_interp_convex, "*", "k+1", gamma)),
+        ("lambda3", lam_h, partial(_interp_convex, "k+1", "*", gamma)),
     ]
 
     def target():
@@ -677,17 +682,17 @@ def _distance_certificate(regime: Regime, mu, L, gamma, smooth, convex):
     return weighted, target, sos
 
 
-def _residual_certificate(regime: Regime, mu, L, gamma, smooth, convex):
+def _residual_certificate(regime: Regime, mu, L, gamma):
     if gamma == 0:
         raise ValueError("residual certificate requires gamma != 0: its multipliers divide by gamma")
     rho = _rho(regime, mu, L, gamma)
     lam_f = 2 * rho / gamma
     lam_h = 2 * rho * rho / gamma
     weighted = [
-        ("lambda0", lam_f, partial(smooth, "k", "k+1", mu, L, gamma)),
-        ("lambda1", lam_f, partial(smooth, "k+1", "k", mu, L, gamma)),
-        ("lambda2", lam_h, partial(convex, "k", "k+1", gamma)),
-        ("lambda3", lam_h, partial(convex, "k+1", "k", gamma)),
+        ("lambda0", lam_f, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
+        ("lambda1", lam_f, partial(_interp_smooth, "k+1", "k", mu, L, gamma)),
+        ("lambda2", lam_h, partial(_interp_convex, "k", "k+1", gamma)),
+        ("lambda3", lam_h, partial(_interp_convex, "k+1", "k", gamma)),
     ]
 
     def target():
@@ -737,17 +742,17 @@ def beta_large(mu, L, gamma):
     return gamma * (L + mu) - 2
 
 
-def _funcvalue_certificate(regime: Regime, mu, L, gamma, smooth, convex):
+def _funcvalue_certificate(regime: Regime, mu, L, gamma):
     if mu == 0:
         raise ValueError("function-value certificate requires mu > 0")
     rho = _rho(regime, mu, L, gamma)
     one = Fraction(1)
     weighted = [
-        ("lambda0", rho, partial(smooth, "k", "k+1", mu, L, gamma)),
-        ("lambda1", (1 - rho) * rho, partial(smooth, "*", "k", mu, L, gamma)),
-        ("lambda2", 1 - rho, partial(smooth, "*", "k+1", mu, L, gamma)),
-        ("lambda3", rho * rho, partial(convex, "k", "k+1", gamma)),
-        ("lambda4", 1 - rho * rho, partial(convex, "*", "k+1", gamma)),
+        ("lambda0", rho, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
+        ("lambda1", (1 - rho) * rho, partial(_interp_smooth, "*", "k", mu, L, gamma)),
+        ("lambda2", 1 - rho, partial(_interp_smooth, "*", "k+1", mu, L, gamma)),
+        ("lambda3", rho * rho, partial(_interp_convex, "k", "k+1", gamma)),
+        ("lambda4", 1 - rho * rho, partial(_interp_convex, "*", "k+1", gamma)),
     ]
 
     def target():
@@ -841,15 +846,9 @@ _CERTIFICATES = {
 }
 
 
-def _certificate(theorem: str, regime: Regime, mu, L, gamma, interp=None):
-    """The (weighted, target, sos) certificate of one theorem in one regime, for any scalars.
-
-    `interp` is the (smooth, convex) pair of inequality builders, by default
-    the public `interp_smooth` and `interp_convex`; the parametric proof passes
-    their scalar-generic bodies.
-    """
-    smooth, convex = interp or (interp_smooth, interp_convex)
-    return _CERTIFICATES[theorem](regime, mu, L, gamma, smooth, convex)
+def _certificate(theorem: str, regime: Regime, mu, L, gamma):
+    """The (weighted, target, sos) certificate of one theorem in one regime, for any scalars."""
+    return _CERTIFICATES[theorem](regime, mu, L, gamma)
 
 
 def _term_names(theorem: str) -> list[str]:
@@ -858,14 +857,14 @@ def _term_names(theorem: str) -> list[str]:
     return [name for name, _, _ in weighted + sos]
 
 
-def _residual(weighted, target, sos, mutate=None) -> SymbolicExpr:
+def _residual(weighted, target, sos) -> SymbolicExpr:
     """A certificate's weighted inequalities minus its target plus its SOS terms, expanded."""
     total = SymbolicExpr()
-    for name, lam, ineq in weighted:
-        total = total + ineq().scale(_apply_mutation(name, lam, mutate))
+    for _, lam, ineq in weighted:
+        total = total + ineq().scale(lam)
     residual = total - target()
-    for name, coeff, comb in sos:
-        residual = residual + norm_sq(comb).scale(_apply_mutation(name, coeff, mutate))
+    for _, coeff, comb in sos:
+        residual = residual + norm_sq(comb).scale(coeff)
     return residual
 
 
@@ -876,16 +875,13 @@ def _assemble(theorem: str, mu, L, gamma, regime: Regime, mutate) -> Certificate
     is expanded only when `mutate` perturbs one of this certificate's terms.
     """
     mu, L, gamma = _coerce(mu, L, gamma)
-    weighted, target, sos = _certificate(theorem, regime, mu, L, gamma)
-    multipliers, sos_terms = [], []
-    for name, lam, _ in weighted:
-        lam = _apply_mutation(name, lam, mutate)
-        multipliers.append(Multiplier(name, lam, _nonneg(name, lam, mutate)))
-    for name, coeff, comb in sos:
-        coeff = _apply_mutation(name, coeff, mutate)
-        sos_terms.append(SosTerm(name, coeff, _nonneg(name, coeff, mutate), dict(comb.coeffs)))
+    weighted, target, sos = _perturb(_certificate(theorem, regime, mu, L, gamma), mutate)
+    multipliers = [Multiplier(name, lam, _nonneg(name, lam, mutate)) for name, lam, _ in weighted]
+    sos_terms = [
+        SosTerm(name, coeff, _nonneg(name, coeff, mutate), dict(comb.coeffs)) for name, coeff, comb in sos
+    ]
     own = mutate is not None and mutate[0] in [t.name for t in multipliers + sos_terms]
-    residual = _residual(weighted, target, sos, mutate) if own else SymbolicExpr()
+    residual = _residual(weighted, target, sos) if own else SymbolicExpr()
     return CertificateReport(
         theorem, regime, mu, L, gamma, multipliers, sos_terms, residual.is_zero(), residual
     )

@@ -250,7 +250,13 @@ def bound_lookup(
                 raise ValueError("conjectured-tight values are only available at gamma = 1/L")
             table = BOUND_TABLES["step_1_over_L"]
     cell = table[(init, final)]
-    return BoundValue(cell.factor(mu, L, gamma, k), cell.provenance)
+    try:
+        value = cell.factor(mu, L, gamma, k)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if math.isinf(value) and cell is not _UNBOUNDED:
+        raise ValueError(f"the {init.value} -> {final.value} bound {cell.form} leaves the float range at k = {k}")
+    return BoundValue(value, cell.provenance)
 
 
 def classical_nontight_bound(

@@ -15,14 +15,13 @@ Four families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .prox import NonnegIndicator, Zero
-from .rates import ClassParams, MeasureKind, contraction, optimal_step
+from .rates import ClassParams, MeasureKind, _geometric_minus_one, bound_lookup, contraction, optimal_step
 from .smooth import CompositeProblem, DiagonalQuadratic, ScaledSqNorm
 
 __all__ = [
@@ -56,6 +55,13 @@ class WorstCaseSpec:
     predicted: dict[Cell, float]
     closed_form_iterates: Callable[[int], np.ndarray] | None = None
     note: str = ""
+
+
+def _padded(value: float, dim: int) -> np.ndarray:
+    """The vector of R^dim with first coordinate `value` and zeros elsewhere."""
+    out = np.zeros(dim)
+    out[0] = value
+    return out
 
 
 def quadratic_lower_bound(
@@ -98,15 +104,11 @@ def mixed_measure_instance(
 
     The slope c is tuned per target cell: maximizing the final function gap
     gives c = mu x0 / ((1-kappa)^(-2N) - 1); driving x_N onto the constraint
-    (maximal final residual) gives c = mu x0 / ((1-kappa)^(-N) - 1). The
-    predicted values are the step-1/L conjectured-tight bounds
-
-        F(x_N) - F*            = (mu/2) x0^2 / (rho^(-2N) - 1),
-        ||grad f(x_N) + s_N||^2 = mu^2 x0^2 / (rho^(-N) - 1)^2,
-        ||grad f(x_N) + s_N||^2 = 2 mu (F(x0) - F*) / (rho^(-2N) - 1),
-
-    with rho = 1 - kappa. Embeddings with dim > 1 pad every vector with
-    zeros, which changes no measure.
+    (maximal final residual) gives c = mu x0 / ((1-kappa)^(-N) - 1). Either
+    way every iterate stays nonnegative. The predicted value is the target's
+    `step_1_over_L` cell of `rates.BOUND_TABLES` times the initial measure:
+    x0^2, or F(x0) - F* = (mu/2) x0^2 + c x0. Embeddings with dim > 1 pad
+    every vector with zeros, which changes no measure.
     """
     params.require_strongly_convex()
     mu, L = params.mu, params.L
@@ -119,46 +121,22 @@ def mixed_measure_instance(
     if target not in _MIXED_CELLS:
         raise ValueError(f"target must be one of {_MIXED_CELLS}")
 
+    gamma = 1.0 / L
+    init, final = target
+    bound = bound_lookup(init, final, params, gamma, N, conjectured=True).value
+    c = mu * x0 / _geometric_minus_one(mu * gamma, 2 * N if target is DIST_TO_FUNCGAP else N)
+    initial = x0**2 if init is MeasureKind.DISTANCE_SQ else 0.5 * mu * x0**2 + c * x0
     kappa = mu / L
     q = 1.0 - kappa
-    if target is DIST_TO_FUNCGAP:
-        c = mu * x0 / (q ** (-2 * N) - 1.0)
-    else:
-        c = mu * x0 / (q ** (-N) - 1.0)
-
-    def closed_form_scalar(k: int) -> float:
-        return (c * q**k - c + kappa * L * q**k * x0) / (kappa * L)
-
-    worst_xk = min(closed_form_scalar(k) for k in range(N + 1))
-    if worst_xk < -1e-12 * x0:
-        raise ValueError("tuned slope c is too large: an iterate leaves the orthant")
-
-    gamma = 1.0 / L
-    rate = contraction(params, gamma)
-    F0 = 0.5 * mu * x0**2 + c * x0
-    if target is DIST_TO_FUNCGAP:
-        value = 0.5 * mu * x0**2 / (rate.rho ** (-2 * N) - 1.0)
-    elif target is DIST_TO_RESIDUAL:
-        value = mu**2 * x0**2 / (rate.rho ** (-N) - 1.0) ** 2
-    else:
-        value = 2.0 * mu * F0 / (rate.rho ** (-2 * N) - 1.0)
-        # the two equivalent forms of the constraint-tightening slope agree
-        c_alt = math.sqrt(2.0 * mu * F0) / math.sqrt(q ** (-2 * N) - 1.0)
-        if not math.isclose(c, c_alt, rel_tol=1e-12):
-            raise AssertionError("inconsistent closed forms for the tuned slope c")
 
     def closed_form(k: int) -> np.ndarray:
-        out = np.zeros(dim)
-        out[0] = closed_form_scalar(k)
-        return out
+        return _padded((c * q**k - c + kappa * L * q**k * x0) / (kappa * L), dim)
 
-    x0_vec = np.zeros(dim)
-    x0_vec[0] = x0
-    f = DiagonalQuadratic(np.full(dim, mu), np.concatenate([[c], np.zeros(dim - 1)]), params)
+    f = DiagonalQuadratic(np.full(dim, mu), _padded(c, dim), params)
     problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
     note = "padded to dim > 1; measures unchanged" if dim > 1 else ""
     return WorstCaseSpec(
-        problem, x0_vec, np.zeros(dim), N, gamma, {target: value}, closed_form, note
+        problem, _padded(x0, dim), np.zeros(dim), N, gamma, {target: initial * bound}, closed_form, note
     )
 
 
@@ -185,17 +163,11 @@ def unbounded_family(
     if x0 < 0:
         raise ValueError("x0 must be feasible (x0 >= 0)")
     params = ClassParams(0.0, L)
-    b = np.zeros(dim)
-    b[0] = c
-    f = DiagonalQuadratic(np.zeros(dim), b, params)
+    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), params)
     problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
-    x0_vec = np.zeros(dim)
-    x0_vec[0] = x0
 
     def closed_form(k: int) -> np.ndarray:
-        out = np.zeros(dim)
-        out[0] = max(0.0, x0 - k * c / L)
-        return out
+        return _padded(max(0.0, x0 - k * c / L), dim)
 
     predicted: dict[Cell, float] = {}
     if x0 > 0:
@@ -206,7 +178,7 @@ def unbounded_family(
             (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP): c * xN / c**2,
         }
     return WorstCaseSpec(
-        problem, x0_vec, np.zeros(dim), N, 1.0 / L, predicted, closed_form,
+        problem, _padded(x0, dim), np.zeros(dim), N, 1.0 / L, predicted, closed_form,
         note="witness ratios scale like inverse powers of c",
     )
 

@@ -4,7 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code it checks: brute-force one-dimensional minimization for prox
 maps, a grid search of the exact line search through the public prox and
 objective, a scalar per-coordinate loop for the closed-form optimum, direct
-recurrence iteration for the constrained quadratic family, the long
+recurrence iteration (in floats and in exact rationals) for the constrained
+quadratic family with the rational step-1/L cells it attains, the long
 hand-expanded coefficient display for the distance certificate, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
@@ -28,8 +29,7 @@ from proxrates.certificate import (
     SymbolicExpr,
     _certificate,
     _coerce,
-    _interp_convex,
-    _interp_smooth,
+    _perturb,
     _residual,
     interp_convex,
     interp_smooth,
@@ -195,6 +195,40 @@ def iterate_recurrence(mu: float, L: float, c: float, x0: float, N: int) -> list
     for _ in range(N):
         xs.append((1.0 - mu / L) * xs[-1] - c / L)
     return xs
+
+
+def orthant_run_exact(mu: Fraction, L: Fraction, c: Fraction, x0: Fraction, N: int):
+    """PGM at step 1/L on min_{x>=0} (mu/2) x^2 + c x, in exact rationals.
+
+    Returns the iterates x_0..x_N and the prox subgradients s_1..s_N (s_0 = 0)
+    of x_{k+1} = max(0, (1 - mu/L) x_k - c/L), s_{k+1} = L (y_k - x_{k+1}),
+    where y_k is the unprojected point.
+    """
+    xs, ss = [x0], [Fraction(0)]
+    for _ in range(N):
+        y = (1 - mu / L) * xs[-1] - c / L
+        xs.append(max(Fraction(0), y))
+        ss.append(L * (y - xs[-1]))
+    return xs, ss
+
+
+def mixed_slope_exact(final: MeasureKind, mu: Fraction, L: Fraction, x0: Fraction, N: int) -> Fraction:
+    """The tuned slope of the step-1/L mixed instance: mu x0 / (q^(-m) - 1), q = 1 - mu/L.
+
+    m = 2N maximizes the final function gap; m = N drives x_N onto the constraint.
+    """
+    m = 2 * N if final is MeasureKind.FUNC_GAP else N
+    return mu * x0 / ((1 - mu / L) ** -m - 1)
+
+
+def step_1_over_L_cell_exact(init: MeasureKind, final: MeasureKind, mu: Fraction, L: Fraction, k: int) -> Fraction:
+    """The rational value of a conjectured-tight step-1/L cell, rho = 1 - mu/L."""
+    rho = 1 - mu / L
+    return {
+        (MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP): (mu / 2) / (rho ** (-2 * k) - 1),
+        (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ): mu**2 / (rho**-k - 1) ** 2,
+        (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ): 2 * mu / (rho ** (-2 * k) - 1),
+    }[(init, final)]
 
 
 def distance_weighted_sum(mu, L, gamma, regime: Regime) -> SymbolicExpr:
@@ -610,9 +644,7 @@ PARAM_GAMMA = ParamRat({(0, 0, 1): 1})
 
 def parametric_certificate(theorem: str, regime: Regime):
     """The certificate of `theorem` in `regime` with mu, L and gamma all symbolic."""
-    return _certificate(
-        theorem, regime, PARAM_MU, PARAM_L, PARAM_GAMMA, interp=(_interp_smooth, _interp_convex)
-    )
+    return _certificate(theorem, regime, PARAM_MU, PARAM_L, PARAM_GAMMA)
 
 
 def certificate_inputs(certificate) -> list:
@@ -741,5 +773,5 @@ def expanded_report(theorem: str, mu, L, gamma, regime: Regime, mutate=None) -> 
     """The report of verify_<theorem> with its residual always expanded, as before the proof."""
     report = VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
     mu, L, gamma = _coerce(mu, L, gamma)
-    residual = _residual(*_certificate(theorem, regime, mu, L, gamma), mutate)
+    residual = _residual(*_perturb(_certificate(theorem, regime, mu, L, gamma), mutate))
     return dataclasses.replace(report, residual_zero=residual.is_zero(), residual=residual)

@@ -745,7 +745,7 @@ class TestFastPathMatchesExpansion:
         from proxrates import certificate
 
         calls = []
-        for fn in ("interp_smooth", "interp_convex"):
+        for fn in ("_interp_smooth", "_interp_convex"):
             original = getattr(certificate, fn)
             monkeypatch.setattr(certificate, fn, lambda *a, _f=original: calls.append(1) or _f(*a))
         point = (F(1), F(3), F(1, 3), Regime.SMALL_STEP)

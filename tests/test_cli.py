@@ -207,6 +207,30 @@ class TestTight:
         assert all(r["rel_gap"] <= 1e-8 for r in doc["rows"])
 
 
+    @pytest.mark.parametrize("N", ["1", "5", "20"])
+    @pytest.mark.parametrize("mu", ["1e-6", "1e-8"])
+    def test_mixed_at_small_mu(self, tmp_path, mu, N):
+        code, out = run_cli(["tight", "mixed", "--mu", mu, "--L", "1", "--N", N], tmp_path)
+        assert code == 0
+        rows = load_json(out)["rows"]
+        assert len(rows) == 3 and all(r["rel_gap"] <= 1e-12 for r in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--mu", "0.5", "--L", "1", "--N", "600"],
+            ["tables", "--mu", "1e-300", "--L", "1", "--N", "5"],
+            ["tables", "--mu", "1e-160", "--L", "1", "--N", "5"],
+            ["tight", "mixed", "--mu", "0.5", "--L", "1", "--N", "600"],
+            ["tight", "mixed", "--mu", "1e-300", "--L", "1", "--N", "5"],
+        ],
+    )
+    def test_bound_outside_the_float_range_is_a_usage_error(self, tmp_path, capsys, argv):
+        code, out = run_cli(argv, tmp_path)
+        assert code == 2 and not out.exists()
+        assert "leaves the float range at k = " in capsys.readouterr().err
+
+
 class TestCertify:
     def test_default_grid_passes(self, tmp_path):
         code, out = run_cli(["certify"], tmp_path)

@@ -194,6 +194,20 @@ class TestBoundLookup:
         with pytest.raises(ValueError):  # outside the proven step-size range
             bound_lookup(M.DISTANCE_SQ, M.DISTANCE_SQ, params, 1.5, 1)
 
+    @pytest.mark.parametrize(
+        "mu,k,init,final",
+        [
+            (0.5, 600, M.DISTANCE_SQ, M.FUNC_GAP),  # expm1 overflows
+            (0.5, 1200, M.DISTANCE_SQ, M.RESIDUAL_GRAD_SQ),
+            (1e-300, 5, M.DISTANCE_SQ, M.RESIDUAL_GRAD_SQ),  # the square underflows to 0
+            (1e-300, 5, M.RESIDUAL_GRAD_SQ, M.DISTANCE_SQ),
+            (1e-160, 5, M.RESIDUAL_GRAD_SQ, M.DISTANCE_SQ),  # 1/mu^2 rounds to inf, not "unbounded"
+        ],
+    )
+    def test_cell_outside_the_float_range_names_cell_and_k(self, mu, k, init, final):
+        with pytest.raises(ValueError, match=f"{init.value} -> {final.value} .* float range at k = {k}"):
+            bound_lookup(init, final, ClassParams(mu, 1.0), 1.0, k, conjectured=True)
+
 
 class TestClassicalBound:
     def test_func_gap_constant(self):

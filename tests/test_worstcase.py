@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,10 @@ from proxrates.worstcase import (
     FUNCGAP_TO_RESIDUAL,
 )
 
-from helpers import iterate_recurrence
+from helpers import iterate_recurrence, mixed_slope_exact, orthant_run_exact, step_1_over_L_cell_exact
 
 M = MeasureKind
+MIXED = (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL)
 
 
 class TestQuadraticLowerBound:
@@ -140,6 +144,64 @@ class TestMixedMeasureInstance:
         # error shrinks proportionally to mu
         assert errors[1] / errors[0] == pytest.approx(1e-2, rel=0.25)
         assert errors[2] / errors[1] == pytest.approx(1e-2, rel=0.25)
+
+
+class TestMixedMeasureExact:
+    """The step-1/L instance decided in exact rationals, and the float spec read against it."""
+
+    def test_exact_run_stays_in_the_orthant_and_attains_the_cell(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            L = Fraction(rng.randint(1, 20), rng.randint(1, 5))
+            mu = L * Fraction(rng.randint(1, 99), 100)
+            x0 = Fraction(rng.randint(1, 300), rng.randint(1, 100))
+            N = rng.randint(1, 30)
+            q = 1 - mu / L
+            for init, final in MIXED:
+                where = (mu, L, x0, N, init.value, final.value)
+                c = mixed_slope_exact(final, mu, L, x0, N)
+                xs, ss = orthant_run_exact(mu, L, c, x0, N)
+                for k, x in enumerate(xs):
+                    # the unprojected closed form: the projection never clips before N
+                    closed = (c * q**k - c + mu * q**k * x0) / mu
+                    assert x == closed and closed >= 0, (where, k)
+                F0 = mu * x0**2 / 2 + c * x0
+                if final is M.FUNC_GAP:
+                    attained = mu * xs[N] ** 2 / 2 + c * xs[N]
+                else:
+                    assert xs[N] == 0, where
+                    assert c**2 * (q ** (-2 * N) - 1) == 2 * mu * F0, where
+                    attained = (mu * xs[N] + c + ss[N]) ** 2
+                initial = x0**2 if init is M.DISTANCE_SQ else F0
+                assert attained == initial * step_1_over_L_cell_exact(init, final, mu, L, N), where
+
+    @pytest.mark.parametrize("target", MIXED)
+    @pytest.mark.parametrize(
+        "mu,L,N,x0", [(1.0, 2.0, 3, 1.0), (0.5, 10.0, 12, 2.937), (2.0, 3.0, 1, 0.5), (1e-6, 1.0, 5, 1.0)]
+    )
+    def test_prediction_is_the_table_cell_times_the_initial_measure(self, mu, L, N, x0, target):
+        params = ClassParams(mu, L)
+        spec = mixed_measure_instance(params, N, x0, target)
+        init, final = target
+        c = float(spec.problem.f.b[0])
+        initial = x0**2 if init is M.DISTANCE_SQ else 0.5 * mu * x0**2 + c * x0
+        cell = bound_lookup(init, final, params, 1.0 / L, N, conjectured=True)
+        assert spec.predicted == {target: initial * cell.value}
+        mu_q, L_q, x0_q = Fraction(mu), Fraction(L), Fraction(x0)
+        c_q = mixed_slope_exact(final, mu_q, L_q, x0_q, N)
+        initial_q = x0_q**2 if init is M.DISTANCE_SQ else mu_q * x0_q**2 / 2 + c_q * x0_q
+        exact = initial_q * step_1_over_L_cell_exact(init, final, mu_q, L_q, N)
+        assert abs(Fraction(spec.predicted[target]) - exact) <= Fraction(1e-13) * exact
+
+    @pytest.mark.parametrize("L", [1.0, 3.0])
+    @pytest.mark.parametrize("kappa", [0.5, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_float_slope_is_the_exact_slope(self, kappa, L):
+        mu = kappa * L
+        for N in (1, 5, 20, 100):
+            for target in MIXED:
+                c = mixed_measure_instance(ClassParams(mu, L), N, 1.0, target).problem.f.b[0]
+                exact = mixed_slope_exact(target[1], Fraction(mu), Fraction(L), Fraction(1), N)
+                assert abs(Fraction(float(c)) - exact) <= Fraction(1e-14) * exact, (N, target)
 
 
 class TestUnboundedFamily:
