@@ -80,6 +80,7 @@ def _emit(command: str, config: dict, rows: list[dict], verdict: str, args) -> N
         text = json.dumps(
             {"command": command, "config": config, "rows": rows, "verdict": verdict},
             indent=2,
+            allow_nan=False,
         )
     else:
         buf = io.StringIO()
@@ -224,7 +225,6 @@ def _cmd_tight(args):
         {"cell": cell, "predicted": predicted, "attained": attained, "rel_gap": _rel_gap(predicted, attained)}
         for cell, predicted, attained in _TIGHT[args.generator](args, params)
     ]
-    worst = max((r["rel_gap"] for r in rows), default=0.0)
     config = {
         "generator": args.generator,
         "mu": params.mu,
@@ -233,7 +233,7 @@ def _cmd_tight(args):
         "x0": args.x0,
         "c": args.c,
     }
-    return config, rows, "pass" if worst <= _GAP_TOL else "fail"
+    return config, rows, "pass" if all(r["rel_gap"] <= _GAP_TOL for r in rows) else "fail"
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -255,6 +255,8 @@ def _certify_points(args):
     if args.gamma is None:
         raise ValueError("certify needs --gamma with --mu/--L (use a rational string)")
     gamma = 2 / (L + mu) if args.gamma == "opt" else _parse_rational(args.gamma, "--gamma")
+    if gamma < 0:
+        raise ValueError(f"certificates cover steps gamma >= 0, got gamma = {gamma}")
     if gamma > 2 / L:
         raise ValueError(f"certificates cover steps up to 2/L = {2 / L}, got gamma = {gamma}")
     return [(mu, L, gamma, regime) for regime in cert._regimes(mu, L, gamma)]

@@ -1,7 +1,8 @@
 """Proximal gradient method with fixed step and with exact line search.
 
-Every run produces a fully instrumented trace: iterates, gradients, the
-subgradient extracted from each prox step via
+Both are one loop of pgm_step, at the step size a rule picks from x_k and
+grad f(x_k). Every run produces a fully instrumented trace: iterates,
+gradients, the subgradient extracted from each prox step via
 
     s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k),
 
@@ -104,10 +105,10 @@ class IterateTrace:
         s0_known: bool,
         optimum: tuple[np.ndarray, float] | None,
         gammas: list[float],
-        method: str = "fixed",
-        outside_theory: bool = False,
-        rows: np.ndarray | None = None,
-        rerun: Callable[[], IterateTrace] | None = None,
+        method: str,
+        outside_theory: bool,
+        rows: np.ndarray | None,
+        rerun: Callable[[], IterateTrace] | None,
     ):
         self.problem, self.F = problem, F
         self.gammas, self.method, self.outside_theory = gammas, method, outside_theory
@@ -239,26 +240,18 @@ def pgm_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One proximal gradient step; returns (x_{k+1}, s_{k+1}).
 
-    gamma must be strictly positive (the extracted subgradient divides by it)
-    and finite.
+    s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k) is the subgradient of h
+    at x_{k+1} that the prox step certifies. gamma must be strictly positive
+    (the subgradient divides by it) and finite.
     """
-    _check_step(gamma)
-    x_k = np.asarray(x_k, dtype=float)
-    grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
-    x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
-    return x_next, _prox_subgradient(gamma, x_k, grad_k, x_next)
-
-
-def _check_step(gamma: float) -> None:
     if not gamma > 0:
         raise ValueError("pgm_step requires gamma > 0")
     if math.isinf(gamma):
         raise ValueError("pgm_step requires a finite gamma")
-
-
-def _prox_subgradient(gamma: float, x_k, grad_k, x_next) -> np.ndarray:
-    """s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k), the subgradient the prox step certifies."""
-    return (x_k - x_next) / gamma - grad_k
+    x_k = np.asarray(x_k, dtype=float)
+    grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
+    x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
+    return x_next, (x_k - x_next) / gamma - grad_k
 
 
 def _initial_subgradient(problem: CompositeProblem, x0, s0):
@@ -276,15 +269,15 @@ def _initial_subgradient(problem: CompositeProblem, x0, s0):
 
 
 def _iterate(
-    problem: CompositeProblem, x0, N: int, s0, step, method: str, outside_theory: bool = False, nb: int = 0
+    problem: CompositeProblem, x0, N: int, s0, step_size, method: str, outside_theory: bool, nb: int = 0
 ) -> IterateTrace:
     """The PGM loop: iterates 0..N and the N steps, reduced into the trace's columns.
 
-    Each step is (gamma, x_{k+1}, s_{k+1}) = step(x_k, grad f(x_k)). Row k of
-    X, G and S is written to row k % nb of a buffer of nb rows (by default
-    enough for about _BLOCK floats, at most N + 1), and each full block, and
-    the last, is reduced into per-iterate columns (_row_sums) before the
-    next step overwrites it. A run of more than one block keeps its
+    Step k is pgm_step at the step size gamma_k = step_size(x_k, grad f(x_k))
+    that the method's rule picks. Row k of X, G and S is written to row
+    k % nb of a buffer of nb rows (by default enough for about _BLOCK floats,
+    at most N + 1), and each full block, and the last, is reduced into
+    per-iterate columns (_row_sums) before the next step overwrites it. A run of more than one block keeps its
     arguments, to rebuild its rows in one block (nb = N + 1) when they are
     read. The first non-finite F(x_k) (a run that diverges, outside the
     theory) raises a ValueError naming k.
@@ -315,14 +308,15 @@ def _iterate(
         if r == nb - 1 or k == N:
             _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1])
         if k < N:
-            gamma, X[(k + 1) % nb], S[(k + 1) % nb] = step(X[r], G[r])
+            gamma = step_size(X[r], G[r])
+            X[(k + 1) % nb], S[(k + 1) % nb] = pgm_step(problem, gamma, X[r], G[r])
             gammas.append(gamma)
     if nb == N + 1:
         rows, rerun = buffer, None
     else:
         rows = None
         s0_arg = s0.copy() if s0_given else None
-        rerun = partial(_iterate, problem, x0.copy(), N, s0_arg, step, method, outside_theory, N + 1)
+        rerun = partial(_iterate, problem, x0.copy(), N, s0_arg, step_size, method, outside_theory, N + 1)
     return IterateTrace(problem, F, sums, s0 is not None, optimum, gammas, method, outside_theory, rows, rerun)
 
 
@@ -345,11 +339,7 @@ def run(
     if N >= 0 and math.isinf(gamma):
         raise ValueError("run requires a finite gamma")
     outside = gamma > 2.0 / problem.params.L * (1 + 1e-12)
-
-    def step(x, grad):
-        return gamma, *pgm_step(problem, gamma, x, grad)
-
-    return _iterate(problem, x0, N, s0, step, "fixed", outside)
+    return _iterate(problem, x0, N, s0, lambda x, grad: gamma, "fixed", outside)
 
 
 def exact_line_search_step(
@@ -367,26 +357,33 @@ def exact_line_search_step(
     global minimizer, exact up to rounding, whether or not phi is unimodal.
     The only failure is an objective unbounded below on the last piece,
     reported as LineSearchError. A start where no step decreases phi (an
-    optimum) returns the step 1/L, which stays put. grad_k, when given, is
-    grad f(x_k), as in pgm_step.
+    optimum) returns the step 1/L, which stays put. x_k must be finite and
+    feasible. grad_k, when given, is grad f(x_k), as in pgm_step; the new
+    point is pgm_step's at the returned step size.
     """
     x_k = np.asarray(x_k, dtype=float)
+    if not np.isfinite(x_k).all():
+        raise ValueError("x_k must be finite")
     g = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
+    if math.isinf(problem.h.value(x_k)):
+        raise ValueError("infeasible start: F(x_k) = +inf")
+    gamma = _exact_step_size(problem, x_k, g)
+    return gamma, pgm_step(problem, gamma, x_k, g)[0]
+
+
+def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) -> float:
+    """The step size of exact_line_search_step at a feasible x_k with gradient g."""
     if isinstance(problem.h, Zero):
         Hg = problem.f.hess_vec(g)
         denom = float(g @ Hg)
         gnorm = float(g @ g)
         if gnorm == 0.0:
-            gamma = 1.0 / problem.params.L
-        elif denom <= 0.0:
+            return 1.0 / problem.params.L
+        if denom <= 0.0:
             raise LineSearchError("objective is unbounded along the gradient ray", math.inf, x_k)
-        else:
-            gamma = gnorm / denom
-        return gamma, x_k - gamma * g
+        return gnorm / denom
 
     d, b = diagonal_form(problem.f)
-    if math.isinf(problem.h.value(x_k)):
-        raise ValueError("infeasible start: F(x_k) = +inf")
     breaks, p0, p1, slope = problem.h.prox_path(x_k, g)
     # phi_i(t) = 0.5 d_i p_i^2 + (b_i + slope) p_i on each segment of coordinate i
     e = b + slope
@@ -411,19 +408,12 @@ def exact_line_search_step(
     # that piece's best point is no worse).
     lo, hi = np.concatenate([[0.0], ts]), np.concatenate([ts, [np.inf]])
     t = np.clip(np.divide(-c1, 2.0 * c2, out=lo.copy(), where=c2 > 0.0), lo, hi)
-    gamma = float(t[np.argmin((c2 * t + c1) * t + c0)]) or 1.0 / problem.params.L
-    return gamma, problem.h.prox(gamma, x_k - gamma * g)
+    return float(t[np.argmin((c2 * t + c1) * t + c0)]) or 1.0 / problem.params.L
 
 
 def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace:
-    """N exact-line-search steps; per-step gamma recorded, subgradients from the prox."""
-
-    def step(x, grad):
-        gamma, x_next = exact_line_search_step(problem, x, grad)
-        _check_step(gamma)  # NaN when x_k or its gradient is not finite
-        return gamma, x_next, _prox_subgradient(gamma, x, grad, x_next)
-
-    return _iterate(problem, x0, N, None, step, "els")
+    """N exact-line-search steps: the PGM loop with the step size exact_line_search_step picks at each iterate."""
+    return _iterate(problem, x0, N, None, partial(_exact_step_size, problem), "els", False)
 
 
 def residual_line_search_step(f: SmoothFunction, x_k) -> tuple[float, np.ndarray]:

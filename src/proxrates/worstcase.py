@@ -15,6 +15,8 @@ Four families:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,6 +59,19 @@ class WorstCaseSpec:
     note: str = ""
 
 
+def _square(value: float) -> float:
+    """value**2, or +inf where it overflows (a float ** raises OverflowError there)."""
+    try:
+        return value**2
+    except OverflowError:
+        return math.inf
+
+
+def _is_normal(value: float) -> bool:
+    """Whether value is finite and at least the smallest normal float in magnitude."""
+    return sys.float_info.min <= abs(value) < math.inf
+
+
 def _padded(value: float, dim: int) -> np.ndarray:
     """The vector of R^dim with first coordinate `value` and zeros elsewhere."""
     out = np.zeros(dim)
@@ -78,6 +93,8 @@ def quadratic_lower_bound(
         raise ValueError("attaining instances exist only for 0 <= gamma <= 2/L")
     if N < 0:
         raise ValueError("N must be >= 0")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     a = params.mu if gamma <= 2.0 / (params.L + params.mu) else params.L
     f = ScaledSqNorm(a, dim, params)
     problem = CompositeProblem(f, Zero(dim), known_optimum=(np.zeros(dim), 0.0))
@@ -107,7 +124,8 @@ def mixed_measure_instance(
     (maximal final residual) gives c = mu x0 / ((1-kappa)^(-N) - 1). Either
     way every iterate stays nonnegative. The predicted value is the target's
     `step_1_over_L` cell of `rates.BOUND_TABLES` times the initial measure:
-    x0^2, or F(x0) - F* = (mu/2) x0^2 + c x0. Embeddings with dim > 1 pad
+    x0^2, or F(x0) - F* = (mu/2) x0^2 + c x0; an x0 for which either is
+    not a normal float raises ValueError. Embeddings with dim > 1 pad
     every vector with zeros, which changes no measure.
     """
     params.require_strongly_convex()
@@ -125,7 +143,13 @@ def mixed_measure_instance(
     init, final = target
     bound = bound_lookup(init, final, params, gamma, N, conjectured=True).value
     c = mu * x0 / _geometric_minus_one(mu * gamma, 2 * N if target is DIST_TO_FUNCGAP else N)
-    initial = x0**2 if init is MeasureKind.DISTANCE_SQ else 0.5 * mu * x0**2 + c * x0
+    initial = _square(x0) if init is MeasureKind.DISTANCE_SQ else 0.5 * mu * _square(x0) + c * x0
+    predicted = initial * bound
+    if not (_is_normal(initial) and _is_normal(predicted)):
+        raise ValueError(
+            f"x0 = {x0} gives the initial measure {initial} and the predicted value {predicted}; "
+            "both must be normal floats"
+        )
     kappa = mu / L
     q = 1.0 - kappa
 
@@ -136,7 +160,7 @@ def mixed_measure_instance(
     problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
     note = "padded to dim > 1; measures unchanged" if dim > 1 else ""
     return WorstCaseSpec(
-        problem, _padded(x0, dim), np.zeros(dim), N, gamma, {target: initial * bound}, closed_form, note
+        problem, _padded(x0, dim), np.zeros(dim), N, gamma, {target: predicted}, closed_form, note
     )
 
 
@@ -155,8 +179,9 @@ def unbounded_family(
         gap_N / res_0  = x_N / c              (~ 1/c),
 
     grow without bound as c -> 0, which is exactly what the unbounded cells
-    of the mu = 0 table assert. x0 = 0 starts at the optimum and every
-    iterate stays there.
+    of the mu = 0 table assert. A c whose divisors c x0 and c^2 are not
+    normal floats, or whose ratios are not finite, raises ValueError.
+    x0 = 0 starts at the optimum and every iterate stays there.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -172,11 +197,18 @@ def unbounded_family(
     predicted: dict[Cell, float] = {}
     if x0 > 0:
         xN = max(0.0, x0 - N * c / L)
+        gap0, res0 = c * x0, _square(c)
+        if not (_is_normal(gap0) and _is_normal(res0)):
+            raise ValueError(
+                f"c = {c} gives the initial gap {gap0} and residual {res0} (x0 = {x0}); both must be normal floats"
+            )
         predicted = {
-            (MeasureKind.FUNC_GAP, MeasureKind.DISTANCE_SQ): xN**2 / (c * x0),
-            (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.DISTANCE_SQ): xN**2 / c**2,
-            (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP): c * xN / c**2,
+            (MeasureKind.FUNC_GAP, MeasureKind.DISTANCE_SQ): _square(xN) / gap0,
+            (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.DISTANCE_SQ): _square(xN) / res0,
+            (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP): c * xN / res0,
         }
+        if not all(map(math.isfinite, predicted.values())):
+            raise ValueError(f"c = {c} gives a predicted ratio beyond the float range (x0 = {x0})")
     return WorstCaseSpec(
         problem, _padded(x0, dim), np.zeros(dim), N, 1.0 / L, predicted, closed_form,
         note="witness ratios scale like inverse powers of c",

@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -314,6 +316,16 @@ class TestCertify:
         assert code == 2 and not out.exists()
         assert err.startswith("error: ") and "gamma = 1" in err and "2/L = 2/3" in err
 
+    @pytest.mark.parametrize("gamma", ["-1/2", "-1"])
+    def test_negative_step_is_a_usage_error(self, tmp_path, capsys, gamma):
+        for theorem in ("all", "distance", "residual"):
+            code, out = run_cli(["certify", "--mu", "1", "--L", "3", f"--gamma={gamma}", "--theorem", theorem], tmp_path)
+            err = capsys.readouterr().err
+            assert code == 2 and not out.exists()
+            assert err == f"error: certificates cover steps gamma >= 0, got gamma = {gamma}\n"
+        # the library verifiers still evaluate a negative step
+        assert not cert.VERIFIERS["distance"](1, 3, Fraction(-1, 2), cert.Regime.SMALL_STEP).verified
+
     def test_step_at_two_over_L_still_verifies(self, tmp_path):
         code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "2/3"], tmp_path)
         rows = load_json(out)["rows"]
@@ -543,6 +555,41 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert code == 2 and not out.exists()
         assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tight", "qlb", "--dim", "0"],
+            ["simulate", "--mu", "1", "--L", "10", "--gamma", "opt", "--instance", "worst-case", "--dim", "0"],
+            ["tight", "mixed", "--x0", "1e200"],
+            ["tight", "mixed", "--x0", "1e-170"],
+            ["tight", "mixed", "--x0", "1e-155"],
+            ["tight", "unbounded", "--c", "1e-170"],
+            ["tight", "unbounded", "--c", "1e-150", "--x0", "1e-200"],
+            ["tight", "unbounded", "--c", "1e-160"],
+            ["certify", "--mu", "1", "--L", "3", "--gamma=-1/2"],
+            ["tables", "--mu", "1", "--L", "2", "--gamma", "nan"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_instance_outside_the_float_range_writes_nothing(self, tmp_path, capsys, argv, fmt):
+        code, out = run_cli(argv + ["--format", fmt], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists()
+        assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_tight_fails_on_any_nan_gap(self, tmp_path, monkeypatch):
+        # max() skips a NaN that is not its first argument; every gap has to pass
+        rows = [("a", 1.0, 1.0), ("b", 1.0, math.nan)]
+        monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter(rows))
+        code, out = run_cli(["tight", "qlb", "--format", "csv"], tmp_path, "out.csv")
+        assert code == 1 and out.read_text().splitlines()[2] == "b,1.0,nan,nan"
+
+    def test_json_document_never_carries_nan(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter([("a", 1.0, math.inf)]))
+        code, out = run_cli(["tight", "qlb"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: Out of range float values are not JSON compliant")
 
     def test_long_envelope_overflow_names_k(self, tmp_path, capsys):
         # gamma = 0.5 > 2/L: the envelope grows as 16^k, past a float at k = 256; the box keeps the iterates finite

@@ -1,4 +1,5 @@
 
+import hashlib
 import re
 import tracemalloc
 
@@ -23,6 +24,7 @@ from proxrates import (
     optimal_step,
     pgm_step,
     random_composite,
+    random_instance,
     residual_line_search_step,
     run,
     run_exact_line_search,
@@ -229,13 +231,40 @@ class TestExactLineSearch:
             prox = problem.h.prox
             monkeypatch.setattr(problem.h, "prox", lambda g, v: calls.append(1) or prox(g, v))
             trace = run_exact_line_search(problem, x0, N)
-            assert len(calls) == (0 if kind == "zero" else N)
+            assert len(calls) == N
             monkeypatch.undo()
             # each record is the fixed-step PGM step at the recorded gamma
             for k in range(N):
                 x, s = pgm_step(problem, trace.gammas[k], trace.records[k].x)
                 assert x.tobytes() == trace.records[k + 1].x.tobytes()
                 assert s.tobytes() == trace.records[k + 1].s.tobytes()
+
+    def test_value_calls_match_fixed_step(self, monkeypatch):
+        # the line search reads no objective value of h beyond those the loop records
+        N = 10
+        for kind in ("zero", "nonneg", "box", "l1"):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 8, kind, seed=5)
+            problem.try_optimum()  # cached: neither run pays for it
+            calls = []
+            value = problem.h.value
+            monkeypatch.setattr(problem.h, "value", lambda x: calls.append(1) or value(x))
+            run(problem, 0.15, x0, N)
+            fixed = len(calls)
+            calls.clear()
+            run_exact_line_search(problem, x0, N)
+            assert len(calls) == fixed
+
+    def test_closed_form_matches_prox_path(self):
+        # h = 0 takes the closed form; l1 with weight 0 is the same objective through the prox-path sweep
+        rng = np.random.default_rng(7)
+        for seed in range(200):
+            dim = int(rng.integers(1, 12))
+            f = random_instance(ClassParams(float(rng.uniform(0.1, 1.0)), 4.0), dim, seed)
+            x = rng.normal(size=dim) * 3
+            fast = exact_line_search_step(CompositeProblem(f, Zero(dim)), x)
+            slow = exact_line_search_step(CompositeProblem(f, L1Norm(0.0, dim)), x)
+            assert slow[0] == pytest.approx(fast[0], rel=1e-12, abs=0)
+            np.testing.assert_allclose(slow[1], fast[1], rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
     def test_isotropic_converges_in_one_step(self):
         mu = 2.0
@@ -300,6 +329,11 @@ class TestExactLineSearch:
         f = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
         with pytest.raises(ValueError, match="not separable"):
             exact_line_search_step(CompositeProblem(f, NonnegIndicator(2)), np.ones(2))
+
+    def test_infeasible_start_reported_before_separability(self):
+        f = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
+        with pytest.raises(ValueError, match="infeasible"):
+            exact_line_search_step(CompositeProblem(f, NonnegIndicator(2)), -np.ones(2))
 
     @pytest.mark.parametrize(
         "kind,dim,seed",
@@ -526,6 +560,13 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError, match="x0 must be finite"):
                 run_exact_line_search(problem, bad, 3)
 
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_line_search_rejects_non_finite_point(self, kind):
+        problem, _ = random_composite(ClassParams(1.0, 10.0), 3, kind, 0)
+        for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5]):
+            with pytest.raises(ValueError, match="x_k must be finite"):
+                exact_line_search_step(problem, bad)
+
     def test_non_finite_s0_rejected(self):
         # -inf lies in the normal cone of the orthant at the boundary
         f = random_composite(ClassParams(1.0, 10.0), 2, "zero", 0)[0].f
@@ -557,3 +598,54 @@ class TestNonFiniteInputs:
                 run(problem, 0.5, x0, 400)
             trace = run(problem, 0.5, x0, 255)
         assert trace.outside_theory and np.isfinite(trace.F).all()
+
+
+def _frozen_runs_digest(runner: str, kind: str) -> str:
+    """SHA-256 of 24 traces and 72 line-search steps of one runner and one h.
+
+    Each trace adds its X, G, S, F and gammas; each start x0 adds three
+    public exact-line-search steps. At dim 2e4 a trace spans several blocks,
+    so reading its rows runs the loop again.
+    """
+    digest = hashlib.sha256()
+    for mu in (0.0, 1.0):
+        for dim in (1, 8, 1000, 20_000):
+            for seed in (0, 1, 2):
+                problem, x0 = random_composite(ClassParams(mu, 10.0), dim, kind, seed)
+                if runner == "fixed":
+                    trace = run(problem, 0.15, x0, 12)
+                else:
+                    trace = run_exact_line_search(problem, x0, 12)
+                for column in (trace.X, trace.G, trace.S, trace.F, np.array(trace.gammas)):
+                    digest.update(column.tobytes())
+                x = x0
+                for _ in range(3):
+                    gamma, x = exact_line_search_step(problem, x)
+                    digest.update(np.array([gamma]).tobytes() + x.tobytes())
+    return digest.hexdigest()
+
+
+TRACE_DIGESTS = {
+    ("fixed", "zero"): "f7bd89102aa6a9ff1d51934ff1a09027dd756fb9dc77e55a80c34678bff4a585",
+    ("fixed", "nonneg"): "c28cbd9b506905a22e3ef4a8258e279cc82150121a359a410411ebcf99c1d5b3",
+    ("fixed", "box"): "ee4ac140065ff6974d3f94ffcb3f73e40f0039b800ab543369d0f4cafb8d06d0",
+    ("fixed", "l1"): "583eb58c2ca0247f05199c856dc0a15ac78082d3099a2c55332dca2520773c95",
+    ("els", "zero"): "f7f7e1953f2d6972b28998508a2b2a2afd027596fc82a39255b316dd06f4d218",
+    ("els", "nonneg"): "6c1da8f6fb1377d439984e71aa69773f2430619ee74881d917a5089d36dd0ba7",
+    ("els", "box"): "fafb2fb7626fe36da4553edea770ebfc964713fd2d8053efadf48fe150245e63",
+    ("els", "l1"): "5f9223799d40b541f7577df52a75833f2e340d64aaba49d546fd39b4d50fe1c7",
+}
+DENSE_DIGEST = "595059a5e09acff4dfbc2847b5c81b9fc295ee85b5759164e6eba68c0a62c536"
+
+
+class TestFrozenTraces:
+    """Bit-identical traces and line-search steps: digests pinned before the loop took a step-size rule."""
+
+    @pytest.mark.parametrize("runner,kind", list(TRACE_DIGESTS))
+    def test_traces(self, runner, kind):
+        assert _frozen_runs_digest(runner, kind) == TRACE_DIGESTS[runner, kind]
+
+    def test_dense_quadratic_line_search(self):
+        f = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
+        gamma, x1 = exact_line_search_step(CompositeProblem(f, Zero(2)), np.array([0.3, -0.7]))
+        assert hashlib.sha256(np.array([gamma]).tobytes() + x1.tobytes()).hexdigest() == DENSE_DIGEST

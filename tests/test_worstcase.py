@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,10 @@ class TestQuadraticLowerBound:
         with pytest.raises(ValueError):
             quadratic_lower_bound(ClassParams(0, 1), 0.5)  # no linear rate at mu = 0
 
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):  # every measure would be 0
+            quadratic_lower_bound(ClassParams(1, 10), 0.1, dim=0)
+
 
 class TestMixedMeasureInstance:
     def test_gap_target_reference_point(self):
@@ -104,6 +109,15 @@ class TestMixedMeasureInstance:
     def test_degenerate_class_rejected(self):
         with pytest.raises(ValueError):
             mixed_measure_instance(ClassParams(2.0, 2.0), 2, 1.0, DIST_TO_FUNCGAP)
+
+    @pytest.mark.parametrize("target", MIXED)
+    @pytest.mark.parametrize("x0", [1e200, 1e-170, 1e-155])
+    def test_start_outside_the_float_range_rejected(self, target, x0):
+        # x0^2 overflows, underflows to 0, or is subnormal
+        with pytest.raises(ValueError, match=re.escape(f"x0 = {x0} gives")):
+            mixed_measure_instance(ClassParams(1.0, 2.0), 5, x0, target)
+        for ok in (1e-100, 1e100):
+            assert mixed_measure_instance(ClassParams(1.0, 2.0), 5, ok, target).predicted[target] > 0
 
     @pytest.mark.parametrize("target", [DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL])
     @pytest.mark.parametrize("mu,L,N", [(1.0, 2.0, 3), (1.0, 10.0, 5), (0.5, 1.0, 2)])
@@ -234,6 +248,19 @@ class TestUnboundedFamily:
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError):
             unbounded_family(0.0)
+
+    @pytest.mark.parametrize(
+        "c,x0",
+        [(1e-170, 1.0), (1e-160, 1.0), (1e-150, 1e-200), (1e200, 1.0), (1e-100, 1e200)],
+    )
+    def test_rejects_ratios_outside_the_float_range(self, c, x0):
+        # c^2 underflows to 0 or a subnormal, c x0 underflows, c^2 overflows, or x_N^2 overflows
+        with pytest.raises(ValueError, match=re.escape(f"c = {c} gives")):
+            unbounded_family(c, x0=x0)
+
+    def test_exact_zero_at_the_optimum_allowed(self):
+        spec = unbounded_family(0.5, x0=2.0, N=5)  # x_N = max(0, 2 - 2.5) = 0
+        assert list(spec.predicted.values()) == [0.0, 0.0, 0.0]
 
 
 class TestElsWorstQuadratic:
