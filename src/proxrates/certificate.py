@@ -546,8 +546,8 @@ def _interp_convex(i: str, j: str, gamma) -> SymbolicExpr:
 
 
 class Regime(Enum):
-    SMALL_STEP = "small_step"  # gamma <= 2/(L+mu), contraction factor 1 - gamma*mu
-    LARGE_STEP = "large_step"  # gamma >= 2/(L+mu), contraction factor gamma*L - 1
+    SMALL_STEP = "small_step"  # gamma <= 2/(L+mu), contraction factor 1 - gamma*mu, attained by mu
+    LARGE_STEP = "large_step"  # gamma >= 2/(L+mu), contraction factor gamma*L - 1, attained by L
 
 
 @dataclass(frozen=True)
@@ -648,74 +648,6 @@ def _perturb(certificate, mutate):
     return weighted, target, sos
 
 
-def _rho(regime: Regime, mu, L, gamma):
-    return 1 - gamma * mu if regime is Regime.SMALL_STEP else gamma * L - 1
-
-
-# A certificate is a triple (weighted, target, sos): per multiplier its name,
-# value and a zero-argument builder of its inequality; a zero-argument builder
-# of the target; per SOS term its name, coefficient and combination. The
-# builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
-# and L): `_coerce` has checked 0 <= mu < L, and the point labels are literals.
-
-
-def _distance_certificate(regime: Regime, mu, L, gamma):
-    rho = _rho(regime, mu, L, gamma)
-    lam_f = 2 * gamma * rho
-    lam_h = 2 * gamma
-    weighted = [
-        ("lambda0", lam_f, partial(_interp_smooth, "*", "k", mu, L, gamma)),
-        ("lambda1", lam_f, partial(_interp_smooth, "k", "*", mu, L, gamma)),
-        ("lambda2", lam_h, partial(_interp_convex, "*", "k+1", gamma)),
-        ("lambda3", lam_h, partial(_interp_convex, "k+1", "*", gamma)),
-    ]
-
-    def target():
-        x = _points(gamma)[0]
-        return norm_sq(x["k"]).scale(rho * rho) - norm_sq(x["k+1"])
-
-    if regime is Regime.SMALL_STEP:
-        reg = ("regime", gamma * (2 - gamma * (L + mu)) / (L - mu), VecExpr({"x": mu, "gk": -1, "gs": 1}))
-    else:
-        reg = ("regime", gamma * (gamma * (L + mu) - 2) / (L - mu), VecExpr({"x": L, "gk": -1, "gs": 1}))
-    sos = [("prox_residual", gamma * gamma, VecExpr({"gs": 1, "sk1": 1})), reg]
-    return weighted, target, sos
-
-
-def _residual_certificate(regime: Regime, mu, L, gamma):
-    if gamma == 0:
-        raise ValueError("residual certificate requires gamma != 0: its multipliers divide by gamma")
-    rho = _rho(regime, mu, L, gamma)
-    lam_f = 2 * rho / gamma
-    lam_h = 2 * rho * rho / gamma
-    weighted = [
-        ("lambda0", lam_f, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
-        ("lambda1", lam_f, partial(_interp_smooth, "k+1", "k", mu, L, gamma)),
-        ("lambda2", lam_h, partial(_interp_convex, "k", "k+1", gamma)),
-        ("lambda3", lam_h, partial(_interp_convex, "k+1", "k", gamma)),
-    ]
-
-    def target():
-        gk_sk = VecExpr({"gk": 1, "sk": 1})
-        gk1_sk1 = VecExpr({"gk1": 1, "sk1": 1})
-        return norm_sq(gk_sk).scale(rho * rho) - norm_sq(gk1_sk1)
-
-    if regime is Regime.SMALL_STEP:
-        reg = (
-            "regime",
-            (2 - gamma * (L + mu)) / (gamma * (L - mu)),
-            VecExpr({"gk": 1 - mu * gamma, "gk1": -1, "sk1": -mu * gamma}),
-        )
-    else:
-        reg = (
-            "regime",
-            (gamma * (L + mu) - 2) / (gamma * (L - mu)),
-            VecExpr({"gk": 1 - L * gamma, "gk1": -1, "sk1": -L * gamma}),
-        )
-    sos = [("subgrad_change", rho * rho, VecExpr({"sk": 1, "sk1": -1})), reg]
-    return weighted, target, sos
-
-
 def alpha_small(mu, L, gamma):
     """Scaling polynomial of the small-step function-value certificate.
 
@@ -742,10 +674,88 @@ def beta_large(mu, L, gamma):
     return gamma * (L + mu) - 2
 
 
+# Each regime as the curvature a that attains its rate rho = |1 - a*gamma|,
+# and its scalings alpha and beta; beta >= 0 exactly on the regime's steps.
+_DESCRIPTIONS = {
+    Regime.SMALL_STEP: (lambda mu, L: mu, alpha_small, beta_small),
+    Regime.LARGE_STEP: (lambda mu, L: L, alpha_large, beta_large),
+}
+
+
+def _describe(regime: Regime, mu, L, gamma):
+    """The regime's attaining curvature a, its beta and its rate rho at (mu, L, gamma).
+
+    rho = max(1 - mu*gamma, L*gamma - 1) is half the sum of the two,
+    gamma*(L - mu), plus half their distance, which on the regime's steps is beta.
+    """
+    curvature, _, beta = _DESCRIPTIONS[regime]
+    be = beta(mu, L, gamma)
+    return curvature(mu, L), be, (gamma * (L - mu) + be) / 2
+
+
+# A certificate is a triple (weighted, target, sos): per multiplier its name,
+# value and a zero-argument builder of its inequality; a zero-argument builder
+# of the target; per SOS term its name, coefficient and combination. The
+# builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
+# and L): `_coerce` has checked 0 <= mu < L, and the point labels are literals.
+# A regime enters a term only through its a, alpha and beta.
+
+
+def _distance_certificate(regime: Regime, mu, L, gamma):
+    a, be, rho = _describe(regime, mu, L, gamma)
+    lam_f = 2 * gamma * rho
+    lam_h = 2 * gamma
+    weighted = [
+        ("lambda0", lam_f, partial(_interp_smooth, "*", "k", mu, L, gamma)),
+        ("lambda1", lam_f, partial(_interp_smooth, "k", "*", mu, L, gamma)),
+        ("lambda2", lam_h, partial(_interp_convex, "*", "k+1", gamma)),
+        ("lambda3", lam_h, partial(_interp_convex, "k+1", "*", gamma)),
+    ]
+
+    def target():
+        x = _points(gamma)[0]
+        return norm_sq(x["k"]).scale(rho * rho) - norm_sq(x["k+1"])
+
+    sos = [
+        ("prox_residual", gamma * gamma, VecExpr({"gs": 1, "sk1": 1})),
+        ("regime", gamma * be / (L - mu), VecExpr({"x": a, "gk": -1, "gs": 1})),
+    ]
+    return weighted, target, sos
+
+
+def _residual_certificate(regime: Regime, mu, L, gamma):
+    if gamma == 0:
+        raise ValueError("residual certificate requires gamma != 0: its multipliers divide by gamma")
+    a, be, rho = _describe(regime, mu, L, gamma)
+    lam_f = 2 * rho / gamma
+    lam_h = 2 * rho * rho / gamma
+    weighted = [
+        ("lambda0", lam_f, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
+        ("lambda1", lam_f, partial(_interp_smooth, "k+1", "k", mu, L, gamma)),
+        ("lambda2", lam_h, partial(_interp_convex, "k", "k+1", gamma)),
+        ("lambda3", lam_h, partial(_interp_convex, "k+1", "k", gamma)),
+    ]
+
+    def target():
+        gk_sk = VecExpr({"gk": 1, "sk": 1})
+        gk1_sk1 = VecExpr({"gk1": 1, "sk1": 1})
+        return norm_sq(gk_sk).scale(rho * rho) - norm_sq(gk1_sk1)
+
+    sos = [
+        ("subgrad_change", rho * rho, VecExpr({"sk": 1, "sk1": -1})),
+        ("regime", be / (gamma * (L - mu)), VecExpr({"gk": 1 - a * gamma, "gk1": -1, "sk1": -a * gamma})),
+    ]
+    return weighted, target, sos
+
+
 def _funcvalue_certificate(regime: Regime, mu, L, gamma):
     if mu == 0:
         raise ValueError("function-value certificate requires mu > 0")
-    rho = _rho(regime, mu, L, gamma)
+    a, be, rho = _describe(regime, mu, L, gamma)
+    _, alpha, _ = _DESCRIPTIONS[regime]
+    al = alpha(mu, L, gamma)
+    if _is_zero_scalar(al):
+        raise ValueError("degenerate step size: the alpha scaling vanishes")
     one = Fraction(1)
     weighted = [
         ("lambda0", rho, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
@@ -763,79 +773,40 @@ def _funcvalue_certificate(regime: Regime, mu, L, gamma):
         )
 
     if regime is Regime.SMALL_STEP:
-        al = alpha_small(mu, L, gamma)
-        be = beta_small(mu, L, gamma)
-        if _is_zero_scalar(al):
-            raise ValueError("degenerate step size: the alpha scaling vanishes")
-        sos = [
-            (
-                "grad_combination",
-                (2 - gamma * mu) * be / (2 * al),
-                VecExpr({"gk": 1 - gamma * mu, "gk1": -1, "gs": mu * gamma}),
-            ),
-            (
-                "point_combination",
-                gamma * L * mu**2 * (2 - gamma * mu) / (2 * (L - mu)),
-                VecExpr(
-                    {
-                        "x": one,
-                        "sk1": -(2 * L - 2 * mu + gamma * mu**2) / (L * mu * (2 - gamma * mu)),
-                        "gk": -1 / (mu * (2 - gamma * mu)),
-                        "gk1": -1 / (mu * (2 - gamma * mu)),
-                        "gs": 1 / L,
-                    }
-                ),
-            ),
-            (
-                "subgrad_combination",
-                gamma * mu * al / (2 * L * (L - mu) * (2 - gamma * mu)),
-                VecExpr(
-                    {
-                        "sk1": one,
-                        "gk": (mu * gamma - 1) * L * be / al,
-                        "gk1": L * be / al,
-                        "gs": (L - mu) * (2 - gamma * mu) ** 2 / al,
-                    }
-                ),
-            ),
-        ]
+        grad_coeff = (2 - gamma * mu) * be / (2 * al)
+        point = {
+            "sk1": -(2 * L - 2 * mu + gamma * mu**2) / (L * mu * (2 - gamma * mu)),
+            "gk": -1 / (mu * (2 - gamma * mu)),
+            "gk1": -1 / (mu * (2 - gamma * mu)),
+        }
+        subgrad_coeff = gamma * mu * al / (2 * L * (L - mu) * (2 - gamma * mu))
+        subgrad = {
+            "gk": (mu * gamma - 1) * L * be / al,
+            "gk1": L * be / al,
+            "gs": (L - mu) * (2 - gamma * mu) ** 2 / al,
+        }
     else:
-        al = alpha_large(mu, L, gamma)
-        be = beta_large(mu, L, gamma)
-        if _is_zero_scalar(al):
-            raise ValueError("degenerate step size: the alpha scaling vanishes")
-        sos = [
-            (
-                "grad_combination",
-                (2 - gamma * L) * be / (2 * gamma * al),
-                VecExpr({"gk": 1 - gamma * L, "gk1": -1, "gs": gamma * L}),
-            ),
-            (
-                "point_combination",
-                gamma * L**2 * mu * (2 - gamma * L) / (2 * (L - mu)),
-                VecExpr(
-                    {
-                        "x": one,
-                        "sk1": -1 / mu,
-                        "gk": (1 - gamma * L - gamma * mu) / (gamma * L * mu),
-                        "gk1": -1 / (gamma * L * mu),
-                        "gs": 1 / L,
-                    }
-                ),
-            ),
-            (
-                "subgrad_combination",
-                gamma * al / (2 * mu * (L - mu)),
-                VecExpr(
-                    {
-                        "sk1": one,
-                        "gk": (gamma * L - 1) * L * be / (gamma * al),
-                        "gk1": L * be / (gamma * al),
-                        "gs": (2 - gamma * L) * (L - mu) * mu / al,
-                    }
-                ),
-            ),
-        ]
+        grad_coeff = (2 - gamma * L) * be / (2 * gamma * al)
+        point = {
+            "sk1": -1 / mu,
+            "gk": (1 - gamma * L - gamma * mu) / (gamma * L * mu),
+            "gk1": -1 / (gamma * L * mu),
+        }
+        subgrad_coeff = gamma * al / (2 * mu * (L - mu))
+        subgrad = {
+            "gk": (gamma * L - 1) * L * be / (gamma * al),
+            "gk1": L * be / (gamma * al),
+            "gs": (2 - gamma * L) * (L - mu) * mu / al,
+        }
+    sos = [
+        ("grad_combination", grad_coeff, VecExpr({"gk": 1 - gamma * a, "gk1": -1, "gs": a * gamma})),
+        (
+            "point_combination",
+            gamma * L * mu * a * (2 - gamma * a) / (2 * (L - mu)),
+            VecExpr({"x": one, **point, "gs": 1 / L}),
+        ),
+        ("subgrad_combination", subgrad_coeff, VecExpr({"sk1": one, **subgrad})),
+    ]
     return weighted, target, sos
 
 
@@ -945,9 +916,8 @@ def default_grid() -> list[tuple[Fraction, Fraction, Fraction, Regime]]:
 
 
 def _regimes(mu, L, gamma) -> list[Regime]:
-    """The regimes covering gamma: small below 2/(L+mu), large above, both (small first) at it."""
-    g_star = 2 / (L + mu)
-    return [Regime.SMALL_STEP] * (gamma <= g_star) + [Regime.LARGE_STEP] * (gamma >= g_star)
+    """The regimes whose beta is >= 0 at gamma: small below 2/(L+mu), large above, both (small first) at it."""
+    return [regime for regime, (_, _, beta) in _DESCRIPTIONS.items() if beta(mu, L, gamma) >= 0]
 
 
 # --------------------------------------------------------------------------

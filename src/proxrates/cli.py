@@ -225,6 +225,8 @@ def _cmd_tight(args):
         {"cell": cell, "predicted": predicted, "attained": attained, "rel_gap": _rel_gap(predicted, attained)}
         for cell, predicted, attained in _TIGHT[args.generator](args, params)
     ]
+    if not rows:
+        raise ValueError(f"tight {args.generator} predicts no value at these inputs: there is nothing to compare")
     config = {
         "generator": args.generator,
         "mu": params.mu,

@@ -241,14 +241,21 @@ def pgm_step(
     """One proximal gradient step; returns (x_{k+1}, s_{k+1}).
 
     s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k) is the subgradient of h
-    at x_{k+1} that the prox step certifies. gamma must be strictly positive
-    (the subgradient divides by it) and finite.
+    at x_{k+1} that the prox step certifies. x_k must be finite, and gamma
+    strictly positive (the subgradient divides by it) and finite.
     """
+    x_k = np.asarray(x_k, dtype=float)
+    if not np.isfinite(x_k).all():
+        raise ValueError("x_k must be finite")
+    return _pgm_step(problem, gamma, x_k, grad_k)
+
+
+def _pgm_step(problem: CompositeProblem, gamma: float, x_k: np.ndarray, grad_k=None):
+    """pgm_step without its check of x_k: the PGM loop's step, taken only where F(x_k) is finite."""
     if not gamma > 0:
         raise ValueError("pgm_step requires gamma > 0")
     if math.isinf(gamma):
         raise ValueError("pgm_step requires a finite gamma")
-    x_k = np.asarray(x_k, dtype=float)
     grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
     x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
     return x_next, (x_k - x_next) / gamma - grad_k
@@ -309,7 +316,7 @@ def _iterate(
             _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1])
         if k < N:
             gamma = step_size(X[r], G[r])
-            X[(k + 1) % nb], S[(k + 1) % nb] = pgm_step(problem, gamma, X[r], G[r])
+            X[(k + 1) % nb], S[(k + 1) % nb] = _pgm_step(problem, gamma, X[r], G[r])
             gammas.append(gamma)
     if nb == N + 1:
         rows, rerun = buffer, None
@@ -368,7 +375,7 @@ def exact_line_search_step(
     if math.isinf(problem.h.value(x_k)):
         raise ValueError("infeasible start: F(x_k) = +inf")
     gamma = _exact_step_size(problem, x_k, g)
-    return gamma, pgm_step(problem, gamma, x_k, g)[0]
+    return gamma, _pgm_step(problem, gamma, x_k, g)[0]
 
 
 def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) -> float:
@@ -421,9 +428,11 @@ def residual_line_search_step(f: SmoothFunction, x_k) -> tuple[float, np.ndarray
 
     Returns (alpha, x_{k+1}) with x_{k+1} = x_k + alpha * grad f(x_k); for the
     quadratic catalog alpha = -<g, Hg> / <Hg, Hg> is exact. The composite
-    analogue has no available procedure and is out of scope.
+    analogue has no available procedure and is out of scope. x_k must be finite.
     """
     x_k = np.asarray(x_k, dtype=float)
+    if not np.isfinite(x_k).all():
+        raise ValueError("x_k must be finite")
     g = f.grad(x_k)
     Hg = f.hess_vec(g)
     denom = float(Hg @ Hg)

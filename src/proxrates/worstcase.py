@@ -87,6 +87,11 @@ def quadratic_lower_bound(
 
     All three measures contract by exactly rho^2 every iteration, so the
     predicted N-step factor for each non-mixed measure pair is rho^(2N).
+    From x0 = (1, ..., 1) the initial gap is a dim / 2 and the initial
+    residual a^2 dim; a curvature a for which either is not a normal float
+    raises ValueError, and so does an N for which rho > 0 but rho^(2N) times
+    any initial measure is not a normal float. An exact rho = 0 (mu = L at
+    the optimal step) predicts an exact 0.
     """
     params.require_strongly_convex()
     if not 0 <= gamma <= 2.0 / params.L * (1 + 1e-12):
@@ -96,10 +101,19 @@ def quadratic_lower_bound(
     if dim < 1:
         raise ValueError("dim must be >= 1")
     a = params.mu if gamma <= 2.0 / (params.L + params.mu) else params.L
+    initial = (dim, a * dim / 2, _square(a) * dim)
+    if not all(map(_is_normal, initial)):
+        raise ValueError(
+            f"curvature a = {a} gives the initial gap {initial[1]} and residual {initial[2]}; "
+            "both must be normal floats"
+        )
+    rate = contraction(params, gamma)
+    decay = rate.geometric(N)
+    if rate.rho > 0 and not all(_is_normal(decay * m) for m in initial):
+        raise ValueError(f"N = {N} gives rho^(2N) = {decay}: the final measures it predicts must be normal floats")
     f = ScaledSqNorm(a, dim, params)
     problem = CompositeProblem(f, Zero(dim), known_optimum=(np.zeros(dim), 0.0))
     x0 = np.ones(dim)
-    decay = contraction(params, gamma).geometric(N)
     predicted = {(m, m): decay for m in MeasureKind}
     factor = 1.0 - gamma * a
 

@@ -567,6 +567,12 @@ class TestPipeline:
             ["tight", "unbounded", "--c", "1e-170"],
             ["tight", "unbounded", "--c", "1e-150", "--x0", "1e-200"],
             ["tight", "unbounded", "--c", "1e-160"],
+            ["tight", "qlb", "--mu", "1e-300", "--L", "1"],
+            ["tight", "qlb", "--mu", "1e-160", "--L", "1", "--N", "5"],
+            ["tight", "qlb", "--N", "2000"],
+            ["tight", "qlb", "--N", "330"],
+            ["tight", "unbounded", "--x0", "0"],
+            ["simulate", "--mu", "1e-300", "--L", "1", "--gamma", "opt", "--instance", "worst-case"],
             ["certify", "--mu", "1", "--L", "3", "--gamma=-1/2"],
             ["tables", "--mu", "1", "--L", "2", "--gamma", "nan"],
         ],

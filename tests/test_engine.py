@@ -567,6 +567,15 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError, match="x_k must be finite"):
                 exact_line_search_step(problem, bad)
 
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_public_step_rejects_non_finite_point(self, kind):
+        problem, _ = random_composite(ClassParams(1.0, 10.0), 3, kind, 0)
+        for bad in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1.0, -np.inf, 1.0]):
+            with pytest.raises(ValueError, match="x_k must be finite"):
+                pgm_step(problem, 0.1, bad)
+            with pytest.raises(ValueError, match="x_k must be finite"):
+                residual_line_search_step(problem.f, bad)
+
     def test_non_finite_s0_rejected(self):
         # -inf lies in the normal cone of the orthant at the boundary
         f = random_composite(ClassParams(1.0, 10.0), 2, "zero", 0)[0].f

@@ -85,6 +85,26 @@ class TestQuadraticLowerBound:
         with pytest.raises(ValueError, match="dim must be >= 1"):  # every measure would be 0
             quadratic_lower_bound(ClassParams(1, 10), 0.1, dim=0)
 
+    @pytest.mark.parametrize("mu", [1e-300, 1e-160, 5e-324])
+    def test_initial_measures_outside_the_float_range_rejected(self, mu):
+        # the initial residual mu^2 dim underflows (1e-300: to 0, where the ratio divides by it)
+        with pytest.raises(ValueError, match=f"curvature a = {mu} gives"):
+            quadratic_lower_bound(ClassParams(mu, 1.0), 2 / (1 + mu), N=5)
+
+    @pytest.mark.parametrize("N", [330, 2000])
+    def test_final_measures_outside_the_float_range_rejected(self, N):
+        # rho = 1/3: rho^(2N) is subnormal at N = 330 and 0.0 at N = 2000
+        params = ClassParams(1.0, 2.0)
+        with pytest.raises(ValueError, match=f"N = {N} gives rho"):
+            quadratic_lower_bound(params, optimal_step(params)[0], N=N)
+
+    def test_exact_zero_rate_predicts_exact_zero(self):
+        params = ClassParams(2.0, 2.0)  # one optimal step reaches the optimum
+        spec = quadratic_lower_bound(params, optimal_step(params)[0], N=2000)
+        assert set(spec.predicted.values()) == {0.0}
+        trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
+        assert all(trace.measure(m, spec.N) == 0.0 for m in M)
+
 
 class TestMixedMeasureInstance:
     def test_gap_target_reference_point(self):
