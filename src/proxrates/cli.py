@@ -4,7 +4,14 @@ Each command maps its parsed arguments to (config, rows, verdict); `main`
 alone writes them, as one JSON document {command, config, rows, verdict} or
 as CSV rows with a header line, and sets the exit status: 0 on "pass", 1 on
 "fail" (a bound or certificate in the command's scope is violated), 2 on a
-usage error (any ValueError, before anything is written).
+usage error (any ValueError, before anything is written). A document never
+carries NaN or Infinity, in either format; the error names the first one's
+place, e.g. `rows[5].rho is inf`.
+
+One renderer, `_render`, writes every JSON document, with the bytes of
+`json.dumps(doc, indent=2, allow_nan=False)`. Below Python 3.13 that call runs
+the pure-Python encoder; `_render` hands each container of scalars, and each
+list of such dicts, to the C encoder in one call.
 
 Step sizes are parsed as decimals on the simulation commands and as exact
 rational strings (e.g. "1/3") on the certificate command; passing a rational
@@ -22,6 +29,8 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,7 +70,7 @@ def _parse_gamma(text: str, params: ClassParams) -> float:
     return _parse_decimal(text, "--gamma")
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list[float]:
     try:
         start_s, stop_s, count_s = spec.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
@@ -71,18 +80,113 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"--grid must look like start:stop:count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"--grid bounds must be finite, got {spec!r}")
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, count).tolist()
+
+
+_SCALARS = (float, str, int, type(None))  # bool is an int; most values are floats
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """Encode a container of scalars with its items one per line at `depth`.
+
+    With `indent` None, `json` runs its C encoder where the module has one; the
+    item separator carries the newline and the indent instead.
+    """
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+def _is_flat(values) -> bool:
+    return all(map(isinstance, values, repeat(_SCALARS)))
+
+
+def _is_flat_rows(values) -> bool:
+    """Whether every value is a nonempty dict of scalars."""
+    if not all(map(isinstance, values, repeat(dict))):
+        return False
+    return all(values) and _is_flat(chain.from_iterable(map(dict.values, values)))
+
+
+def _leaf(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {float.__repr__(value)}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render(value, depth: int = 0) -> str:
+    """`json.dumps(value, indent=2, allow_nan=False)`, nested `depth` levels deep; dict keys are strings.
+
+    The encoder escapes every control character inside a string, so in its
+    output a raw newline comes only from a separator. In a list of flat dicts
+    the seam "},<newline><indent>{" therefore only ever joins two rows.
+    """
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if _is_flat(value.values()):
+            return "{" + inner + _flat_encoder(depth + 1)(value)[1:-1] + pad + "}"
+        items = [
+            encode_basestring_ascii(k) + ": " + (_leaf(v) if isinstance(v, _SCALARS) else _render(v, depth + 1))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _is_flat(value):
+            return "[" + inner + _flat_encoder(depth + 1)(value)[1:-1] + pad + "]"
+        if _is_flat_rows(value):
+            field = inner + "  "
+            text = _flat_encoder(depth + 2)(value)[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
+            return "[" + inner + "{" + field + text + inner + "}" + pad + "]"
+        return "[" + inner + ("," + inner).join(_render(v, depth + 1) for v in value) + pad + "]"
+    return _leaf(value)
+
+
+def _non_finite(value, place: str = "") -> str | None:
+    """'<place> is <value>' for the first NaN or infinity in document order, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{place} is {float.__repr__(value)}"
+    if isinstance(value, dict):
+        items = ((f"{place}.{k}" if place else k, v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{place}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
+
+
+def _refuse_non_finite(doc: dict) -> None:
+    found = _non_finite(doc)
+    if found:
+        raise ValueError(f"{found}; documents never carry NaN or Infinity")
 
 
 def _emit(command: str, config: dict, rows: list[dict], verdict: str, args) -> None:
     """Write the command's document, as JSON or as CSV rows, to --out or stdout."""
+    doc = {"command": command, "config": config, "rows": rows, "verdict": verdict}
     if args.format == "json":
-        text = json.dumps(
-            {"command": command, "config": config, "rows": rows, "verdict": verdict},
-            indent=2,
-            allow_nan=False,
-        )
+        try:
+            text = _render(doc)
+        except ValueError:
+            _refuse_non_finite(doc)  # the success path takes no per-value pass
+            raise
     else:
+        _refuse_non_finite(doc)
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -101,7 +205,7 @@ def _emit(command: str, config: dict, rows: list[dict], verdict: str, args) -> N
 def _cmd_rate(args):
     params = ClassParams(args.mu, args.L)
     grid_spec = args.grid or f"0:{2.0 / params.L}:81"
-    gammas = list(_parse_grid(grid_spec))
+    gammas = _parse_grid(grid_spec)
     markers = {
         "1/L": 1.0 / params.L,
         "2/(L+mu)": 2.0 / (params.L + params.mu),

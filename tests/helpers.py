@@ -9,14 +9,19 @@ quadratic family with the rational step-1/L cells it attains, the long
 hand-expanded coefficient display for the distance certificate, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
-and the certificate report with its residual always expanded.
+and the certificate report with its residual always expanded. The CLI's
+documents are checked against the standard library's encoders:
+`json.dumps(indent=2)` for JSON and `csv.DictWriter` for CSV.
 
 It also holds the parametric certificate proof: `ParamRat`, exact arithmetic
 in Q(mu, L, gamma) with denominators kept as named factors, in which each
 certificate's residual expands to zero.
 """
 
+import csv
 import dataclasses
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -38,6 +43,21 @@ from proxrates.engine import IterateRecord
 from proxrates.rates import MeasureKind
 
 _FLOOR = 256.0 * float(np.finfo(float).eps)
+
+
+def json_document_oracle(doc) -> str:
+    """The JSON text of a CLI document; a NaN or an infinity anywhere raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def csv_rows_oracle(rows: list[dict]) -> str:
+    """The CSV text of a CLI document's rows, with a header line; empty when there are no rows."""
+    buf = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _rational_value_1d(h):

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrates import ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, pgm_step, run
 from proxrates import certificate as cert
@@ -15,7 +17,7 @@ from proxrates import cli
 from proxrates.cli import build_parser, main
 from proxrates.smooth import random_composite
 
-from helpers import expanded_report, trace_oracle, trace_rows_oracle
+from helpers import csv_rows_oracle, expanded_report, json_document_oracle, trace_oracle, trace_rows_oracle
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -59,6 +61,14 @@ class TestRate:
     def test_bad_grid_is_usage_error(self, tmp_path):
         code, _ = run_cli(["rate", "--mu", "1", "--L", "10", "--grid", "oops"], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("grid,place", [("0:1e308:2", "rows[5].rho"), ("0:1e200:3", "rows[5].rho_sq")])
+    def test_rate_beyond_the_float_range_is_usage_error(self, tmp_path, capsys, grid, place, fmt):
+        # the grid holds plain floats, which overflow to inf without a numpy RuntimeWarning
+        code, out = run_cli(["rate", "--mu", "1", "--L", "10", "--grid", grid, "--format", fmt], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {place} is inf; documents never carry NaN or Infinity\n"
 
     @pytest.mark.parametrize("grid", ["0:nan:3", "0:inf:3", "nan:1:3"])
     def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
@@ -462,6 +472,101 @@ class TestFormats:
         assert exc.value.code == 2
 
 
+# strings that look like the renderer's separators and seams, or that the encoder must escape
+_TRICKY_TEXT = ['"},\n      {"', '", "', "%s", '"quoted"', "back\\slash", "\x00\x07\x1f\n\r\t", "é ü ☃ 𝄞 \u2028", ""]
+_text = st.one_of(st.text(max_size=8), st.sampled_from(_TRICKY_TEXT))
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), _text)
+_flat_dict = st.dictionaries(_text, _scalar, max_size=4)
+_documents = st.recursive(
+    st.one_of(
+        _scalar,
+        _flat_dict,
+        st.lists(_scalar, max_size=4),
+        st.lists(_flat_dict, max_size=4),
+        st.lists(st.dictionaries(_text, _scalar, min_size=1, max_size=4), min_size=2, max_size=5),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=40,
+)
+
+# a non-finite value X in each kind of container the renderer treats apart, and its place
+_NON_FINITE = [
+    (lambda x: {"a": 1, "b": x}, ".b"),
+    (lambda x: [1, x], "[1]"),
+    (lambda x: [{"a": 1}, {"a": 2, "b": x}], "[1].b"),
+    (lambda x: {"a": [1, [2]], "b": x}, ".b"),
+    (lambda x: [[1], x], "[1]"),
+    (lambda x: {"rows": [{"m": [{"v": 1}, {"v": x}], "n": 0}]}, ".rows[0].m[1].v"),
+]
+
+
+class TestRenderer:
+    """`cli._render` writes the bytes of `json.dumps(indent=2, allow_nan=False)`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_documents)
+    def test_bytes_of_the_oracle(self, doc):
+        assert cli._render(doc) == json_document_oracle(doc)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("build,place", _NON_FINITE)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_at_every_depth(self, depth, build, place, value):
+        doc = build(value)
+        for _ in range(depth):
+            doc = [doc]
+        with pytest.raises(ValueError):
+            json_document_oracle(doc)
+        with pytest.raises(ValueError):
+            cli._render(doc)
+        place = "[0]" * depth + place
+        assert cli._non_finite(doc) == f"{place.removeprefix('.')} is {value!r}"
+
+
+_SWEEP = [
+    ["rate", "--mu", "1", "--L", "10"],
+    ["rate", "--mu", "0", "--L", "1", "--grid", "0:3:7"],
+    ["simulate", "--mu", "1", "--L", "10", "--gamma", "opt", "--N", "100", "--dim", "8", "--h", "l1", "--seed", "1"],
+    ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.19", "--N", "20", "--dim", "1000", "--h", "box"],
+    ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.05", "--h", "nonneg", "--seed", "3"],
+    ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "30", "--h", "box"],
+    ["simulate", "--mu", "0.5", "--L", "1", "--gamma", "opt", "--instance", "worst-case", "--dim", "3"],
+    ["tight", "qlb", "--N", "7"],
+    ["tight", "mixed", "--mu", "0.1", "--L", "1"],
+    ["tight", "els", "--mu", "1", "--L", "10", "--N", "4"],
+    ["tight", "unbounded"],
+    ["certify"],
+    ["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", "lambda0"],
+    ["certify", "--theorem", "residual", "--mu", "0", "--L", "1", "--gamma", "opt"],
+    ["tables", "--mu", "1", "--L", "10"],
+    ["tables", "--mu", "0.5", "--L", "2", "--gamma", "0.5", "--N", "3"],
+]
+
+
+class TestDocumentBytes:
+    """Every command writes the oracle's bytes of its document, in both formats, to stdout and to --out."""
+
+    @pytest.mark.parametrize("dest", ["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", _SWEEP, ids=" ".join)
+    def test_identity(self, tmp_path, capsys, argv, fmt, dest):
+        config, rows, verdict = cli._COMMANDS[argv[0]](cli._parser().parse_args(argv))
+        if fmt == "json":
+            doc = {"command": argv[0], "config": config, "rows": rows, "verdict": verdict}
+            expected = json_document_oracle(doc) + "\n"
+        else:
+            expected = csv_rows_oracle(rows)
+        argv = argv + ["--format", fmt]
+        if dest == "out":
+            code, out = run_cli(argv, tmp_path)
+            text = out.read_bytes().decode()
+        else:
+            code = main(argv)
+            text = capsys.readouterr().out
+        assert code == {"pass": 0, "fail": 1}[verdict]
+        assert text == expected
+
+
 class TestSharedParser:
     SIM = ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.1", "--N", "2", "--dim", "3"]
 
@@ -584,18 +689,21 @@ class TestPipeline:
         assert code == 2 and not out.exists()
         assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
 
-    def test_tight_fails_on_any_nan_gap(self, tmp_path, monkeypatch):
+    def test_tight_fails_on_any_nan_gap(self, monkeypatch):
         # max() skips a NaN that is not its first argument; every gap has to pass
         rows = [("a", 1.0, 1.0), ("b", 1.0, math.nan)]
         monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter(rows))
-        code, out = run_cli(["tight", "qlb", "--format", "csv"], tmp_path, "out.csv")
-        assert code == 1 and out.read_text().splitlines()[2] == "b,1.0,nan,nan"
+        _, _, verdict = cli._COMMANDS["tight"](cli._parser().parse_args(["tight", "qlb"]))
+        assert verdict == "fail"
 
-    def test_json_document_never_carries_nan(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter([("a", 1.0, math.inf)]))
-        code, out = run_cli(["tight", "qlb"], tmp_path)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_document_never_carries_nan_or_infinity(self, tmp_path, capsys, monkeypatch, fmt, value):
+        rows = [("a", 1.0, 1.0), ("b", 1.0, value)]
+        monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter(rows))
+        code, out = run_cli(["tight", "qlb", "--format", fmt], tmp_path)
         assert code == 2 and not out.exists()
-        assert capsys.readouterr().err.startswith("error: Out of range float values are not JSON compliant")
+        assert capsys.readouterr().err == f"error: rows[1].attained is {value!r}; documents never carry NaN or Infinity\n"
 
     def test_long_envelope_overflow_names_k(self, tmp_path, capsys):
         # gamma = 0.5 > 2/L: the envelope grows as 16^k, past a float at k = 256; the box keeps the iterates finite
