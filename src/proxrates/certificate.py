@@ -698,7 +698,10 @@ def _describe(regime: Regime, mu, L, gamma):
 # of the target; per SOS term its name, coefficient and combination. The
 # builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
 # and L): `_coerce` has checked 0 <= mu < L, and the point labels are literals.
-# A regime enters a term only through its a, alpha and beta.
+# The distance and residual certificates take a regime only through its a,
+# alpha and beta. The function-value certificate still branches per regime for
+# its grad_coeff, point, subgrad_coeff and subgrad terms: no common form in a
+# was found for them.
 
 
 def _distance_certificate(regime: Regime, mu, L, gamma):
@@ -945,8 +948,6 @@ def evaluate_expr(expr: SymbolicExpr, vectors: dict, values: dict) -> float:
 
 
 def _random_assignment(rng):
-    import numpy as np
-
     vectors = {name: rng.standard_normal(3) for name in BASIS}
     values = {name: float(rng.standard_normal()) for name in FUNC_SYMBOLS[1:]}
     values["const"] = 1.0

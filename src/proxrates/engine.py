@@ -338,8 +338,9 @@ def run(
 
     x0 must be finite and feasible (F(x0) finite), and gamma finite. Record 0
     carries s0 (finite) when supplied, the canonical subgradient of h at x0
-    otherwise. Steps with gamma > 2/L are allowed for exploration but mark
-    the trace as outside the theory.
+    otherwise. A supplied s0 must be a subgradient of h at the exact x0, up to
+    1e-9 (_MEMBERSHIP_TOL) per coordinate of s0. Steps with gamma > 2/L are
+    allowed for exploration but mark the trace as outside the theory.
     """
     if N >= 0 and not gamma > 0:  # a negative N is reported first, by _iterate
         raise ValueError("run requires gamma > 0")

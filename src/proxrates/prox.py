@@ -2,8 +2,8 @@
 
 Each member h is a closed proper convex function with an analytical prox map
 prox_{gamma*h}(x) = argmin_y gamma*h(y) + 0.5*||x - y||^2, an extended-real
-value, a canonical subgradient at every feasible point, and a closed-form
-subdifferential membership test.
+value, a canonical subgradient at every feasible point, and its prox path: the
+one statement of h's kinks, from which subdifferential membership is read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
 
 
 class ProxFunction:
-    """Base class; subclasses implement value/prox/subgradient/membership."""
+    """Base class; subclasses implement value, prox, subgradient and prox_path; membership is derived."""
 
     dim: int
 
@@ -51,8 +51,18 @@ class ProxFunction:
         raise NotImplementedError
 
     def subgradient_membership(self, x, s, tol: float = 0.0) -> bool:
-        """True iff s lies in the subdifferential at x, up to tol per coordinate."""
-        raise NotImplementedError
+        """True iff s lies in the subdifferential at a feasible x, up to tol per coordinate of s.
+
+        s is a subgradient at x exactly when prox_{t h}(x + t s) = x for small
+        t > 0, so this reads the prox path along -s: on each coordinate's first
+        segment after any breakpoints at t = 0, the path must start at x and
+        move with speed at most tol. x is taken exactly.
+        """
+        x = self._require_feasible(x)
+        with np.errstate(over="ignore"):  # a kink time past the float range is +inf
+            breaks, p0, p1, _ = self.prox_path(x, -self._check_point(s))
+        first = (breaks == 0).sum(axis=0), np.arange(self.dim)
+        return bool(((p0[first] == x) & (np.abs(p1[first]) <= tol)).all())
 
     def prox_path(self, x, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Breakpoints and segment forms of t -> prox_{t h}(x - t g), t > 0, at a feasible x.
@@ -106,11 +116,6 @@ class Zero(ProxFunction):
         self._check_point(x)
         return np.zeros(self.dim)
 
-    def subgradient_membership(self, x, s, tol=0.0):
-        self._require_feasible(x)
-        s = self._check_point(s)
-        return bool(np.all(np.abs(s) <= tol))
-
     def prox_path(self, x, g):
         x, g = self._check_point(x), self._check_point(g)
         return np.empty((0, self.dim)), x[None], -g[None], np.zeros((1, self.dim))
@@ -134,13 +139,6 @@ class NonnegIndicator(ProxFunction):
         self._require_feasible(x)
         return np.zeros(self.dim)
 
-    def subgradient_membership(self, x, s, tol=0.0):
-        # normal cone: s_i <= 0 where x_i = 0, s_i = 0 where x_i > 0
-        x = self._require_feasible(x)
-        s = self._check_point(s)
-        at_boundary = x <= tol
-        return bool(np.all(np.where(at_boundary, s <= tol, np.abs(s) <= tol)))
-
     def prox_path(self, x, g):
         x, g = self._check_point(x), self._check_point(g)
         return _move_then_pin(x, g, _hit(x, g, g > 0), np.zeros(self.dim))
@@ -154,8 +152,8 @@ class BoxIndicator(ProxFunction):
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("lo and hi must be 1-d arrays of equal length")
-        if np.any(self.lo > self.hi):
-            raise ValueError("need lo <= hi coordinatewise")
+        if not np.all((self.lo <= self.hi) & (self.lo < math.inf) & (self.hi > -math.inf)):
+            raise ValueError("need lo <= hi coordinatewise, with lo < +inf, hi > -inf and neither NaN")
         self.dim = self.lo.shape[0]
 
     def value(self, x) -> float:
@@ -170,21 +168,6 @@ class BoxIndicator(ProxFunction):
         self._require_feasible(x)
         return np.zeros(self.dim)
 
-    def subgradient_membership(self, x, s, tol=0.0):
-        x = self._require_feasible(x)
-        s = self._check_point(s)
-        at_lo = x <= self.lo + tol
-        at_hi = x >= self.hi - tol
-        ok_lo = s <= tol
-        ok_hi = s >= -tol
-        interior_ok = np.abs(s) <= tol
-        ok = np.where(
-            at_lo & at_hi,
-            True,  # degenerate coordinate, any slope
-            np.where(at_lo, ok_lo, np.where(at_hi, ok_hi, interior_ok)),
-        )
-        return bool(np.all(ok))
-
     def prox_path(self, x, g):
         x, g = self._check_point(x), self._check_point(g)
         bound = np.where(g > 0, self.lo, self.hi)
@@ -196,8 +179,8 @@ class L1Norm(ProxFunction):
     """h(x) = weight * ||x||_1; prox is coordinatewise soft-thresholding."""
 
     def __init__(self, weight: float, dim: int):
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"l1 weight must be finite and nonnegative, got {weight}")
         self.weight = float(weight)
         self.dim = int(dim)
 
@@ -212,15 +195,6 @@ class L1Norm(ProxFunction):
 
     def subgradient(self, x):
         return self.weight * np.sign(self._check_point(x))
-
-    def subgradient_membership(self, x, s, tol=0.0):
-        x = self._require_feasible(x)
-        s = self._check_point(s)
-        w = self.weight
-        at_zero = np.abs(x) <= tol
-        sign_ok = np.abs(s - w * np.sign(x)) <= tol
-        zero_ok = np.abs(s) <= w + tol
-        return bool(np.all(np.where(at_zero, zero_ok, sign_ok)))
 
     def prox_path(self, x, g):
         # A coordinate moves towards 0 with slope g + sign*w, rests at 0, and
@@ -240,8 +214,8 @@ class LinearPlusNonnegIndicator(ProxFunction):
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
-        if self.c.ndim != 1:
-            raise ValueError("c must be a 1-d array")
+        if self.c.ndim != 1 or not np.isfinite(self.c).all():
+            raise ValueError("c must be a finite 1-d array")
         self.dim = self.c.shape[0]
 
     def value(self, x) -> float:
@@ -255,13 +229,6 @@ class LinearPlusNonnegIndicator(ProxFunction):
     def subgradient(self, x):
         self._require_feasible(x)
         return self.c.copy()
-
-    def subgradient_membership(self, x, s, tol=0.0):
-        x = self._require_feasible(x)
-        s = self._check_point(s)
-        at_boundary = x <= tol
-        slack = s - self.c
-        return bool(np.all(np.where(at_boundary, slack <= tol, np.abs(slack) <= tol)))
 
     def prox_path(self, x, g):
         x, g = self._check_point(x), self._check_point(g)

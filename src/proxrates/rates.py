@@ -237,7 +237,7 @@ def bound_lookup(
             raise ValueError("mu = 0 bounds are only available at gamma = 1/L")
         table = BOUND_TABLES["smooth_convex_limit"]
     else:
-        if not -_REL_TOL <= gamma <= (2.0 / L) * (1.0 + _REL_TOL):
+        if not 0 <= gamma <= (2.0 / L) * (1.0 + _REL_TOL):
             raise ValueError("bounds are only proven for 0 <= gamma <= 2/L")
         table = BOUND_TABLES["global"]
         if table[(init, final)].factor is None:

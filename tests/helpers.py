@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 library code it checks: brute-force one-dimensional minimization for prox
-maps, a grid search of the exact line search through the public prox and
-objective, a scalar per-coordinate loop for the closed-form optimum, direct
+maps, exact one-sided difference quotients for subdifferentials, a grid
+search of the exact line search through the public prox and objective, a
+scalar per-coordinate loop for the closed-form optimum, direct
 recurrence iteration (in floats and in exact rationals) for the constrained
 quadratic family with the rational step-1/L cells it attains, the long
 hand-expanded coefficient display for the distance certificate, an eager
@@ -74,7 +75,7 @@ def _rational_value_1d(h):
     if isinstance(h, NonnegIndicator):
         return lambda y: Fraction(0) if y >= 0 else None
     if isinstance(h, BoxIndicator):
-        lo, hi = Fraction(float(h.lo[0])), Fraction(float(h.hi[0]))
+        lo, hi = float(h.lo[0]), float(h.hi[0])  # Fraction compares exactly with a float, inf included
         return lambda y: Fraction(0) if lo <= y <= hi else None
     if isinstance(h, L1Norm):
         w = Fraction(float(h.weight))
@@ -83,6 +84,19 @@ def _rational_value_1d(h):
         c = Fraction(float(h.c[0]))
         return lambda y: c * y if y >= 0 else None
     raise TypeError(f"no rational value for {type(h).__name__}")
+
+
+def subdifferential_1d(h, x: float) -> tuple:
+    """[h'(x-), h'(x+)], the subdifferential of a 1-d catalog member at a feasible x.
+
+    One-sided difference quotients of `_rational_value_1d` in exact rationals,
+    over a step of 2^-1075: every kink of a catalog member is a float, so none
+    lies strictly between x and x +- step, and h is affine there. A side that
+    leaves the domain gives -inf (left) or +inf (right).
+    """
+    h_val, x_q, step = _rational_value_1d(h), Fraction(x), Fraction(1, 2**1075)
+    left, at, right = h_val(x_q - step), h_val(x_q), h_val(x_q + step)
+    return (-math.inf if left is None else (at - left) / step, math.inf if right is None else (right - at) / step)
 
 
 def brute_force_prox_1d(h, gamma: float, x: float, lo: float, hi: float) -> float:

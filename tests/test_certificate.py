@@ -18,6 +18,7 @@ from proxrates.certificate import (
     VERIFIERS,
     VecExpr,
     _certificate,
+    _interp_smooth,
     _regimes,
     _residual,
     _term_names,
@@ -36,6 +37,8 @@ from proxrates.certificate import (
     verify_residual,
 )
 from proxrates.cli import main
+from proxrates.rates import ClassParams
+from proxrates.smooth import DiagonalQuadratic, relaxed_distance_condition
 
 from helpers import (
     PARAM_GAMMA,
@@ -616,6 +619,47 @@ class TestParametricProof:
         for regime in Regime:
             rep = VERIFIERS[theorem](F(1), F(3), F(1, 3), regime)
             assert [m.name for m in rep.multipliers] + [t.name for t in rep.sos_terms] == _term_names(theorem)
+
+
+def _distance_pair(mu, L) -> SymbolicExpr:
+    """The two interpolation inequalities between x_k and x* that the distance certificate weighs alike."""
+    return _interp_smooth("*", "k", mu, L, PARAM_GAMMA) + _interp_smooth("k", "*", mu, L, PARAM_GAMMA)
+
+
+class TestRelaxedDistanceCondition:
+    """`smooth.relaxed_distance_condition` is the distance certificate's pair of inequalities.
+
+    lambda0 and lambda1 carry the same weight, so the distance rate holds for
+    every f that satisfies this one condition between x_k and x*.
+    """
+
+    def test_the_pair_is_the_condition_over_Q_mu_L(self):
+        # <g* - g, x* - x> - ||g - g*||^2 / L - mu/(1 - mu/L) ||x - x* - (g - g*)/L||^2, x* at the origin
+        mu, L = PARAM_MU, PARAM_L
+        x, g, gs = VecExpr({"x": 1}), VecExpr({"gk": 1}), VecExpr({"gs": 1})
+        condition = (
+            inner(gs - g, -x)
+            - norm_sq(g - gs).scale(1 / L)
+            - norm_sq(x - (g - gs).scale(1 / L)).scale(mu / (1 - mu / L))
+        )
+        assert (_distance_pair(mu, L) - condition).is_zero()
+
+    def test_float_condition_evaluates_the_pair(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            dim = int(rng.integers(1, 6))
+            L = float(rng.uniform(0.5, 20))
+            mu = L * float(rng.uniform(0, 0.95))
+            # any quadratic, rank-deficient ones included: the identity holds pointwise
+            d = rng.uniform(0, L, dim) * (rng.random(dim) < 0.8)
+            f = DiagonalQuadratic(d, rng.normal(size=dim), ClassParams(0, L))
+            x, x_star = rng.normal(size=dim) * 3, rng.normal(size=dim)
+            pair = _distance_pair(Fraction(mu), Fraction(L))
+            vectors = {"x": x - x_star, "gk": f.grad(x), "gs": f.grad(x_star)}
+            values = {name: float(rng.normal()) for name in FUNC_SYMBOLS}  # the f values cancel
+            expected = evaluate_expr(pair, vectors, values)
+            got = relaxed_distance_condition(f, ClassParams(mu, L), x, x_star)
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * (1 + float(np.sum(x * x))) * L)
 
 
 class TestSignProof:

@@ -143,6 +143,14 @@ class TestRun:
         with pytest.raises(ValueError):
             run(problem, 0.1, np.ones(2), 1, s0=np.array([1.0, 0.0]))
 
+    def test_s0_near_a_kink_rejected(self):
+        # at x0 = 1e-12 the l1 subdifferential is {0.5}; 1e-12 within the tolerance is not the kink
+        params = ClassParams(1.0, 2.0)
+        problem = CompositeProblem(ScaledSqNorm(1.0, 1, params), L1Norm(0.5, 1))
+        with pytest.raises(ValueError, match="supplied s0 is not a subgradient"):
+            run(problem, 0.1, [1e-12], 1, s0=[0.0])
+        assert len(run(problem, 0.1, [1e-12], 1, s0=[0.5])) == 2
+
     def test_outside_theory_flag(self):
         params = ClassParams(1.0, 2.0)
         problem = isotropic_problem(1.0, 2, params)

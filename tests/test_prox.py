@@ -11,7 +11,7 @@ from proxrates import (
     Zero,
 )
 
-from helpers import brute_force_prox_1d
+from helpers import brute_force_prox_1d, subdifferential_1d
 
 
 def catalog_members(dim):
@@ -90,6 +90,40 @@ class TestMembership:
         assert not h.subgradient_membership([0.0, 1.0], [2.0, 3.0], tol=0)
         assert h.subgradient_membership([0.5, 0.5], [0.0, 0.0], tol=0)
 
+    def test_near_kink_is_not_on_it(self):
+        # x is taken exactly: 1e-12 is not the kink at 0, whatever the tolerance on s
+        h = L1Norm(1.0, 1)
+        assert not h.subgradient_membership([1e-12], [0.0], tol=1e-9)
+        assert h.subgradient_membership([1e-12], [1.0 + 1e-10], tol=1e-9)
+        assert not NonnegIndicator(1).subgradient_membership([5e-324], [-1e10], tol=0)
+
+    def test_membership_matches_exact_subdifferential_1d(self):
+        # x on a kink (prox outputs) or inside a piece; s random, at an end of
+        # [h'(x-), h'(x+)] or one ulp past it; exact answer from the value alone
+        rng = np.random.default_rng(5)
+        checked = 0
+        for trial in range(300):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            lo = rng.uniform(-2, 0) * scale
+            hi = [lo, lo + rng.uniform(0.5, 2) * scale, math.inf][trial % 3]
+            members = [
+                Zero(1),
+                NonnegIndicator(1),
+                BoxIndicator([lo if trial % 5 else -math.inf], [hi]),
+                L1Norm(rng.uniform(0, 2) * scale, 1),
+                LinearPlusNonnegIndicator([rng.uniform(-1, 1) * scale]),
+            ]
+            for h in members:
+                x = h.prox(rng.uniform(0.1, 3), rng.normal(size=1) * 2 * scale)
+                left, right = subdifferential_1d(h, float(x[0]))
+                ends = [e for e in (float(left), float(right)) if math.isfinite(e)]
+                candidates = [rng.normal() * scale, *ends]
+                candidates += [math.nextafter(e, d) for e in ends for d in (-math.inf, math.inf)]
+                for s in candidates:
+                    assert h.subgradient_membership(x, [s], tol=0) == (left <= s <= right), (h, x, s)
+                    checked += 1
+        assert checked > 5000
+
     def test_canonical_subgradient_is_member(self):
         rng = np.random.default_rng(11)
         for h in catalog_members(4):
@@ -123,6 +157,20 @@ class TestArgumentErrors:
     def test_l1_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             L1Norm(-0.1, 2)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_l1_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            L1Norm(weight, 2)
+
+    def test_linear_rejects_non_finite_c(self):
+        with pytest.raises(ValueError, match="c must be a finite 1-d array"):
+            LinearPlusNonnegIndicator([math.nan, 1.0])
+
+    @pytest.mark.parametrize("lo,hi", [([math.nan], [1.0]), ([0.0], [math.nan]), ([math.inf], [math.inf])])
+    def test_box_rejects_nan_and_empty_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="neither NaN"):
+            BoxIndicator(lo, hi)
 
 
 class TestProperties:

@@ -194,7 +194,7 @@ class TestBoundLookup:
         with pytest.raises(ValueError):  # outside the proven step-size range
             bound_lookup(M.DISTANCE_SQ, M.DISTANCE_SQ, params, 1.5, 1)
 
-    @pytest.mark.parametrize("gamma", [float("nan"), -0.5])
+    @pytest.mark.parametrize("gamma", [float("nan"), -0.5, -1e-13])
     def test_step_outside_the_range_rejected(self, gamma):
         # a NaN compares False on both sides of the range
         with pytest.raises(ValueError, match="only proven for 0 <= gamma <= 2/L"):
