@@ -237,13 +237,12 @@ def _trace_rows(trace, params: ClassParams, gamma: float) -> tuple[list[dict], b
     columns: dict[str, list] = {"k": list(range(n)), "F": trace.F.tolist()}
     violated = False
     for m in _MEASURES:
-        values, defined = trace.measures[m], trace.defined[m]
-        columns[m.value] = [v if d else None for v, d in zip(values.tolist(), defined.tolist())]
-        columns[f"envelope_{m.value}"] = (geometric * values[0]).tolist() if defined[0] else [None] * n
+        values = trace.measures[m]  # NaN where undefined, and any comparison with NaN is False
+        columns[m.value] = [None if math.isnan(v) else v for v in values.tolist()]
+        columns[f"envelope_{m.value}"] = [None] * n if math.isnan(values[0]) else (geometric * values[0]).tolist()
         if not trace.outside_theory:
-            prev, cur = values[:-1], values[1:]
-            above = cur > rate.rho_squared * prev * (1 + _RATIO_TOL) + trace.floors[m][1:]
-            violated |= bool(np.any(above & defined[:-1] & defined[1:]))
+            above = values[1:] > rate.rho_squared * values[:-1] * (1 + _RATIO_TOL) + trace.floors[m][1:]
+            violated |= bool(np.any(above))
     for m in _MEASURES:
         columns[f"ratio_{m.value}"] = [None, *trace.step_ratios(m)]
     return [dict(zip(columns, row)) for row in zip(*columns.values())], violated
@@ -321,9 +320,20 @@ def _tight_unbounded(args, params: ClassParams):
 
 
 _TIGHT = {"qlb": _tight_qlb, "mixed": _tight_mixed, "els": _tight_els, "unbounded": _tight_unbounded}
+# the options of `tight` that only some generators read, with their defaults, and who reads which;
+# --mu, --L and --N are read by all
+_TIGHT_DEFAULTS = {"gamma": None, "dim": 2, "x0": 1.0, "c": 0.1}
+_TIGHT_READS = {"qlb": ("gamma", "dim"), "mixed": ("gamma", "x0"), "els": (), "unbounded": ("x0", "c")}
 
 
 def _cmd_tight(args):
+    reads = _TIGHT_READS[args.generator]
+    unread = [f"--{name}" for name in _TIGHT_DEFAULTS if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise ValueError(f"tight {args.generator} does not read {', '.join(unread)}")
+    for name, default in _TIGHT_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     params = ClassParams(args.mu, args.L)
     rows = [
         {"cell": cell, "predicted": predicted, "attained": attained, "rel_gap": _rel_gap(predicted, attained)}
@@ -465,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_tight.add_argument("generator", choices=tuple(_TIGHT))
     p_tight.add_argument("--mu", type=float, default=1.0)
     p_tight.add_argument("--L", type=float, default=2.0)
-    p_tight.add_argument("--gamma", default=None, help='decimal step size or "opt"')
+    p_tight.add_argument("--gamma", default=None, help='decimal step size or "opt" (qlb, mixed)')
     p_tight.add_argument("--N", type=int, default=5)
-    p_tight.add_argument("--x0", type=float, default=1.0)
-    p_tight.add_argument("--c", type=float, default=0.1, help="slope of the unbounded family")
-    p_tight.add_argument("--dim", type=int, default=2)
+    p_tight.add_argument("--x0", type=float, default=None, help="start (mixed, unbounded; default 1.0)")
+    p_tight.add_argument("--c", type=float, default=None, help="slope of the unbounded family (default 0.1)")
+    p_tight.add_argument("--dim", type=int, default=None, help="dimension (qlb; default 2)")
     common(p_tight)
 
     p_cert = sub.add_parser("certify", help="verify the proof certificates in exact arithmetic")

@@ -7,9 +7,9 @@ gradients, the subgradient extracted from each prox step via
     s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k),
 
 the composite value, and the three performance measures (squared distance to
-the optimum, function-value gap, squared residual gradient norm) wherever the
-optimum is available. The residual measure at an iterate always uses that
-iterate's own gradient and subgradient, which distinguishes it from the
+the optimum, function-value gap, squared residual gradient norm), NaN where
+undefined (see IterateTrace). The residual measure at an iterate always uses
+that iterate's own gradient and subgradient, which distinguishes it from the
 gradient mapping (x_k - x_{k+1}) / gamma.
 
 A trace's memory is O(dim) for any number of steps. The loop writes the
@@ -81,9 +81,9 @@ class IterateTrace:
 
     X, G and S are the (N+1, dim) iterates, gradients of f and subgradients
     of h, and F the composite values. `measures[kind]` holds each
-    performance measure; an entry is meaningful only where `defined[kind]`
-    is True (the distance and the gap need the optimum, the residual at
-    iterate 0 a subgradient of h at x0). The noise floors (`floors`) and the
+    performance measure, NaN where it is undefined (the distance and the gap
+    need the optimum, the residual at iterate 0 a subgradient of h at x0);
+    measure() and the records read NaN as None. The noise floors (`floors`) and the
     step ratios are computed for every iterate at once, on first use; a run
     whose floors are never read (a library line-search run) does not pay for
     them. `records` lists the rows as IterateRecords, built on each access.
@@ -102,7 +102,6 @@ class IterateTrace:
         problem: CompositeProblem,
         F: np.ndarray,
         sums: np.ndarray,
-        s0_known: bool,
         optimum: tuple[np.ndarray, float] | None,
         gammas: list[float],
         method: str,
@@ -115,18 +114,9 @@ class IterateTrace:
         self._optimum, self._sums, self._rerun = optimum, sums, rerun
         if rows is not None:
             self._rows = rows
-        n = len(F)
-        has_opt = np.full(n, optimum is not None)
-        has_s = np.ones(n, dtype=bool)
-        has_s[0] = s0_known
-        self.defined = {
-            MeasureKind.DISTANCE_SQ: has_opt,
-            MeasureKind.FUNC_GAP: has_opt,
-            MeasureKind.RESIDUAL_GRAD_SQ: has_s,
-        }
         self.measures = {
             MeasureKind.DISTANCE_SQ: sums[0],
-            MeasureKind.FUNC_GAP: F - optimum[1] if optimum else np.full(n, np.nan),
+            MeasureKind.FUNC_GAP: F - optimum[1] if optimum else np.full(len(F), np.nan),
             MeasureKind.RESIDUAL_GRAD_SQ: sums[1],
         }
 
@@ -153,19 +143,18 @@ class IterateTrace:
     @cached_property
     def floors(self) -> dict[MeasureKind, np.ndarray]:
         """The noise floor of each measure at each iterate (see _noise_floors)."""
-        has_s = self.defined[MeasureKind.RESIDUAL_GRAD_SQ]
-        return _noise_floors(*self._sums[2:], self.F, self._optimum, has_s)
+        return _noise_floors(*self._sums[1:], self.F, self._optimum)
 
     @cached_property
     def _ratios(self) -> dict[MeasureKind, list[float | None]]:
-        return {m: _ratios(self.measures[m], self.defined[m], self.floors[m]) for m in MeasureKind}
+        return {m: _ratios(self.measures[m], self.floors[m]) for m in MeasureKind}
 
     @property
     def records(self) -> list[IterateRecord]:
-        has_s = self.defined[MeasureKind.RESIDUAL_GRAD_SQ]
         X, G, S = self._rows
+        residual = self.measures[MeasureKind.RESIDUAL_GRAD_SQ]
         return [
-            IterateRecord(X[k], G[k], S[k] if has_s[k] else None, float(self.F[k]),
+            IterateRecord(X[k], G[k], None if math.isnan(residual[k]) else S[k], float(self.F[k]),
                           *(self.measure(m, k) for m in MeasureKind))
             for k in range(len(self))
         ]
@@ -174,7 +163,8 @@ class IterateTrace:
         return len(self.F)
 
     def measure(self, kind: MeasureKind, k: int) -> float | None:
-        return float(self.measures[kind][k]) if self.defined[kind][k] else None
+        value = float(self.measures[kind][k])
+        return None if math.isnan(value) else value
 
     def measure_floor(self, kind: MeasureKind, k: int) -> float:
         """Absolute double-precision noise floor of measure `kind` at iterate k (see _noise_floors)."""
@@ -189,7 +179,7 @@ class IterateTrace:
         return list(self._ratios[kind])
 
 
-def _noise_floors(xx, gg, ss, F, optimum, has_s) -> dict[MeasureKind, np.ndarray]:
+def _noise_floors(rr, xx, gg, ss, F, optimum) -> dict[MeasureKind, np.ndarray]:
     """Absolute double-precision noise floor of each measure at each iterate.
 
     The function gap is a difference of comparable values, the distance a
@@ -199,8 +189,8 @@ def _noise_floors(xx, gg, ss, F, optimum, has_s) -> dict[MeasureKind, np.ndarray
     and ss (the subgradient of h). Below this level the stored value carries
     no information, a measured "gap" may even be negative, and no ratio or
     bound check is meaningful. The optimum's scale (||x*||, |F*|) enters
-    when the optimum is known; the residual floor is 0 where `has_s` says no
-    subgradient is known.
+    when the optimum is known; the residual floor is 0 where the residual rr
+    is undefined (NaN).
     """
     x_scale, F_scale = (float(np.linalg.norm(optimum[0])), abs(optimum[1])) if optimum else (0.0, 0.0)
     unit = _FLOOR_FACTOR * _EPS
@@ -208,7 +198,7 @@ def _noise_floors(xx, gg, ss, F, optimum, has_s) -> dict[MeasureKind, np.ndarray
     return {
         MeasureKind.DISTANCE_SQ: (unit * np.maximum(np.sqrt(xx), x_scale)) ** 2,
         MeasureKind.FUNC_GAP: unit * np.maximum(np.abs(F), F_scale),
-        MeasureKind.RESIDUAL_GRAD_SQ: np.where(has_s, residual, 0.0),
+        MeasureKind.RESIDUAL_GRAD_SQ: np.where(np.isnan(rr), 0.0, residual),
     }
 
 
@@ -228,10 +218,9 @@ def _row_sums(X, G, S, optimum, out) -> None:
     out[2], out[3], out[4] = _row_dots(X), _row_dots(G), _row_dots(S)
 
 
-def _ratios(values: np.ndarray, defined: np.ndarray, floors: np.ndarray) -> list[float | None]:
-    a, b = values[:-1], values[1:]
-    ok = defined[:-1] & defined[1:] & (a > floors[:-1])
-    ratio = np.divide(b, a, out=np.zeros_like(a), where=ok)
+def _ratios(values: np.ndarray, floors: np.ndarray) -> list[float | None]:
+    ok = values[:-1] > floors[:-1]  # False at a NaN; a measure is undefined throughout or at k = 0 only
+    ratio = np.divide(values[1:], values[:-1], out=np.zeros(len(ok)), where=ok)
     return [r if o else None for r, o in zip(ratio.tolist(), ok.tolist())]
 
 
@@ -244,28 +233,32 @@ def pgm_step(
     at x_{k+1} that the prox step certifies. x_k must be finite, and gamma
     strictly positive (the subgradient divides by it) and finite.
     """
-    x_k = np.asarray(x_k, dtype=float)
-    if not np.isfinite(x_k).all():
-        raise ValueError("x_k must be finite")
-    return _pgm_step(problem, gamma, x_k, grad_k)
-
-
-def _pgm_step(problem: CompositeProblem, gamma: float, x_k: np.ndarray, grad_k=None):
-    """pgm_step without its check of x_k: the PGM loop's step, taken only where F(x_k) is finite."""
+    x_k = _finite(x_k, "x_k")
     if not gamma > 0:
         raise ValueError("pgm_step requires gamma > 0")
     if math.isinf(gamma):
         raise ValueError("pgm_step requires a finite gamma")
+    return _pgm_step(problem, gamma, x_k, grad_k)
+
+
+def _pgm_step(problem: CompositeProblem, gamma: float, x_k: np.ndarray, grad_k=None):
+    """pgm_step unchecked, for the loop: its x_k is finite, and every catalog prox checks gamma."""
     grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
     x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
     return x_next, (x_k - x_next) / gamma - grad_k
 
 
+def _finite(x, name: str) -> np.ndarray:
+    """x as a float array; ValueError naming it unless every entry is finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 def _initial_subgradient(problem: CompositeProblem, x0, s0):
     if s0 is not None:
-        s0 = np.asarray(s0, dtype=float)
-        if not np.isfinite(s0).all():
-            raise ValueError("s0 must be finite")
+        s0 = _finite(s0, "s0")
         if not problem.h.subgradient_membership(x0, s0, _MEMBERSHIP_TOL):
             raise ValueError("supplied s0 is not a subgradient of h at x0")
         return s0
@@ -284,16 +277,14 @@ def _iterate(
     that the method's rule picks. Row k of X, G and S is written to row
     k % nb of a buffer of nb rows (by default enough for about _BLOCK floats,
     at most N + 1), and each full block, and the last, is reduced into
-    per-iterate columns (_row_sums) before the next step overwrites it. A run of more than one block keeps its
-    arguments, to rebuild its rows in one block (nb = N + 1) when they are
-    read. The first non-finite F(x_k) (a run that diverges, outside the
-    theory) raises a ValueError naming k.
+    per-iterate columns (_row_sums) before the next step overwrites it. A run
+    of more than one block keeps its arguments, to rebuild its rows in one
+    block (nb = N + 1) when they are read. The first non-finite F(x_k) (a run
+    that diverges, outside the theory) raises a ValueError naming k.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
+    x0 = _finite(x0, "x0")
     if math.isinf(problem.h.value(x0)):
         raise ValueError("infeasible start: F(x0) = +inf")
     optimum = problem.try_optimum()
@@ -318,13 +309,15 @@ def _iterate(
             gamma = step_size(X[r], G[r])
             X[(k + 1) % nb], S[(k + 1) % nb] = _pgm_step(problem, gamma, X[r], G[r])
             gammas.append(gamma)
+    if s0 is None:
+        sums[1, 0] = np.nan
     if nb == N + 1:
         rows, rerun = buffer, None
     else:
         rows = None
         s0_arg = s0.copy() if s0_given else None
         rerun = partial(_iterate, problem, x0.copy(), N, s0_arg, step_size, method, outside_theory, N + 1)
-    return IterateTrace(problem, F, sums, s0 is not None, optimum, gammas, method, outside_theory, rows, rerun)
+    return IterateTrace(problem, F, sums, optimum, gammas, method, outside_theory, rows, rerun)
 
 
 def run(
@@ -369,9 +362,7 @@ def exact_line_search_step(
     feasible. grad_k, when given, is grad f(x_k), as in pgm_step; the new
     point is pgm_step's at the returned step size.
     """
-    x_k = np.asarray(x_k, dtype=float)
-    if not np.isfinite(x_k).all():
-        raise ValueError("x_k must be finite")
+    x_k = _finite(x_k, "x_k")
     g = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
     if math.isinf(problem.h.value(x_k)):
         raise ValueError("infeasible start: F(x_k) = +inf")
@@ -431,9 +422,7 @@ def residual_line_search_step(f: SmoothFunction, x_k) -> tuple[float, np.ndarray
     quadratic catalog alpha = -<g, Hg> / <Hg, Hg> is exact. The composite
     analogue has no available procedure and is out of scope. x_k must be finite.
     """
-    x_k = np.asarray(x_k, dtype=float)
-    if not np.isfinite(x_k).all():
-        raise ValueError("x_k must be finite")
+    x_k = _finite(x_k, "x_k")
     g = f.grad(x_k)
     Hg = f.hess_vec(g)
     denom = float(Hg @ Hg)

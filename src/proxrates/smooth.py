@@ -57,11 +57,7 @@ class SmoothFunction:
         """Product of the (constant) Hessian with v."""
         raise NotImplementedError
 
-    def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected point of shape ({self.dim},), got {x.shape}")
-        return x
+    _check_point = ProxFunction._check_point
 
 
 class ScaledSqNorm(SmoothFunction):
@@ -241,7 +237,8 @@ def _solve_catalog_optimum(f: SmoothFunction, h: ProxFunction) -> np.ndarray:
 
     Coordinate i minimizes 0.5*d_i*x^2 + b_i*x + h_i(x). A curved coordinate
     (d_i > 0) takes the vertex -b_i/d_i mapped through h; a zero-curvature one
-    takes 0, or the box end its slope points to, and ValueError reports an
+    takes 0, or the box end its slope points to (with no slope, lo where it is
+    finite, else hi where it is finite, else 0), and ValueError reports an
     objective unbounded below along it.
     """
     if isinstance(f, DenseQuadratic) and isinstance(h, Zero):
@@ -262,7 +259,8 @@ def _solve_catalog_optimum(f: SmoothFunction, h: ProxFunction) -> np.ndarray:
         # np.maximum returns its second argument on a tie, so -0.0 becomes 0.0
         return np.where(curved, np.maximum(-b / d, 0.0), 0.0)
     if isinstance(h, BoxIndicator):
-        target = np.where(b < 0, h.hi, h.lo)
+        level = np.where(np.isfinite(h.lo), h.lo, np.where(np.isfinite(h.hi), h.hi, 0.0))
+        target = np.where(b < 0, h.hi, np.where(b > 0, h.lo, level))
         if np.any(flat & ~np.isfinite(target)):
             raise ValueError("unbounded below on the box")
         x = -b / d

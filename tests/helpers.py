@@ -7,7 +7,8 @@ search of the exact line search through the public prox and objective, a
 scalar per-coordinate loop for the closed-form optimum, direct
 recurrence iteration (in floats and in exact rationals) for the constrained
 quadratic family with the rational step-1/L cells it attains, the long
-hand-expanded coefficient display for the distance certificate, an eager
+hand-expanded coefficient display for the distance certificate, an exact
+Gram-basis evaluator of certificate expressions, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
 and the certificate report with its residual always expanded. The CLI's
@@ -190,7 +191,10 @@ def _coordinate_optimum(d: float, b: float, h, i: int) -> float:
         lo, hi = h.lo[i], h.hi[i]
         if d > 0:
             return float(np.clip(-b / d, lo, hi))
-        target = lo if b > 0 else hi if b < 0 else lo
+        if b == 0:  # constant along the coordinate: lo where finite, else hi where finite, else 0
+            target = lo if math.isfinite(lo) else hi if math.isfinite(hi) else 0.0
+        else:
+            target = lo if b > 0 else hi
         if not math.isfinite(target):
             raise ValueError("unbounded below on the box")
         return float(target)
@@ -263,6 +267,19 @@ def step_1_over_L_cell_exact(init: MeasureKind, final: MeasureKind, mu: Fraction
         (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ): mu**2 / (rho**-k - 1) ** 2,
         (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ): 2 * mu / (rho ** (-2 * k) - 1),
     }[(init, final)]
+
+
+def gram_value(expr: SymbolicExpr, vectors: dict, values: dict) -> Fraction:
+    """The exact value in Q of expr at exact vectors and function values.
+
+    `vectors` maps basis names to sequences of Fractions, and `values` maps
+    each function symbol of expr, "const" included, to a Fraction. Shares no
+    code with `certificate.evaluate_expr`, which works in floats.
+    """
+    total = sum((Fraction(c) * values[name] for name, c in expr.lin.items()), Fraction(0))
+    for (a, b), c in expr.gram.items():
+        total += Fraction(c) * sum(u * v for u, v in zip(vectors[a], vectors[b], strict=True))
+    return total
 
 
 def distance_weighted_sum(mu, L, gamma, regime: Regime) -> SymbolicExpr:

@@ -39,6 +39,7 @@ from proxrates.certificate import (
 from proxrates.cli import main
 from proxrates.rates import ClassParams
 from proxrates.smooth import DiagonalQuadratic, relaxed_distance_condition
+from proxrates.worstcase import quadratic_lower_bound
 
 from helpers import (
     PARAM_GAMMA,
@@ -52,6 +53,7 @@ from helpers import (
     distance_weighted_sum,
     expanded_report,
     factor_signs,
+    gram_value,
     parametric_certificate,
     ratfunc_oracle,
     reference_display,
@@ -662,6 +664,59 @@ class TestRelaxedDistanceCondition:
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * (1 + float(np.sum(x * x))) * L)
 
 
+def _worst_case_gram(a, gamma):
+    """The Gram data of one step of PGM on the 1-d a x^2/2 with h = 0, from x0 = 1 to x* = 0, in Q."""
+    x1 = 1 - gamma * a
+    vectors = {"x": [F(1)], "gk": [a], "gk1": [a * x1], "gs": [F(0)], "sk": [F(0)], "sk1": [F(0)]}
+    values = {"const": F(1), "fk": a / 2, "fk1": a * x1 * x1 / 2, "fs": F(0), "hk": F(0), "hk1": F(0), "hs": F(0)}
+    return vectors, values
+
+
+class TestCertificateTightOnWorstCase:
+    """Each certificate is tight on the instance that attains its rate, in Q.
+
+    At (mu, L) = (1, 3) the small step 1/3 and the large step 3/5 are
+    attained by `quadratic_lower_bound`'s a x^2/2 with a = mu and a = L. On
+    it the target rho^2 m_k - m_{k+1} is 0, every weighted interpolation
+    slack is 0, and every SOS term is 0: the dual certificate and the primal
+    instance close the gap. On these quadratics every interpolation slack is
+    0 for both curvatures, so only the target and the SOS terms tell the
+    attaining curvature from the other.
+    """
+
+    MU, L = F(1), F(3)
+    STEPS = {Regime.SMALL_STEP: F(1, 3), Regime.LARGE_STEP: F(3, 5)}
+
+    def _terms(self, theorem, regime, a):
+        gamma = self.STEPS[regime]
+        weighted, target, sos = _certificate(theorem, regime, self.MU, self.L, gamma)
+        data = _worst_case_gram(a, gamma)
+        slacks = {name: lam * gram_value(ineq(), *data) for name, lam, ineq in weighted}
+        squares = {name: coeff * gram_value(norm_sq(comb), *data) for name, coeff, comb in sos}
+        return gram_value(target(), *data), slacks, squares
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_every_term_vanishes_on_the_attaining_quadratic(self, theorem, regime):
+        gamma = self.STEPS[regime]
+        assert _regimes(self.MU, self.L, gamma) == [regime]
+        a = F(quadratic_lower_bound(ClassParams(float(self.MU), float(self.L)), float(gamma)).problem.f.a)
+        assert a == {Regime.SMALL_STEP: self.MU, Regime.LARGE_STEP: self.L}[regime]
+        target, slacks, squares = self._terms(theorem, regime, a)
+        assert target == 0
+        assert set(slacks.values()) == {0} and set(squares.values()) == {0}
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_the_other_curvature_misses_the_rate(self, theorem, regime):
+        other = {Regime.SMALL_STEP: self.L, Regime.LARGE_STEP: self.MU}[regime]
+        target, slacks, squares = self._terms(theorem, regime, other)
+        assert target != 0 and set(slacks.values()) == {0}
+        assert target == sum(slacks.values()) + sum(squares.values())  # the certificate's identity, in Q
+        if (theorem, regime) == ("distance", Regime.SMALL_STEP):
+            assert target == F(4, 9)  # rho^2 = (1 - gamma mu)^2 = 4/9, and x_1 = 1 - 3/3 = 0
+
+
 class TestSignProof:
     """Each multiplier and SOS coefficient is nonnegative on its regime, for all (mu, L, gamma).
 
@@ -871,3 +926,23 @@ class TestFrozenOutput:
                 outcome = _outcome(theorem, mu, L, gamma_symbol(), Regime(regime))
                 texts.append(outcome if isinstance(outcome, str) else f"{outcome[0].__name__}: {outcome[1]}")
             assert _sha256("\n".join(texts).encode()) == digest, (theorem, regime)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(lambda: verify_distance(2, 1, F(1, 3), Regime.SMALL_STEP),
+                         "certificates require exact rationals with 0 <= mu < L", id="verify-mu-above-L"),
+            pytest.param(lambda: numeric_spot_check(norm_sq(VecExpr({"x": 1})), 1, 3, F(1, 3), assignment="x"),
+                         "assignment must be 'random' or 'trace'", id="spot-check-assignment"),
+            pytest.param(lambda: verify_funcvalue(1, 3, F(7, 15), Regime.LARGE_STEP),
+                         "degenerate step size: the alpha scaling vanishes", id="funcvalue-alpha-zero"),
+            pytest.param(lambda: VecExpr({"y": 1}), "unknown basis vector 'y'", id="vec-name"),
+            pytest.param(lambda: SymbolicExpr(lin={"fy": 1}), "unknown function symbol 'fy'", id="lin-name"),
+            pytest.param(lambda: SymbolicExpr(gram={("x", "y"): 1}), "unknown basis pair", id="gram-name"),
+        ],
+    )
+    def test_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -648,10 +648,14 @@ class TestPipeline:
         "argv",
         [
             ["rate", "--mu", "1", "--L", "10", "--grid", "oops"],
+            ["rate", "--mu", "1", "--L", "10", "--grid", "0:1:1"],
             ["simulate", "--mu", "1", "--L", "10", "--gamma", "1/3"],
             ["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--h", "box"],
             ["tight", "mixed", "--gamma", "0.3"],
             ["certify", "--mu", "1"],
+            ["certify", "--mu", "abc", "--L", "3", "--gamma", "1/3"],
+            ["certify", "--mu", "1", "--L", "3"],
+            ["simulate", "--mu", "1", "--L", "10", "--gamma", "opt", "--instance", "worst-case", "--h", "l1"],
             ["tables", "--mu", "1", "--L", "10", "--gamma", "1/3"],
         ],
     )
@@ -688,6 +692,30 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert code == 2 and not out.exists()
         assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,unread",
+        [
+            (["tight", "els", "--gamma", "0.3"], "--gamma"),
+            (["tight", "els", "--dim", "2"], "--dim"),
+            (["tight", "unbounded", "--gamma", "5"], "--gamma"),
+            (["tight", "unbounded", "--mu", "1", "--dim", "3"], "--dim"),
+            (["tight", "mixed", "--dim", "7"], "--dim"),
+            (["tight", "mixed", "--c", "0.2"], "--c"),
+            (["tight", "qlb", "--x0", "-4", "--c", "-1"], "--x0, --c"),
+            (["tight", "qlb", "--x0", "2"], "--x0"),
+        ],
+    )
+    def test_tight_refuses_an_option_its_generator_never_reads(self, tmp_path, capsys, argv, unread):
+        code, out = run_cli(argv, tmp_path)
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists() and captured.out == ""
+        assert captured.err == f"error: tight {argv[1]} does not read {unread}\n"
+
+    def test_tight_config_echoes_the_defaults_it_fills(self, tmp_path):
+        code, out = run_cli(["tight", "unbounded", "--mu", "1", "--x0", "2"], tmp_path)
+        assert code == 0
+        assert load_json(out)["config"] == {"generator": "unbounded", "mu": 1.0, "L": 2.0, "N": 5, "x0": 2.0, "c": 0.1}
 
     def test_tight_fails_on_any_nan_gap(self, monkeypatch):
         # max() skips a NaN that is not its first argument; every gap has to pass

@@ -136,3 +136,18 @@ class TestMixedBound:
             check_mixed_bound(trace, M.FUNC_GAP, M.DISTANCE_SQ, 0)
         with pytest.raises(ValueError):
             check_mixed_bound(trace, M.FUNC_GAP, M.DISTANCE_SQ, 4)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(lambda: MeasureTriple(-1e-300, 0.0, 0.0), "squared measures must be nonnegative",
+                         id="negative-distance"),
+            pytest.param(lambda: MeasureTriple(0.0, -1.0, -1.0), "squared measures must be nonnegative",
+                         id="negative-residual"),
+        ],
+    )
+    def test_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

@@ -239,3 +239,19 @@ class TestProperties:
                     expected = h.prox(t, x - t * g)
                     np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12 * (1 + t))
                     assert float(slope[seg, cols] @ p) == pytest.approx(h.value(expected), abs=1e-11 * (1 + t))
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(lambda: BoxIndicator([0.0, 0.0], [1.0]), "lo and hi must be 1-d arrays of equal length",
+                         id="box-lengths"),
+            pytest.param(lambda: BoxIndicator([[0.0]], [[1.0]]), "lo and hi must be 1-d arrays of equal length",
+                         id="box-2d"),
+            pytest.param(lambda: BoxIndicator([1.0], [0.0]), "need lo <= hi", id="box-order"),
+        ],
+    )
+    def test_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

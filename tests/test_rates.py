@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,23 @@ class TestClassicalBound:
         # the L/mu constant exceeds 1 for few iterations, unlike the tight bound
         b = classical_nontight_bound(ClassParams(1, 100), 1 / 100, 1, M.FUNC_GAP)
         assert b.value > 1.0
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(lambda: ClassParams(math.nan, 1.0), "mu and L must be finite", id="nan-mu"),
+            pytest.param(lambda: ClassParams(0.0, math.inf), "mu and L must be finite", id="inf-L"),
+            pytest.param(lambda: ClassParams(0.0, 0.0), "L must be positive, got 0.0", id="zero-L"),
+            pytest.param(lambda: ClassParams(-2.0, -1.0), "L must be positive, got -1.0", id="negative-L"),
+            pytest.param(
+                lambda: classical_nontight_bound(ClassParams(1, 10), 0.1, -1, M.FUNC_GAP),
+                "iteration count k must be >= 0",
+                id="classical-negative-k",
+            ),
+        ],
+    )
+    def test_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

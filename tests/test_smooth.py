@@ -326,6 +326,21 @@ class TestClosedFormOptimum:
             assert not _assert_optimum_matches_oracle(problem)
             assert problem.try_optimum() is None
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-math.inf, math.inf), (-3.0, math.inf)])
+    def test_flat_coordinate_without_slope_in_unbounded_box(self, lo, hi):
+        """A zero-curvature coordinate with no slope is constant, so an infinite box end leaves F* finite."""
+        f = DiagonalQuadratic([0.0, 1.0], [0.0, 1.0], ClassParams(0.0, 1.0))
+        problem = CompositeProblem(f, BoxIndicator([lo, -2.0], [hi, 1.0]))
+        assert _assert_optimum_matches_oracle(problem)
+        x_star, F_star = problem.optimum()
+        grid = np.stack(np.meshgrid(np.linspace(max(lo, -4.0), min(hi, 4.0), 41), np.linspace(-2.0, 1.0, 61)), -1)
+        grid_min = min(problem.value(x) for x in grid.reshape(-1, 2))
+        assert F_star == -0.5 and F_star <= grid_min < F_star + 1e-2
+        assert problem.h.value(x_star) == 0.0
+        trace = run(problem, 1.0, [0.0, 0.0], 3)
+        assert trace.measure(MeasureKind.FUNC_GAP, 0) == 0.5
+        assert trace.measure(MeasureKind.DISTANCE_SQ, 0) is not None
+
     def test_signed_zeros_pinned(self):
         params = ClassParams(0.0, 2.0)
         for d in ([1.0, 2.0], [0.0, 0.0]):
@@ -356,3 +371,38 @@ class TestClosedFormOptimum:
         with pytest.raises(ValueError, match="no closed-form optimum for h of type Other"):
             problem.optimum()
         assert problem.try_optimum() is None
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(lambda: DiagonalQuadratic([[1.0]]), "d must be a nonempty 1-d array", id="diag-2d"),
+            pytest.param(lambda: DiagonalQuadratic([]), "d must be a nonempty 1-d array", id="diag-empty"),
+            pytest.param(lambda: DiagonalQuadratic([1.0, 2.0], [0.0]), "b must match the dimension of d",
+                         id="diag-b"),
+            pytest.param(lambda: DiagonalQuadratic([1.0, 5.0], None, ClassParams(1.0, 2.0)),
+                         "diagonal entries must lie within", id="diag-class"),
+            pytest.param(lambda: DenseQuadratic([1.0, 2.0]), "A must be a square matrix", id="dense-1d"),
+            pytest.param(lambda: DenseQuadratic(np.ones((2, 3))), "A must be a square matrix", id="dense-shape"),
+            pytest.param(lambda: DenseQuadratic([[1.0, 1.0], [0.0, 1.0]]), "A must be symmetric", id="dense-sym"),
+            pytest.param(lambda: DenseQuadratic(np.eye(2), [0.0]), "b must match the dimension of A",
+                         id="dense-b"),
+            pytest.param(lambda: DenseQuadratic(np.eye(2) * 3.0, None, ClassParams(1.0, 2.0)),
+                         "spectrum must lie within", id="dense-class"),
+            pytest.param(lambda: CompositeProblem(DiagonalQuadratic([1.0, 2.0]), Zero(3)),
+                         "f and h dimensions disagree", id="composite-dims"),
+            pytest.param(lambda: random_instance(ClassParams(1.0, 2.0), 0, 0), "dim must be >= 1",
+                         id="random-dim-0"),
+            pytest.param(lambda: random_composite(ClassParams(1.0, 2.0), 3, "huber", 0), "unknown h kind 'huber'",
+                         id="random-h-kind"),
+            pytest.param(
+                lambda: relaxed_distance_condition(ScaledSqNorm(1.0, 1), ClassParams(1.0, 1.0), [1.0], [0.0]),
+                "requires mu < L",
+                id="relaxed-mu-eq-L",
+            ),
+        ],
+    )
+    def test_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

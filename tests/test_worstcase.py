@@ -327,3 +327,18 @@ class TestGeneratedInstancesAreClassMembers:
             y = rng.normal(size=spec.problem.dim)
             p = h.prox(gamma, y)
             assert h.subgradient_membership(p, (y - p) / gamma, tol=1e-12)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            pytest.param(lambda: mixed_measure_instance(ClassParams(1.0, 2.0), 5, 1.0, (M.DISTANCE_SQ, M.DISTANCE_SQ)),
+                         "target must be one of", id="mixed-target"),
+            pytest.param(lambda: unbounded_family(0.1, x0=-1.0), re.escape("x0 must be feasible (x0 >= 0)"),
+                         id="unbounded-negative-x0"),
+        ],
+    )
+    def test_raises(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
