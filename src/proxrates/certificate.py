@@ -10,12 +10,12 @@ functions, which after substituting
     s_*     = -g_*                               (optimality of x_*)
 
 equals the claimed bound minus an explicit nonnegative sum of squares. The
-residual, weighted sum minus bound plus the sum of squares, expands with
-exact coefficients over the Gram basis
+residual, weighted sum minus bound plus the sum of squares, expands to one
+sparse linear form, with exact coefficients, in the function values
+f_k, f_{k+1}, f_*, h_k, h_{k+1}, h_* and the Gram matrix of the basis
 
-    X = x_k - x_*,  g_k,  g_{k+1},  g_*,  s_k,  s_{k+1}
+    X = x_k - x_*,  g_k,  g_{k+1},  g_*,  s_k,  s_{k+1}.
 
-plus the affine function-value symbols f_k, f_{k+1}, f_*, h_k, h_{k+1}, h_*.
 No floating point is used anywhere on this path.
 
 The certificates are proven once, for all parameters, in Q(mu, L, gamma)
@@ -96,7 +96,7 @@ __all__ = [
 ]
 
 BASIS = ("x", "gk", "gk1", "gs", "sk", "sk1")
-FUNC_SYMBOLS = ("const", "fk", "fk1", "fs", "hk", "hk1", "hs")
+FUNC_SYMBOLS = ("fk", "fk1", "fs", "hk", "hk1", "hs")
 LABELS = ("k", "k+1", "*")
 
 
@@ -326,112 +326,93 @@ def _is_zero_scalar(v) -> bool:
 # --------------------------------------------------------------------------
 
 
-class VecExpr:
-    """Linear combination of the basis vectors, exact scalar coefficients."""
+class _Form:
+    """Sparse linear form: `terms` maps keys to nonzero exact coefficients.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for name, v in coeffs.items():
-                if name not in BASIS:
-                    raise ValueError(f"unknown basis vector {name!r}")
-                if not _is_zero_scalar(v):
-                    self.coeffs[name] = v
-
-    def __add__(self, other: "VecExpr") -> "VecExpr":
-        out = dict(self.coeffs)
-        for name, v in other.coeffs.items():
-            out[name] = out.get(name, 0) + v
-        return VecExpr(out)
-
-    def __sub__(self, other: "VecExpr") -> "VecExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "VecExpr":
-        return VecExpr({n: -v for n, v in self.coeffs.items()})
-
-    def scale(self, v) -> "VecExpr":
-        return VecExpr({n: v * c for n, c in self.coeffs.items()})
-
-    def __rmul__(self, v):
-        return self.scale(v)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def _accumulate(out: dict, items) -> dict:
-    """Add each (key, value) into `out` in place; a new key takes the value as is."""
-    for k, v in items:
-        out[k] = out[k] + v if k in out else v
-    return out
-
-
-class SymbolicExpr:
-    """Affine part (function-value symbols and a constant) plus a Gram part.
-
-    The Gram part maps unordered basis pairs to exact coefficients; both parts
-    are kept pruned of zeros, so construction is canonicalization.
+    Every operation builds its result through `_of`, which sums the terms of
+    equal keys and prunes zeros, so construction is canonicalization.
     """
 
-    __slots__ = ("lin", "gram")
-
-    def __init__(self, lin=None, gram=None):
-        self.lin = {}
-        if lin:
-            for name, v in lin.items():
-                if name not in FUNC_SYMBOLS:
-                    raise ValueError(f"unknown function symbol {name!r}")
-                if not _is_zero_scalar(v):
-                    self.lin[name] = v
-        self.gram = {}
-        if gram:
-            for key, v in gram.items():
-                a, b = key
-                key = (a, b) if a <= b else (b, a)
-                if a not in BASIS or b not in BASIS:
-                    raise ValueError(f"unknown basis pair {key!r}")
-                if not _is_zero_scalar(v):
-                    self.gram[key] = self.gram.get(key, 0) + v
-                    if _is_zero_scalar(self.gram[key]):
-                        del self.gram[key]
+    __slots__ = ("terms",)
 
     @classmethod
-    def _of_valid(cls, lin: dict, gram: dict) -> "SymbolicExpr":
-        """Build from parts whose symbols are known valid and whose pairs are ordered."""
+    def _of(cls, items):
+        """The form summing the (key, coefficient) items, keys known valid."""
+        terms = {}
+        for k, v in items:
+            terms[k] = terms[k] + v if k in terms else v
         out = cls.__new__(cls)
-        out.lin = {n: v for n, v in lin.items() if not _is_zero_scalar(v)}
-        out.gram = {k: v for k, v in gram.items() if not _is_zero_scalar(v)}
+        out.terms = {k: v for k, v in terms.items() if not _is_zero_scalar(v)}
         return out
 
-    def __add__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        return SymbolicExpr._of_valid(
-            _accumulate(dict(self.lin), other.lin.items()),
-            _accumulate(dict(self.gram), other.gram.items()),
-        )
+    def __add__(self, other):
+        return self._of([*self.terms.items(), *other.terms.items()])
 
-    def __sub__(self, other: "SymbolicExpr") -> "SymbolicExpr":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr._of_valid(
-            {n: -v for n, v in self.lin.items()},
-            {k: -v for k, v in self.gram.items()},
-        )
+    def __neg__(self):
+        return self._of((k, -v) for k, v in self.terms.items())
 
-    def scale(self, v) -> "SymbolicExpr":
-        return SymbolicExpr._of_valid(
-            {n: v * c for n, c in self.lin.items()},
-            {k: v * c for k, c in self.gram.items()},
-        )
+    def scale(self, v):
+        return self._of((k, v * c) for k, c in self.terms.items())
 
-    def __rmul__(self, v):
-        return self.scale(v)
+    __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return not self.lin and not self.gram
+        return not self.terms
+
+
+class VecExpr(_Form):
+    """Linear combination of the basis vectors, exact scalar coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        self.terms = {}
+        for name, v in (coeffs or {}).items():
+            if name not in BASIS:
+                raise ValueError(f"unknown basis vector {name!r}")
+            if not _is_zero_scalar(v):
+                self.terms[name] = v
+
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
+
+
+class SymbolicExpr(_Form):
+    """Linear form in the function-value symbols and the Gram matrix of the basis.
+
+    A term's key is a function symbol (a `str`) or an ordered basis pair (a
+    `tuple`); `lin` and `gram` are fresh dicts of the two kinds of terms.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, lin=None, gram=None):
+        terms = self.terms = {}
+        for name, v in (lin or {}).items():
+            if name not in FUNC_SYMBOLS:
+                raise ValueError(f"unknown function symbol {name!r}")
+            if not _is_zero_scalar(v):
+                terms[name] = v
+        for (a, b), v in (gram or {}).items():
+            key = (a, b) if a <= b else (b, a)
+            if a not in BASIS or b not in BASIS:
+                raise ValueError(f"unknown basis pair {key!r}")
+            if not _is_zero_scalar(v):
+                terms[key] = terms.get(key, 0) + v
+                if _is_zero_scalar(terms[key]):
+                    del terms[key]
+
+    @property
+    def lin(self) -> dict:
+        return {k: v for k, v in self.terms.items() if type(k) is str}
+
+    @property
+    def gram(self) -> dict:
+        return {k: v for k, v in self.terms.items() if type(k) is tuple}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicExpr):
@@ -439,14 +420,13 @@ class SymbolicExpr:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash((frozenset(self.lin), frozenset(self.gram)))
+        return hash(frozenset(self.terms))
 
     def lin_coeff(self, name: str):
-        return self.lin.get(name, Fraction(0))
+        return self.terms.get(name, Fraction(0))
 
     def gram_coeff(self, a: str, b: str):
-        key = (a, b) if a <= b else (b, a)
-        return self.gram.get(key, Fraction(0))
+        return self.terms.get((a, b) if a <= b else (b, a), Fraction(0))
 
     def __repr__(self):
         terms = [f"{v}*{n}" for n, v in sorted(self.lin.items())]
@@ -455,20 +435,19 @@ class SymbolicExpr:
 
 
 def inner(u: VecExpr, v: VecExpr) -> SymbolicExpr:
-    products = (
+    return SymbolicExpr._of(
         ((a, b) if a <= b else (b, a), ca * cb)
-        for a, ca in u.coeffs.items()
-        for b, cb in v.coeffs.items()
+        for a, ca in u.terms.items()
+        for b, cb in v.terms.items()
     )
-    return SymbolicExpr._of_valid({}, _accumulate({}, products))
 
 
 def norm_sq(v: VecExpr) -> SymbolicExpr:
     return inner(v, v)
 
 
-def fval(name: str, coeff=1) -> SymbolicExpr:
-    return SymbolicExpr(lin={name: Fraction(coeff) if not isinstance(coeff, RatFunc) else coeff})
+def fval(name: str) -> SymbolicExpr:
+    return SymbolicExpr(lin={name: Fraction(1)})
 
 
 # --------------------------------------------------------------------------
@@ -937,8 +916,8 @@ class SpotCheckResult:
 
 def evaluate_expr(expr: SymbolicExpr, vectors: dict, values: dict) -> float:
     """Evaluate an expression at concrete vectors and function values."""
-    total = float(values.get("const", 1.0)) * float(expr.lin_coeff("const"))
-    for name in FUNC_SYMBOLS[1:]:
+    total = 0.0
+    for name in FUNC_SYMBOLS:
         c = expr.lin_coeff(name)
         if not _is_zero_scalar(c):
             total += float(c) * float(values[name])
@@ -949,8 +928,7 @@ def evaluate_expr(expr: SymbolicExpr, vectors: dict, values: dict) -> float:
 
 def _random_assignment(rng):
     vectors = {name: rng.standard_normal(3) for name in BASIS}
-    values = {name: float(rng.standard_normal()) for name in FUNC_SYMBOLS[1:]}
-    values["const"] = 1.0
+    values = {name: float(rng.standard_normal()) for name in FUNC_SYMBOLS}
     return vectors, values
 
 
@@ -981,7 +959,6 @@ def _trace_assignment(rng, mu: float, L: float, gamma: float, seed: int):
         "sk1": s_k1,
     }
     values = {
-        "const": 1.0,
         "fk": f.value(x_k),
         "fk1": f.value(x_k1),
         "fs": f.value(x_star),
@@ -1010,9 +987,7 @@ def numeric_spot_check(
     """
     import numpy as np
 
-    if any(isinstance(c, RatFunc) for c in expr.lin.values()) or any(
-        isinstance(c, RatFunc) for c in expr.gram.values()
-    ):
+    if any(isinstance(c, RatFunc) for c in expr.terms.values()):
         raise ValueError("spot checks need a concrete rational step size, not a symbol")
     rng = np.random.default_rng(seed)
     lo, hi, big = math.inf, -math.inf, 0.0

@@ -15,6 +15,7 @@ dimensionless across parameter scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import IterateTrace
@@ -30,6 +31,9 @@ class MeasureTriple:
     residual_grad_sq: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if min(self.dist_sq, self.residual_grad_sq) < 0:
             raise ValueError("squared measures must be nonnegative")
 

@@ -88,10 +88,14 @@ class DiagonalQuadratic(SmoothFunction):
         self.d = np.asarray(d, dtype=float)
         if self.d.ndim != 1 or self.d.size == 0:
             raise ValueError("d must be a nonempty 1-d array")
+        if not np.isfinite(self.d).all():
+            raise ValueError("d must be finite")
         self.dim = self.d.shape[0]
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (self.dim,):
             raise ValueError("b must match the dimension of d")
+        if not np.isfinite(self.b).all():
+            raise ValueError("b must be finite")
         if params is None:
             params = ClassParams(float(self.d.min()), float(max(self.d.max(), 1e-300)))
         self.params = params
@@ -117,12 +121,16 @@ class DenseQuadratic(SmoothFunction):
         self.A = np.asarray(A, dtype=float)
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be a square matrix")
+        if not np.isfinite(self.A).all():
+            raise ValueError("A must be finite")
         if not np.allclose(self.A, self.A.T, atol=1e-12):
             raise ValueError("A must be symmetric")
         self.dim = self.A.shape[0]
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (self.dim,):
             raise ValueError("b must match the dimension of A")
+        if not np.isfinite(self.b).all():
+            raise ValueError("b must be finite")
         eigs = np.linalg.eigvalsh(self.A)
         if params is None:
             params = ClassParams(float(eigs.min()), float(max(eigs.max(), 1e-300)))

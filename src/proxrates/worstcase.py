@@ -201,13 +201,6 @@ def unbounded_family(
         raise ValueError("c must be positive")
     if x0 < 0:
         raise ValueError("x0 must be feasible (x0 >= 0)")
-    params = ClassParams(0.0, L)
-    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), params)
-    problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
-
-    def closed_form(k: int) -> np.ndarray:
-        return _padded(max(0.0, x0 - k * c / L), dim)
-
     predicted: dict[Cell, float] = {}
     if x0 > 0:
         xN = max(0.0, x0 - N * c / L)
@@ -223,6 +216,12 @@ def unbounded_family(
         }
         if not all(map(math.isfinite, predicted.values())):
             raise ValueError(f"c = {c} gives a predicted ratio beyond the float range (x0 = {x0})")
+    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), ClassParams(0.0, L))
+    problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
+
+    def closed_form(k: int) -> np.ndarray:
+        return _padded(max(0.0, x0 - k * c / L), dim)
+
     return WorstCaseSpec(
         problem, _padded(x0, dim), np.zeros(dim), N, 1.0 / L, predicted, closed_form,
         note="witness ratios scale like inverse powers of c",

@@ -273,8 +273,9 @@ def gram_value(expr: SymbolicExpr, vectors: dict, values: dict) -> Fraction:
     """The exact value in Q of expr at exact vectors and function values.
 
     `vectors` maps basis names to sequences of Fractions, and `values` maps
-    each function symbol of expr, "const" included, to a Fraction. Shares no
-    code with `certificate.evaluate_expr`, which works in floats.
+    each function symbol of expr to a Fraction. Shares no code with
+    `certificate.evaluate_expr`, which works in floats, nor with the form's
+    arithmetic.
     """
     total = sum((Fraction(c) * values[name] for name, c in expr.lin.items()), Fraction(0))
     for (a, b), c in expr.gram.items():

@@ -215,7 +215,67 @@ def symbolic_exprs():
     return st.builds(SymbolicExpr, lin, gram)
 
 
+def vec_exprs():
+    return st.builds(VecExpr, st.dictionaries(st.sampled_from(BASIS), fractions_st(), max_size=4))
+
+
+def assignments():
+    """Exact vectors in Q^2 per basis name and exact values per function symbol."""
+    vector = st.lists(fractions_st(), min_size=2, max_size=2)
+    vectors = st.fixed_dictionaries({name: vector for name in BASIS})
+    values = st.fixed_dictionaries({name: fractions_st() for name in FUNC_SYMBOLS})
+    return st.tuples(vectors, values)
+
+
+def _dot(u, v):
+    return sum((x * y for x, y in zip(u, v, strict=True)), F(0))
+
+
+def _vector_value(w: VecExpr, vectors: dict) -> list:
+    return [sum((c * vectors[name][i] for name, c in w.coeffs.items()), F(0)) for i in range(2)]
+
+
 class TestAlgebraLaws:
+    # gram_value (tests/helpers.py) evaluates a form exactly without any of its
+    # arithmetic, so these laws do not rest on == (which is itself a difference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symbolic_exprs(), symbolic_exprs(), assignments())
+    def test_evaluation_is_additive(self, a, b, point):
+        assert gram_value(a + b, *point) == gram_value(a, *point) + gram_value(b, *point)
+        assert gram_value(a - b, *point) == gram_value(a, *point) - gram_value(b, *point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symbolic_exprs(), fractions_st(), assignments())
+    def test_evaluation_is_homogeneous(self, a, s, point):
+        assert gram_value(a.scale(s), *point) == s * gram_value(a, *point)
+        assert gram_value(s * a, *point) == s * gram_value(a, *point)
+        assert gram_value(-a, *point) == -gram_value(a, *point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vec_exprs(), vec_exprs(), fractions_st(), assignments())
+    def test_inner_is_the_dot_product(self, u, v, s, point):
+        vectors, values = point
+        value_u, value_v = _vector_value(u, vectors), _vector_value(v, vectors)
+        assert gram_value(inner(u, v), vectors, values) == _dot(value_u, value_v)
+        assert gram_value(norm_sq(u), vectors, values) == _dot(value_u, value_u)
+        assert _vector_value(u + v, vectors) == [x + y for x, y in zip(value_u, value_v)]
+        assert _vector_value(u - v, vectors) == [x - y for x, y in zip(value_u, value_v)]
+        assert _vector_value(u.scale(s), vectors) == _vector_value(s * u, vectors) == [s * x for x in value_u]
+        assert _vector_value(-u, vectors) == [-x for x in value_u]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(BASIS), min_size=2, max_size=2, unique=True), fractions_st(), fractions_st(),
+           assignments())
+    def test_both_orders_of_a_pair_add(self, pair, p, q, point):
+        (a, b), (vectors, values) = pair, point
+        expr = SymbolicExpr(gram={(a, b): p, (b, a): q})
+        assert gram_value(expr, vectors, values) == (p + q) * _dot(vectors[a], vectors[b])
+
+    def test_constant_symbol_is_refused(self):
+        with pytest.raises(ValueError, match="unknown function symbol 'const'"):
+            SymbolicExpr(lin={"const": 1})
+
     @settings(max_examples=60, deadline=None)
     @given(symbolic_exprs(), symbolic_exprs())
     def test_addition_commutative(self, a, b):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,17 @@ class TestErrorPaths:
                          id="negative-distance"),
             pytest.param(lambda: MeasureTriple(0.0, -1.0, -1.0), "squared measures must be nonnegative",
                          id="negative-residual"),
+            pytest.param(lambda: MeasureTriple(math.nan, 1.0, 1.0), "dist_sq must be finite, got nan",
+                         id="nan-distance"),
+            pytest.param(lambda: MeasureTriple(1.0, math.nan, 1.0), "func_gap must be finite, got nan", id="nan-gap"),
+            pytest.param(lambda: MeasureTriple(1.0, 1.0, math.nan), "residual_grad_sq must be finite, got nan",
+                         id="nan-residual"),
+            pytest.param(lambda: MeasureTriple(math.inf, 1.0, 1.0), "dist_sq must be finite, got inf",
+                         id="inf-distance"),
+            pytest.param(lambda: MeasureTriple(1.0, -math.inf, 1.0), "func_gap must be finite, got -inf",
+                         id="inf-gap"),
+            pytest.param(lambda: MeasureTriple(1.0, 1.0, math.inf), "residual_grad_sq must be finite, got inf",
+                         id="inf-residual"),
         ],
     )
     def test_raises(self, build, message):

@@ -390,6 +390,20 @@ class TestErrorPaths:
                          id="dense-b"),
             pytest.param(lambda: DenseQuadratic(np.eye(2) * 3.0, None, ClassParams(1.0, 2.0)),
                          "spectrum must lie within", id="dense-class"),
+            pytest.param(lambda: DiagonalQuadratic([math.nan, 1.5], None, ClassParams(1.0, 2.0)), "d must be finite",
+                         id="diag-d-nan"),
+            pytest.param(lambda: DiagonalQuadratic([1.0, math.inf], None, ClassParams(1.0, 2.0)), "d must be finite",
+                         id="diag-d-inf"),
+            pytest.param(lambda: DiagonalQuadratic([math.nan, 1.5]), "d must be finite", id="diag-d-nan-no-params"),
+            pytest.param(lambda: DiagonalQuadratic([1.0, 1.5], [math.nan, 0.0], ClassParams(1.0, 2.0)),
+                         "b must be finite", id="diag-b-nan"),
+            pytest.param(lambda: DiagonalQuadratic([1.0, 1.5], [0.0, math.inf], ClassParams(1.0, 2.0)),
+                         "b must be finite", id="diag-b-inf"),
+            pytest.param(lambda: DenseQuadratic([[math.nan, 0.0], [0.0, 1.0]]), "A must be finite", id="dense-A-nan"),
+            pytest.param(lambda: DenseQuadratic([[1.0, math.inf], [math.inf, 1.0]]), "A must be finite",
+                         id="dense-A-inf"),
+            pytest.param(lambda: DenseQuadratic(np.eye(2), [math.nan, 0.0]), "b must be finite", id="dense-b-nan"),
+            pytest.param(lambda: DenseQuadratic(np.eye(2), [0.0, math.inf]), "b must be finite", id="dense-b-inf"),
             pytest.param(lambda: CompositeProblem(DiagonalQuadratic([1.0, 2.0]), Zero(3)),
                          "f and h dimensions disagree", id="composite-dims"),
             pytest.param(lambda: random_instance(ClassParams(1.0, 2.0), 0, 0), "dim must be >= 1",

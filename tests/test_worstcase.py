@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -337,6 +338,7 @@ class TestErrorPaths:
                          "target must be one of", id="mixed-target"),
             pytest.param(lambda: unbounded_family(0.1, x0=-1.0), re.escape("x0 must be feasible (x0 >= 0)"),
                          id="unbounded-negative-x0"),
+            pytest.param(lambda: unbounded_family(math.inf), "c = inf gives the initial gap inf", id="unbounded-c-inf"),
         ],
     )
     def test_raises(self, build, message):
