@@ -286,7 +286,12 @@ def _rel_gap(predicted: float, attained: float) -> float:
 
 
 def _measured(spec):
-    """Run spec; per predicted (init, final) cell, measure `final` at N over measure `init` at 0."""
+    """Run spec; per predicted (init, final) cell, measure `final` at N over measure `init` at 0.
+
+    A spec that predicts nothing is not run: `tight` refuses it, with nothing to compare.
+    """
+    if not spec.predicted:
+        return
     trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
     for (init, final), predicted in spec.predicted.items():
         yield _cell_name((init, final)), predicted, trace.measure(final, spec.N) / trace.measure(init, 0)
@@ -298,9 +303,6 @@ def _tight_qlb(args, params: ClassParams):
 
 
 def _tight_mixed(args, params: ClassParams):
-    gamma = _parse_gamma(args.gamma, params) if args.gamma else 1.0 / params.L
-    if not math.isclose(gamma, 1.0 / params.L, rel_tol=1e-12):
-        raise ValueError("mixed-measure instances are tuned for gamma = 1/L")
     for target in (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL):
         spec = mixed_measure_instance(params, args.N, args.x0, target)
         trace = run(spec.problem, spec.gamma, spec.x0, spec.N, s0=spec.s0)
@@ -323,7 +325,7 @@ _TIGHT = {"qlb": _tight_qlb, "mixed": _tight_mixed, "els": _tight_els, "unbounde
 # the options of `tight` that only some generators read, with their defaults, and who reads which;
 # --mu, --L and --N are read by all
 _TIGHT_DEFAULTS = {"gamma": None, "dim": 2, "x0": 1.0, "c": 0.1}
-_TIGHT_READS = {"qlb": ("gamma", "dim"), "mixed": ("gamma", "x0"), "els": (), "unbounded": ("x0", "c")}
+_TIGHT_READS = {"qlb": ("gamma", "dim"), "mixed": ("x0",), "els": (), "unbounded": ("x0", "c")}
 
 
 def _cmd_tight(args):
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tight.add_argument("generator", choices=tuple(_TIGHT))
     p_tight.add_argument("--mu", type=float, default=1.0)
     p_tight.add_argument("--L", type=float, default=2.0)
-    p_tight.add_argument("--gamma", default=None, help='decimal step size or "opt" (qlb, mixed)')
+    p_tight.add_argument("--gamma", default=None, help='decimal step size or "opt" (qlb; mixed runs at 1/L)')
     p_tight.add_argument("--N", type=int, default=5)
     p_tight.add_argument("--x0", type=float, default=None, help="start (mixed, unbounded; default 1.0)")
     p_tight.add_argument("--c", type=float, default=None, help="slope of the unbounded family (default 0.1)")

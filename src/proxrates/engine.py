@@ -31,7 +31,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .prox import Zero
-from .rates import MeasureKind
+from .rates import _REL_TOL, MeasureKind
 from .smooth import CompositeProblem, SmoothFunction, diagonal_form
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "residual_line_search_step",
 ]
 
-_MEMBERSHIP_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 _FLOOR_FACTOR = 256.0
 _BLOCK = 1 << 16  # floats per row buffer of the PGM loop, and per temporary of its reductions
@@ -256,10 +255,12 @@ def _finite(x, name: str) -> np.ndarray:
     return x
 
 
-def _initial_subgradient(problem: CompositeProblem, x0, s0):
+def _initial_subgradient(problem: CompositeProblem, x0, s0, step_size):
     if s0 is not None:
         s0 = _finite(s0, "s0")
-        if not problem.h.subgradient_membership(x0, s0, _MEMBERSHIP_TOL):
+        g = problem.f.grad(x0)
+        tol = 4 * _EPS * (np.abs(x0) / step_size(x0, g) + np.abs(g) + np.abs(s0))
+        if not problem.h.subgradient_membership(x0, s0, tol):
             raise ValueError("supplied s0 is not a subgradient of h at x0")
         return s0
     try:
@@ -268,6 +269,7 @@ def _initial_subgradient(problem: CompositeProblem, x0, s0):
         return None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(
     problem: CompositeProblem, x0, N: int, s0, step_size, method: str, outside_theory: bool, nb: int = 0
 ) -> IterateTrace:
@@ -280,7 +282,9 @@ def _iterate(
     per-iterate columns (_row_sums) before the next step overwrites it. A run
     of more than one block keeps its arguments, to rebuild its rows in one
     block (nb = N + 1) when they are read. The first non-finite F(x_k) (a run
-    that diverges, outside the theory) raises a ValueError naming k.
+    that diverges, outside the theory) raises a ValueError naming k, and so
+    does a distance, gap or residual that is defined but leaves the float
+    range; the error replaces numpy's warnings, which are silenced.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -289,7 +293,7 @@ def _iterate(
         raise ValueError("infeasible start: F(x0) = +inf")
     optimum = problem.try_optimum()
     s0_given = s0 is not None
-    s0 = _initial_subgradient(problem, x0, s0)
+    s0 = _initial_subgradient(problem, x0, s0, step_size)
     nb = nb or min(N + 1, max(1, _BLOCK // max(x0.size, 1)))
     buffer = np.empty((3, nb, *x0.shape))
     X, G, S = buffer
@@ -317,7 +321,14 @@ def _iterate(
         rows = None
         s0_arg = s0.copy() if s0_given else None
         rerun = partial(_iterate, problem, x0.copy(), N, s0_arg, step_size, method, outside_theory, N + 1)
-    return IterateTrace(problem, F, sums, optimum, gammas, method, outside_theory, rows, rerun)
+    trace = IterateTrace(problem, F, sums, optimum, gammas, method, outside_theory, rows, rerun)
+    for kind, values in trace.measures.items():
+        if optimum or kind is MeasureKind.RESIDUAL_GRAD_SQ:  # else undefined throughout
+            start = int(kind is MeasureKind.RESIDUAL_GRAD_SQ and s0 is None)  # undefined at x0 without s0
+            bad = np.flatnonzero(~np.isfinite(values[start:]))
+            if bad.size:
+                raise ValueError(f"{kind.value} is not finite at k = {bad[0] + start}: it leaves the float range")
+    return trace
 
 
 def run(
@@ -331,15 +342,20 @@ def run(
 
     x0 must be finite and feasible (F(x0) finite), and gamma finite. Record 0
     carries s0 (finite) when supplied, the canonical subgradient of h at x0
-    otherwise. A supplied s0 must be a subgradient of h at the exact x0, up to
-    1e-9 (_MEMBERSHIP_TOL) per coordinate of s0. Steps with gamma > 2/L are
-    allowed for exploration but mark the trace as outside the theory.
+    otherwise. A supplied s0 must be a subgradient of h at the exact x0 up to
+    the rounding of a prox step of step gamma that lands on x0: forming
+    s0 = (x - x0)/gamma - g with x0 = prox(x - gamma g) takes seven roundings
+    (gamma g, x - gamma g, two in a catalog prox, x - x0, / gamma, - g), each
+    of eps/2 times at most S = |x0|/gamma + |g| + |s0| in units of s: 3.5 eps S
+    to first order, so 4 eps S per coordinate, with g = grad f(x0). Steps
+    with gamma > 2/L are allowed for exploration but mark the trace as
+    outside the theory.
     """
     if N >= 0 and not gamma > 0:  # a negative N is reported first, by _iterate
         raise ValueError("run requires gamma > 0")
     if N >= 0 and math.isinf(gamma):
         raise ValueError("run requires a finite gamma")
-    outside = gamma > 2.0 / problem.params.L * (1 + 1e-12)
+    outside = gamma > 2.0 / problem.params.L * (1 + _REL_TOL)
     return _iterate(problem, x0, N, s0, lambda x, grad: gamma, "fixed", outside)
 
 

@@ -26,6 +26,8 @@ __all__ = [
     "classical_nontight_bound",
 ]
 
+# The theory's one deliberate slack: a float step within this relative distance
+# of 1/L or of 2/L is read as that step.
 _REL_TOL = 1e-12
 
 

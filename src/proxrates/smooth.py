@@ -35,8 +35,6 @@ __all__ = [
     "relaxed_distance_condition",
 ]
 
-_SPECTRUM_TOL = 1e-9
-
 
 class SmoothFunction:
     """Base for quadratic members of F_{mu,L}: value, gradient, Hessian product."""
@@ -59,6 +57,12 @@ class SmoothFunction:
 
     _check_point = ProxFunction._check_point
 
+    def _set_class(self, lo: float, hi: float, params: ClassParams | None, message: str, slack: float = 0.0):
+        """params, or [lo, hi] if None; ValueError(message) unless curvatures [lo, hi], to within slack, lie in it."""
+        self.params = params if params is not None else ClassParams(lo, max(hi, 1e-300))
+        if lo < self.params.mu - slack or hi > self.params.L + slack:
+            raise ValueError(message)
+
 
 class ScaledSqNorm(SmoothFunction):
     """f(x) = (a/2)||x||^2 with curvature a inside the declared class [mu, L]."""
@@ -66,9 +70,7 @@ class ScaledSqNorm(SmoothFunction):
     def __init__(self, a: float, dim: int, params: ClassParams | None = None):
         self.a = float(a)
         self.dim = int(dim)
-        self.params = params if params is not None else ClassParams(self.a, self.a)
-        if not (self.params.mu - _SPECTRUM_TOL <= self.a <= self.params.L + _SPECTRUM_TOL):
-            raise ValueError("curvature must lie within the declared [mu, L]")
+        self._set_class(self.a, self.a, params, "curvature must lie within the declared [mu, L]")
 
     def value(self, x) -> float:
         x = self._check_point(x)
@@ -96,11 +98,8 @@ class DiagonalQuadratic(SmoothFunction):
             raise ValueError("b must match the dimension of d")
         if not np.isfinite(self.b).all():
             raise ValueError("b must be finite")
-        if params is None:
-            params = ClassParams(float(self.d.min()), float(max(self.d.max(), 1e-300)))
-        self.params = params
-        if np.any(self.d < params.mu - _SPECTRUM_TOL) or np.any(self.d > params.L + _SPECTRUM_TOL):
-            raise ValueError("diagonal entries must lie within the declared [mu, L]")
+        self._set_class(float(self.d.min()), float(self.d.max()), params,
+                        "diagonal entries must lie within the declared [mu, L]")
 
     def value(self, x) -> float:
         x = self._check_point(x)
@@ -123,7 +122,7 @@ class DenseQuadratic(SmoothFunction):
             raise ValueError("A must be a square matrix")
         if not np.isfinite(self.A).all():
             raise ValueError("A must be finite")
-        if not np.allclose(self.A, self.A.T, atol=1e-12):
+        if not np.array_equal(self.A, self.A.T):  # else grad, A x + b, is not the derivative of value
             raise ValueError("A must be symmetric")
         self.dim = self.A.shape[0]
         self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
@@ -132,11 +131,9 @@ class DenseQuadratic(SmoothFunction):
         if not np.isfinite(self.b).all():
             raise ValueError("b must be finite")
         eigs = np.linalg.eigvalsh(self.A)
-        if params is None:
-            params = ClassParams(float(eigs.min()), float(max(eigs.max(), 1e-300)))
-        self.params = params
-        if eigs.min() < params.mu - _SPECTRUM_TOL or eigs.max() > params.L + _SPECTRUM_TOL:
-            raise ValueError("spectrum must lie within the declared [mu, L]")
+        slack = 4 * self.dim * float(np.finfo(float).eps) * float(np.abs(eigs).max())  # eigvalsh's backward error
+        self._set_class(float(eigs.min()), float(eigs.max()), params,
+                        "spectrum must lie within the declared [mu, L]", slack)
 
     def value(self, x) -> float:
         x = self._check_point(x)

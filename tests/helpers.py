@@ -5,10 +5,11 @@ library code it checks: brute-force one-dimensional minimization for prox
 maps, exact one-sided difference quotients for subdifferentials, a grid
 search of the exact line search through the public prox and objective, a
 scalar per-coordinate loop for the closed-form optimum, direct
-recurrence iteration (in floats and in exact rationals) for the constrained
-quadratic family with the rational step-1/L cells it attains, the long
-hand-expanded coefficient display for the distance certificate, an exact
-Gram-basis evaluator of certificate expressions, an eager
+recurrence iteration in floats for the constrained quadratic family, a
+fixed-step PGM in exact rationals for one-dimensional quadratics with h = 0
+or the orthant, the rational step-1/L cells the constrained family
+attains, the long hand-expanded coefficient display for the distance
+certificate, an exact Gram-basis evaluator of certificate expressions, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
 and the certificate report with its residual always expanded. The CLI's
@@ -235,18 +236,19 @@ def iterate_recurrence(mu: float, L: float, c: float, x0: float, N: int) -> list
     return xs
 
 
-def orthant_run_exact(mu: Fraction, L: Fraction, c: Fraction, x0: Fraction, N: int):
-    """PGM at step 1/L on min_{x>=0} (mu/2) x^2 + c x, in exact rationals.
+def pgm_exact(d: Fraction, b: Fraction, x0: Fraction, gamma: Fraction, N: int, orthant: bool):
+    """Fixed-step PGM on f(x) = (d/2) x^2 + b x in one dimension, in exact rationals.
 
-    Returns the iterates x_0..x_N and the prox subgradients s_1..s_N (s_0 = 0)
-    of x_{k+1} = max(0, (1 - mu/L) x_k - c/L), s_{k+1} = L (y_k - x_{k+1}),
-    where y_k is the unprojected point.
+    h is the indicator of x >= 0 when `orthant`, else 0. Returns the iterates
+    x_0..x_N and the prox subgradients s_0..s_N (s_0 = 0) of
+    y_k = x_k - gamma (d x_k + b), x_{k+1} = max(0, y_k) (or y_k) and
+    s_{k+1} = (y_k - x_{k+1}) / gamma. Shares no code with `engine`.
     """
     xs, ss = [x0], [Fraction(0)]
     for _ in range(N):
-        y = (1 - mu / L) * xs[-1] - c / L
-        xs.append(max(Fraction(0), y))
-        ss.append(L * (y - xs[-1]))
+        y = xs[-1] - gamma * (d * xs[-1] + b)
+        xs.append(max(Fraction(0), y) if orthant else y)
+        ss.append((y - xs[-1]) / gamma)
     return xs, ss
 
 

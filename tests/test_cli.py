@@ -702,6 +702,7 @@ class TestPipeline:
             (["tight", "unbounded", "--mu", "1", "--dim", "3"], "--dim"),
             (["tight", "mixed", "--dim", "7"], "--dim"),
             (["tight", "mixed", "--c", "0.2"], "--c"),
+            (["tight", "mixed", "--gamma", "0.5", "--L", "2"], "--gamma"),  # mixed runs at 1/L only
             (["tight", "qlb", "--x0", "-4", "--c", "-1"], "--x0, --c"),
             (["tight", "qlb", "--x0", "2"], "--x0"),
         ],
@@ -773,8 +774,29 @@ class TestEntryPoint:
         assert (done.stdout == b"") == (status == 2)
 
     def test_diverging_run_past_the_envelope_exits_2(self, tmp_path):
-        # the unconstrained run's objective overflows at k = 256 (a numpy warning on stderr); the run stops there
+        # the unconstrained run's objective overflows at k = 256; the run stops there
         out = tmp_path / "out.json"
         done = self._module(["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--out", str(out)])
         assert done.returncode == 2 and not out.exists()
         assert b"error: F(x_k) is not finite at k = 256" in done.stderr and b"Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            # predicts nothing at x0 = 0, so nothing is run (its residual would overflow)
+            pytest.param(["tight", "unbounded", "--c", "1e300", "--x0", "0"],
+                         "tight unbounded predicts no value at these inputs: there is nothing to compare",
+                         id="tight-predicts-nothing"),
+            pytest.param(["simulate", "--mu", "1", "--L", "1e300", "--gamma", "opt", "--N", "5", "--dim", "3",
+                          "--h", "l1"],
+                         "residual_grad_sq is not finite at k = 0: it leaves the float range", id="residual-overflows"),
+            pytest.param(["simulate", "--mu", "0", "--L", "1e-300", "--gamma", "opt", "--N", "5", "--dim", "3"],
+                         "F(x_k) is not finite at k = 1: the iterates diverge", id="objective-overflows"),
+        ],
+    )
+    def test_run_past_the_float_range_writes_one_error_line(self, tmp_path, argv, error):
+        # no numpy warning reaches stderr: the usage error is the one line there
+        out = tmp_path / "out.json"
+        done = self._module([*argv, "--out", str(out)])
+        assert done.returncode == 2 and not out.exists()
+        assert done.stderr.decode() == f"error: {error}\n"

@@ -151,6 +151,27 @@ class TestRun:
             run(problem, 0.1, [1e-12], 1, s0=[0.0])
         assert len(run(problem, 0.1, [1e-12], 1, s0=[0.5])) == 2
 
+    def test_prox_residual_s0_accepted_at_any_scale(self):
+        # s = (y - p)/gamma carries a rounding of about eps |y| / gamma: an absolute 1e-9 refuses half of these
+        h = LinearPlusNonnegIndicator([0.5])
+        problem = CompositeProblem(DiagonalQuadratic([1.0], None, ClassParams(1.0, 2.0)), h)
+        rng = np.random.default_rng(0)
+        for y, gamma in zip(rng.uniform(1e6, 1e8, 1000), rng.uniform(0.01, 3.0, 1000)):
+            p = h.prox(gamma, [y])
+            assert len(run(problem, gamma, p, 1, s0=(y - p) / gamma)) == 2
+
+    @pytest.mark.parametrize(
+        "h,x0,gamma,s0",
+        [
+            (Zero(1), [1.0], 0.1, [1e-12]),  # the tolerance is 4 eps (10 + 1), about 1e-14
+            (LinearPlusNonnegIndicator([0.5]), [1e8], 0.01, [0.5 + 1e-3]),  # about 9e-6 at this scale
+        ],
+    )
+    def test_s0_beyond_one_prox_rounding_rejected(self, h, x0, gamma, s0):
+        problem = CompositeProblem(DiagonalQuadratic([1.0], None, ClassParams(1.0, 2.0)), h)
+        with pytest.raises(ValueError, match="supplied s0 is not a subgradient"):
+            run(problem, gamma, x0, 1, s0=s0)
+
     def test_outside_theory_flag(self):
         params = ClassParams(1.0, 2.0)
         problem = isotropic_problem(1.0, 2, params)
@@ -583,6 +604,20 @@ class TestNonFiniteInputs:
                 pgm_step(problem, 0.1, bad)
             with pytest.raises(ValueError, match="x_k must be finite"):
                 residual_line_search_step(problem.f, bad)
+
+    @pytest.mark.parametrize(
+        "measure,a,gamma,x0,optimum",
+        [
+            # F(x0) is finite each time, and numpy's overflow warning would be an error here
+            ("residual_grad_sq", 1e300, 1e-300, 1.0, (0.0, 0.0)),  # the gradient 1e300, squared
+            ("dist_sq", 1.0, 0.5, -1e154, (1e154, 0.0)),
+            ("func_gap", 1.0, 0.5, 1.3e154, (0.0, -1e308)),
+        ],
+    )
+    def test_measure_past_the_float_range_rejected(self, measure, a, gamma, x0, optimum):
+        problem = CompositeProblem(ScaledSqNorm(a, 1), Zero(1), known_optimum=([optimum[0]], optimum[1]))
+        with pytest.raises(ValueError, match=f"^{measure} is not finite at k = 0: it leaves the float range$"):
+            run(problem, gamma, [x0], 2)
 
     def test_non_finite_s0_rejected(self):
         # -inf lies in the normal cone of the orthant at the boundary

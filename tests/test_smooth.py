@@ -56,6 +56,17 @@ class TestOracles:
             rhs = f.value(x) + t * float(f.grad(x) @ v) + 0.5 * t * t * float(v @ f.hess_vec(v))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("mu,L", [(1.0, 2.0), (1e6, 1e8), (1e-8, 1e-6)])
+    def test_dense_spectrum_checked_up_to_eigvalsh_rounding(self, mu, L):
+        # a rotated diag(mu, ..., L) at any scale: eigvalsh returns its ends only up to rounding
+        for seed in range(6):
+            Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(6, 6)))
+            A = Q @ np.diag(np.linspace(mu, L, 6)) @ Q.T
+            A = (A + A.T) / 2  # exactly symmetric: a_ij + a_ji is a_ji + a_ij
+            assert DenseQuadratic(A, None, ClassParams(mu, L)).params == ClassParams(mu, L)
+            with pytest.raises(ValueError, match="spectrum must lie within"):
+                DenseQuadratic(A * (1 + 1e-9), None, ClassParams(mu, L))
+
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
             DiagonalQuadratic([0.5, 3.0], None, ClassParams(1, 2))
@@ -386,6 +397,14 @@ class TestErrorPaths:
             pytest.param(lambda: DenseQuadratic([1.0, 2.0]), "A must be a square matrix", id="dense-1d"),
             pytest.param(lambda: DenseQuadratic(np.ones((2, 3))), "A must be a square matrix", id="dense-shape"),
             pytest.param(lambda: DenseQuadratic([[1.0, 1.0], [0.0, 1.0]]), "A must be symmetric", id="dense-sym"),
+            # grad (A x + b) of an A 5e-6 off symmetric is not the derivative of value
+            pytest.param(lambda: DenseQuadratic([[2.0, 1.0 + 5e-6], [1.0, 2.0]]), "A must be symmetric",
+                         id="dense-sym-5e-6"),
+            # curvatures are inputs, so nothing rounds: 500 L, or one ulp above L, is outside [mu, L]
+            pytest.param(lambda: DiagonalQuadratic([5e-10], None, ClassParams(0.0, 1e-12)),
+                         "diagonal entries must lie within", id="diag-class-tiny-L"),
+            pytest.param(lambda: ScaledSqNorm(0.1 + 0.2, 2, ClassParams(0.1, 0.3)),
+                         "curvature must lie within", id="isotropic-class-one-ulp"),
             pytest.param(lambda: DenseQuadratic(np.eye(2), [0.0]), "b must match the dimension of A",
                          id="dense-b"),
             pytest.param(lambda: DenseQuadratic(np.eye(2) * 3.0, None, ClassParams(1.0, 2.0)),

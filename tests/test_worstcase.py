@@ -9,6 +9,9 @@ import pytest
 from proxrates import (
     ClassParams,
     MeasureKind,
+    NonnegIndicator,
+    ScaledSqNorm,
+    Zero,
     mixed_measure_instance,
     bound_lookup,
     check_interpolation,
@@ -26,10 +29,11 @@ from proxrates.worstcase import (
     FUNCGAP_TO_RESIDUAL,
 )
 
-from helpers import iterate_recurrence, mixed_slope_exact, orthant_run_exact, step_1_over_L_cell_exact
+from helpers import iterate_recurrence, mixed_slope_exact, pgm_exact, step_1_over_L_cell_exact
 
 M = MeasureKind
 MIXED = (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL)
+EPS = Fraction(float(np.finfo(float).eps))
 
 
 class TestQuadraticLowerBound:
@@ -195,7 +199,7 @@ class TestMixedMeasureExact:
             for init, final in MIXED:
                 where = (mu, L, x0, N, init.value, final.value)
                 c = mixed_slope_exact(final, mu, L, x0, N)
-                xs, ss = orthant_run_exact(mu, L, c, x0, N)
+                xs, ss = pgm_exact(mu, c, x0, 1 / L, N, orthant=True)
                 for k, x in enumerate(xs):
                     # the unprojected closed form: the projection never clips before N
                     closed = (c * q**k - c + mu * q**k * x0) / mu
@@ -237,6 +241,80 @@ class TestMixedMeasureExact:
                 c = mixed_measure_instance(ClassParams(mu, L), N, 1.0, target).problem.f.b[0]
                 exact = mixed_slope_exact(target[1], Fraction(mu), Fraction(L), Fraction(1), N)
                 assert abs(Fraction(float(c)) - exact) <= Fraction(1e-14) * exact, (N, target)
+
+
+class TestClosedFormsExact:
+    """Two generators run in Q on the exact values of their float data, at their own float step.
+
+    The exact run follows the documented closed form at every k, and the float
+    closed form and predictions agree with it to within their rounding, whose
+    bound each test derives with u = eps/2 per operation.
+    """
+
+    def test_quadratic_lower_bound(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            L = Fraction(rng.randint(1, 20), rng.randint(1, 5))
+            mu = L * Fraction(rng.randint(1, 50), 100)
+            gamma = 2 / L * Fraction(rng.randint(1, 100), 100)
+            N, dim = rng.randint(1, 12), rng.randint(1, 3)
+            spec = quadratic_lower_bound(ClassParams(float(mu), float(L)), float(gamma), dim, N)
+            where = (mu, L, gamma, N, dim)
+            assert isinstance(spec.problem.f, ScaledSqNorm) and isinstance(spec.problem.h, Zero), where
+            a, g = Fraction(spec.problem.f.a), Fraction(spec.gamma)
+            q = 1 - g * a
+            # the float q = 1 - gamma a is off by at most u (g a + |q|), a relative u cond; a k-th power
+            # multiplies that by k, and pow adds one rounding
+            cond = 1 + g * a / abs(q)
+            runs = [pgm_exact(a, Fraction(0), Fraction(x0), g, N, orthant=False) for x0 in spec.x0]
+            for k in range(N + 1):
+                for i, (xs, ss) in enumerate(runs):
+                    assert xs[k] == q**k * xs[0] and ss[k] == 0, (where, k)  # (1 - gamma a)^k x0
+                    closed = Fraction(spec.closed_form_iterates(k)[i])
+                    assert abs(closed - xs[k]) <= (k + 2) * cond * EPS * abs(xs[k]), (where, k)
+            measures = {  # x* = 0 and F* = 0; the residual is (f'(x) + s)^2
+                M.DISTANCE_SQ: lambda k: sum(xs[k] ** 2 for xs, _ in runs),
+                M.FUNC_GAP: lambda k: sum(a * xs[k] ** 2 / 2 for xs, _ in runs),
+                M.RESIDUAL_GRAD_SQ: lambda k: sum((a * xs[k] + ss[k]) ** 2 for xs, ss in runs),
+            }
+            assert set(spec.predicted) == {(m, m) for m in M}, where
+            for (m, _), predicted in spec.predicted.items():
+                exact = measures[m](N) / measures[m](0)
+                assert exact == q ** (2 * N), (where, m)  # rho^(2N)
+                # rho^2 doubles the relative error of rho and ** N multiplies it by N
+                assert abs(Fraction(predicted) - exact) <= (2 * N + 2) * cond * EPS * exact, (where, m)
+
+    def test_unbounded_family(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            L = Fraction(rng.randint(1, 20), rng.randint(1, 5))
+            c = Fraction(rng.randint(1, 100), rng.randint(1, 100))
+            x0 = Fraction(rng.randint(1, 300), rng.randint(1, 100))
+            N = rng.randint(1, 12)
+            spec = unbounded_family(float(c), x0=float(x0), N=N, L=float(L))
+            where = (c, x0, N, L)
+            f = spec.problem.f
+            assert isinstance(spec.problem.h, NonnegIndicator) and list(f.d) == [0.0], where
+            c, x0, g, L = Fraction(f.b[0]), Fraction(spec.x0[0]), Fraction(spec.gamma), Fraction(float(L))
+            xs, ss = pgm_exact(Fraction(0), c, x0, g, N, orthant=True)
+            for k, x in enumerate(xs):
+                assert x == max(0, x0 - k * c * g), (where, k)  # max(0, x0 - k c / L) at the step 1/L
+                # x0 - k*c/L: k c, / L and the step's own 1/L are three roundings of k c/L, the difference one
+                closed = Fraction(spec.closed_form_iterates(k)[0])
+                assert abs(closed - x) <= 2 * EPS * (x0 + k * c / L), (where, k)
+            # x* = 0 and F* = 0: dist = x^2, gap = c x, residual = (c + s)^2 with s_0 = 0
+            exact = {
+                (M.FUNC_GAP, M.DISTANCE_SQ): lambda xN: xN**2 / (c * x0),
+                (M.RESIDUAL_GRAD_SQ, M.DISTANCE_SQ): lambda xN: xN**2 / (c + ss[0]) ** 2,
+                (M.RESIDUAL_GRAD_SQ, M.FUNC_GAP): lambda xN: c * xN / (c + ss[0]) ** 2,
+            }
+            assert set(spec.predicted) == set(exact), where
+            # each prediction increases with x_N, which the float computes to within E as above,
+            # then takes at most three roundings
+            E = 2 * EPS * (x0 + N * c / L)
+            for cell, predicted in spec.predicted.items():
+                lo, hi = exact[cell](max(0, xs[N] - E)), exact[cell](xs[N] + E)
+                assert lo * (1 - 4 * EPS) <= Fraction(predicted) <= hi * (1 + 4 * EPS), (where, cell)
 
 
 class TestUnboundedFamily:
