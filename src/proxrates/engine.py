@@ -12,13 +12,16 @@ undefined (see IterateTrace). The residual measure at an iterate always uses
 that iterate's own gradient and subgradient, which distinguishes it from the
 gradient mapping (x_k - x_{k+1}) / gamma.
 
-A trace's memory is O(dim) for any number of steps. The loop writes the
-rows of iterates, gradients and subgradients into a buffer of about _BLOCK
-floats and reduces each full block into per-iterate columns: the measures
-and the squared norms the noise floors need. A run that fits in one block
-keeps its rows; a longer one rebuilds them, by running the loop again, the
-first time they are read, and raises RuntimeError if the problem was changed
-in place since the run.
+A trace's memory is O(dim) for any number of steps. Each step of the loop
+does only what the next iterate needs: grad f(x_k), the step size, the prox
+step written into the next row of a buffer of about _BLOCK floats, and s_{k+1}
+formed in place in its row. Each full block of rows is then reduced at once
+into per-iterate columns: the composite values F (one row-wise evaluation of
+the problem per block, with its finiteness check), the measures and the
+squared norms the noise floors need. A run that fits in one block keeps its
+rows; a longer one rebuilds them, by running the loop again, the first time
+they are read, and raises RuntimeError if the problem was changed in place
+since the run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .prox import Zero
+from .prox import Zero, _row_dot
 from .rates import _REL_TOL, MeasureKind
 from .smooth import CompositeProblem, SmoothFunction, diagonal_form
 
@@ -88,12 +91,14 @@ class IterateTrace:
     them. `records` lists the rows as IterateRecords, built on each access.
 
     A trace holds O(dim) memory for any N: the measures, F and the squared
-    row norms the floors need are per-iterate columns, filled block by block
-    inside the loop (see _iterate). A run that fits in one block keeps its
-    rows as X, G and S. A longer run keeps only its arguments, and the first
-    read of X, G, S or `records` runs the loop again in one block; if the
-    values of F it gets differ from the stored ones (the problem was changed
-    in place since the run), the read raises RuntimeError.
+    row norms the floors need are per-iterate columns. Each step of the loop
+    writes only the rows of X, G and S; the columns are filled once per block
+    of rows, F by one row-wise evaluation of the problem (see _iterate). A
+    run that fits in one block keeps its rows as X, G and S. A longer run
+    keeps only its arguments, and the first read of X, G, S or `records` runs
+    the loop again in one block; if the values of F it gets differ from the
+    stored ones (the problem was changed in place since the run), the read
+    raises RuntimeError.
     """
 
     def __init__(
@@ -201,11 +206,6 @@ def _noise_floors(rr, xx, gg, ss, F, optimum) -> dict[MeasureKind, np.ndarray]:
     }
 
 
-def _row_dots(A: np.ndarray) -> np.ndarray:
-    """x @ x for each row x of A, by the same BLAS dot as a single vector."""
-    return (A[:, None, :] @ A[:, :, None]).reshape(len(A))
-
-
 def _row_sums(X, G, S, optimum, out) -> None:
     """Reduce a block of rows into `out`: the distance and residual measures, |x|^2, |g|^2 and |s|^2.
 
@@ -213,8 +213,9 @@ def _row_sums(X, G, S, optimum, out) -> None:
     its block.
     """
     out[0] = np.sum((X - optimum[0]) ** 2, axis=1) if optimum else np.nan
-    out[1] = _row_dots(G + S)
-    out[2], out[3], out[4] = _row_dots(X), _row_dots(G), _row_dots(S)
+    residual = G + S
+    out[1] = _row_dot(residual, residual)
+    out[2], out[3], out[4] = _row_dot(X, X), _row_dot(G, G), _row_dot(S, S)
 
 
 def _ratios(values: np.ndarray, floors: np.ndarray) -> list[float | None]:
@@ -237,14 +238,17 @@ def pgm_step(
         raise ValueError("pgm_step requires gamma > 0")
     if math.isinf(gamma):
         raise ValueError("pgm_step requires a finite gamma")
-    return _pgm_step(problem, gamma, x_k, grad_k)
-
-
-def _pgm_step(problem: CompositeProblem, gamma: float, x_k: np.ndarray, grad_k=None):
-    """pgm_step unchecked, for the loop: its x_k is finite, and every catalog prox checks gamma."""
     grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
     x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
-    return x_next, (x_k - x_next) / gamma - grad_k
+    return x_next, _subgradient_into(np.empty(x_next.shape), x_k, x_next, gamma, grad_k)
+
+
+def _subgradient_into(out: np.ndarray, x_k, x_next, gamma: float, grad_k) -> np.ndarray:
+    """s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k), written into out with no temporary; returns out."""
+    np.subtract(x_k, x_next, out=out)
+    out /= gamma
+    out -= grad_k
+    return out
 
 
 def _finite(x, name: str) -> np.ndarray:
@@ -253,6 +257,30 @@ def _finite(x, name: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x
+
+
+def _feasible_start(problem: CompositeProblem, x, name: str) -> np.ndarray:
+    """x as a finite point in the domain of h; ValueError naming it and the failed check otherwise."""
+    x = problem.h._check_point(_finite(x, name))
+    if problem.h._outside(x[None])[0]:
+        raise ValueError(f"infeasible start: {name} is outside the domain of h")
+    return x
+
+
+def _objective(problem: CompositeProblem, X: np.ndarray, out: np.ndarray, k0: int) -> ValueError | None:
+    """Write F at the rows of X, iterates k0, k0 + 1, ..., into out; the error naming the first non-finite one, if any.
+
+    x_0 is finite and in the domain of h, so a non-finite F(x_0) is a value
+    beyond the float range; a later one is a run that diverges.
+    """
+    out[:] = problem._values(X)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if not bad.size:
+        return None
+    k = k0 + int(bad[0])
+    if k == 0:
+        return ValueError("F(x0) is not finite: the start is beyond the float range")
+    return ValueError(f"F(x_k) is not finite at k = {k}: the iterates diverge")
 
 
 def _initial_subgradient(problem: CompositeProblem, x0, s0, step_size):
@@ -275,22 +303,28 @@ def _iterate(
 ) -> IterateTrace:
     """The PGM loop: iterates 0..N and the N steps, reduced into the trace's columns.
 
-    Step k is pgm_step at the step size gamma_k = step_size(x_k, grad f(x_k))
-    that the method's rule picks. Row k of X, G and S is written to row
-    k % nb of a buffer of nb rows (by default enough for about _BLOCK floats,
-    at most N + 1), and each full block, and the last, is reduced into
-    per-iterate columns (_row_sums) before the next step overwrites it. A run
-    of more than one block keeps its arguments, to rebuild its rows in one
-    block (nb = N + 1) when they are read. The first non-finite F(x_k) (a run
-    that diverges, outside the theory) raises a ValueError naming k, and so
-    does a distance, gap or residual that is defined but leaves the float
-    range; the error replaces numpy's warnings, which are silenced.
+    Row k of X, G and S is written to row k % nb of a buffer of nb rows (by
+    default enough for about _BLOCK floats, at most N + 1). Per step, the loop
+    computes grad f(x_k) into G's row and the step size gamma_k =
+    step_size(x_k, grad f(x_k)) that the method's rule picks, writes
+    prox_{gamma_k h}(x_k - gamma_k grad f(x_k)) into the next row of X, and
+    forms s_{k+1} in place in S's row: pgm_step, with no temporary for s. Per
+    block (each full one, and the last), before the next step overwrites it,
+    one row-wise evaluation of the problem fills F (_objective), and
+    _row_sums the other per-iterate columns. A run of more than one block
+    keeps its arguments, to rebuild its rows in one block (nb = N + 1) when
+    they are read.
+
+    The first non-finite F(x_k) (a run that diverges, outside the theory)
+    raises a ValueError naming k at the end of its block; the steps after it
+    in that block run on inf and NaN, and an error one of them raises gives
+    way to the divergence. A distance, gap or residual that is defined but
+    leaves the float range raises a ValueError naming it and k, after the
+    loop. Each error replaces numpy's warnings, which are silenced.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    x0 = _finite(x0, "x0")
-    if math.isinf(problem.h.value(x0)):
-        raise ValueError("infeasible start: F(x0) = +inf")
+    x0 = _feasible_start(problem, x0, "x0")
     optimum = problem.try_optimum()
     s0_given = s0 is not None
     s0 = _initial_subgradient(problem, x0, s0, step_size)
@@ -300,18 +334,28 @@ def _iterate(
     F, sums = np.empty(N + 1), np.empty((5, N + 1))
     X[0] = x0
     S[0] = 0.0 if s0 is None else s0
+    grad, prox = problem.f.grad, problem.h.prox
     gammas: list[float] = []
     for k in range(N + 1):
         r = k % nb
-        G[r] = problem.f.grad(X[r])
-        F[k] = value = problem.value(X[r])
-        if not math.isfinite(value):
-            raise ValueError(f"F(x_k) is not finite at k = {k}: the iterates diverge")
+        x, g = X[r], G[r]
+        g[:] = grad(x)
         if r == nb - 1 or k == N:
+            if error := _objective(problem, X[: r + 1], F[k - r : k + 1], k - r):
+                raise error
             _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1])
         if k < N:
-            gamma = step_size(X[r], G[r])
-            X[(k + 1) % nb], S[(k + 1) % nb] = _pgm_step(problem, gamma, X[r], G[r])
+            try:  # every catalog prox checks gamma
+                gamma = step_size(x, g)
+                x_next = prox(gamma, x - gamma * g)
+            except (ValueError, LineSearchError):  # the exact step is NaN or unbounded past a divergence
+                if error := _objective(problem, X[: r + 1], F[k - r : k + 1], k - r):
+                    raise error from None
+                raise
+            n = (k + 1) % nb
+            _subgradient_into(S[n], x, x_next, gamma, g)  # before X[n] = x_next: with nb = 1, X[n] is x
+            X[n] = x_next
+            del x_next  # kept to the next step, it would add a row to the loop's peak memory
             gammas.append(gamma)
     if s0 is None:
         sums[1, 0] = np.nan
@@ -378,12 +422,14 @@ def exact_line_search_step(
     feasible. grad_k, when given, is grad f(x_k), as in pgm_step; the new
     point is pgm_step's at the returned step size.
     """
-    x_k = _finite(x_k, "x_k")
+    x_k = _feasible_start(problem, x_k, "x_k")
+    with np.errstate(over="ignore", invalid="ignore"):
+        F_k = problem.value(x_k)
+    if not math.isfinite(F_k):
+        raise ValueError("F(x_k) is not finite: the start is beyond the float range")
     g = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
-    if math.isinf(problem.h.value(x_k)):
-        raise ValueError("infeasible start: F(x_k) = +inf")
     gamma = _exact_step_size(problem, x_k, g)
-    return gamma, _pgm_step(problem, gamma, x_k, g)[0]
+    return gamma, problem.h.prox(gamma, x_k - gamma * g)
 
 
 def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) -> float:

@@ -4,6 +4,8 @@ Each member h is a closed proper convex function with an analytical prox map
 prox_{gamma*h}(x) = argmin_y gamma*h(y) + 0.5*||x - y||^2, an extended-real
 value, a canonical subgradient at every feasible point, and its prox path: the
 one statement of h's kinks, from which subdifferential membership is read.
+Each member states its value once, over a stack of rows (_values); value(x)
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -22,8 +24,20 @@ __all__ = [
 ]
 
 
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a @ b for each row a of A and row b of B (either may be one vector), by the BLAS dot of two vectors.
+
+    Each row's result is bit-identical to the 1-d product of its two rows,
+    whichever rows share the stack.
+    """
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
 class ProxFunction:
-    """Base class; subclasses implement value, prox, subgradient and prox_path; membership is derived."""
+    """Base class; subclasses implement _values, prox, subgradient and prox_path; value and membership are derived.
+
+    A subclass whose domain is not all of R^dim also states it, in _outside.
+    """
 
     dim: int
 
@@ -41,7 +55,20 @@ class ProxFunction:
         return float(gamma)
 
     def value(self, x) -> float:
+        """h(x), +inf outside the domain."""
+        return float(self._values(self._check_point(x)[None])[0])
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """h at each row of the (m, dim) stack X."""
         raise NotImplementedError
+
+    def _indicator(self, X: np.ndarray) -> np.ndarray:
+        """_values of the indicator of the domain: 0 on it, +inf off it."""
+        return np.where(self._outside(X), math.inf, 0.0)
+
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        """True at each row of the (m, dim) stack X that lies outside the domain of h."""
+        return np.zeros(len(X), dtype=bool)
 
     def prox(self, gamma: float, x) -> np.ndarray:
         raise NotImplementedError
@@ -79,7 +106,7 @@ class ProxFunction:
 
     def _require_feasible(self, x) -> np.ndarray:
         x = self._check_point(x)
-        if math.isinf(self.value(x)):
+        if self._outside(x[None])[0]:
             raise ValueError("point is outside the domain of h")
         return x
 
@@ -104,9 +131,7 @@ class Zero(ProxFunction):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        self._check_point(x)
-        return 0.0
+    _values = ProxFunction._indicator  # of R^dim
 
     def prox(self, gamma, x):
         self._check_gamma(gamma)
@@ -127,9 +152,10 @@ class NonnegIndicator(ProxFunction):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return 0.0 if np.all(x >= 0) else math.inf
+    def _outside(self, X):
+        return ~np.all(X >= 0, axis=-1)
+
+    _values = ProxFunction._indicator
 
     def prox(self, gamma, x):
         self._check_gamma(gamma)
@@ -156,9 +182,10 @@ class BoxIndicator(ProxFunction):
             raise ValueError("need lo <= hi coordinatewise, with lo < +inf, hi > -inf and neither NaN")
         self.dim = self.lo.shape[0]
 
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return 0.0 if np.all((x >= self.lo) & (x <= self.hi)) else math.inf
+    def _outside(self, X):
+        return ~np.all((X >= self.lo) & (X <= self.hi), axis=-1)
+
+    _values = ProxFunction._indicator
 
     def prox(self, gamma, x):
         self._check_gamma(gamma)
@@ -184,8 +211,8 @@ class L1Norm(ProxFunction):
         self.weight = float(weight)
         self.dim = int(dim)
 
-    def value(self, x) -> float:
-        return self.weight * float(np.sum(np.abs(self._check_point(x))))
+    def _values(self, X):
+        return self.weight * np.sum(np.abs(X), axis=-1)
 
     def prox(self, gamma, x):
         gamma = self._check_gamma(gamma)
@@ -218,9 +245,10 @@ class LinearPlusNonnegIndicator(ProxFunction):
             raise ValueError("c must be a finite 1-d array")
         self.dim = self.c.shape[0]
 
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return float(self.c @ x) if np.all(x >= 0) else math.inf
+    _outside = NonnegIndicator._outside
+
+    def _values(self, X):
+        return np.where(self._outside(X), math.inf, _row_dot(X, self.c))
 
     def prox(self, gamma, x):
         gamma = self._check_gamma(gamma)

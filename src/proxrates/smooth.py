@@ -3,7 +3,8 @@
 The smooth catalog is quadratic on purpose: every worst-case instance of the
 proximal gradient method in this library is quadratic (or quadratic plus a
 simple nonsmooth term), and quadratics keep gradients, optima and attained
-rates exact to machine precision.
+rates exact to machine precision. Each oracle, and CompositeProblem, states
+its value once, over a stack of rows (_values); value(x) is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .prox import (
     NonnegIndicator,
     ProxFunction,
     Zero,
+    _row_dot,
 )
 from .rates import ClassParams
 
@@ -43,6 +45,10 @@ class SmoothFunction:
     dim: int
 
     def value(self, x) -> float:
+        return float(self._values(self._check_point(x)[None])[0])
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """f at each row of the (m, dim) stack X."""
         raise NotImplementedError
 
     def grad(self, x) -> np.ndarray:
@@ -72,9 +78,8 @@ class ScaledSqNorm(SmoothFunction):
         self.dim = int(dim)
         self._set_class(self.a, self.a, params, "curvature must lie within the declared [mu, L]")
 
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return 0.5 * self.a * float(x @ x)
+    def _values(self, X):
+        return 0.5 * self.a * _row_dot(X, X)
 
     def grad(self, x) -> np.ndarray:
         return self.a * self._check_point(x)
@@ -101,9 +106,8 @@ class DiagonalQuadratic(SmoothFunction):
         self._set_class(float(self.d.min()), float(self.d.max()), params,
                         "diagonal entries must lie within the declared [mu, L]")
 
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return 0.5 * float(self.d @ (x * x)) + float(self.b @ x)
+    def _values(self, X):
+        return 0.5 * _row_dot(X * X, self.d) + _row_dot(X, self.b)
 
     def grad(self, x) -> np.ndarray:
         x = self._check_point(x)
@@ -135,9 +139,9 @@ class DenseQuadratic(SmoothFunction):
         self._set_class(float(eigs.min()), float(eigs.max()), params,
                         "spectrum must lie within the declared [mu, L]", slack)
 
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
+    def _values(self, X):
+        # A @ x row by row, each the matrix-vector product of one x (X @ A.T would round differently)
+        return 0.5 * _row_dot(X, (self.A @ X[..., None])[..., 0]) + _row_dot(X, self.b)
 
     def grad(self, x) -> np.ndarray:
         x = self._check_point(x)
@@ -193,7 +197,11 @@ class CompositeProblem:
         return self.f.dim
 
     def value(self, x) -> float:
-        return self.f.value(x) + self.h.value(x)
+        return float(self._values(self.f._check_point(x)[None])[0])
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """F = f + h at each row of the (m, dim) stack X."""
+        return self.f._values(X) + self.h._values(X)
 
     def optimum(self) -> tuple[np.ndarray, float]:
         """Minimizer and optimal value, solved in closed form for catalog members."""

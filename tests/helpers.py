@@ -12,7 +12,8 @@ attains, the long hand-expanded coefficient display for the distance
 certificate, an exact Gram-basis evaluator of certificate expressions, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
-and the certificate report with its residual always expanded. The CLI's
+the certificate report with its residual always expanded, and each catalog
+value by its own formula at one point. The CLI's
 documents are checked against the standard library's encoders:
 `json.dumps(indent=2)` for JSON and `csv.DictWriter` for CSV.
 
@@ -43,7 +44,9 @@ from proxrates.certificate import (
     interp_smooth,
 )
 from proxrates.engine import IterateRecord
+from proxrates.prox import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
 from proxrates.rates import MeasureKind
+from proxrates.smooth import CompositeProblem, DenseQuadratic, DiagonalQuadratic, ScaledSqNorm
 
 _FLOOR = 256.0 * float(np.finfo(float).eps)
 
@@ -389,9 +392,37 @@ def ratfunc_oracle(num, den) -> tuple[tuple, tuple]:
     return tuple(v / den[-1] for v in num), tuple(v / den[-1] for v in den)
 
 
+def value_oracle(fn, x) -> float:
+    """The value of a catalog f, h or composite problem at the one point x, by its per-point formula.
+
+    The library states each value once, over a stack of rows; at every row it
+    must be bit-identical to this.
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(fn, CompositeProblem):
+        return value_oracle(fn.f, x) + value_oracle(fn.h, x)
+    if isinstance(fn, ScaledSqNorm):
+        return 0.5 * fn.a * float(x @ x)
+    if isinstance(fn, DiagonalQuadratic):
+        return 0.5 * float(fn.d @ (x * x)) + float(fn.b @ x)
+    if isinstance(fn, DenseQuadratic):
+        return 0.5 * float(x @ (fn.A @ x)) + float(fn.b @ x)
+    if isinstance(fn, Zero):
+        return 0.0
+    if isinstance(fn, NonnegIndicator):
+        return 0.0 if np.all(x >= 0) else math.inf
+    if isinstance(fn, BoxIndicator):
+        return 0.0 if np.all((x >= fn.lo) & (x <= fn.hi)) else math.inf
+    if isinstance(fn, L1Norm):
+        return fn.weight * float(np.sum(np.abs(x)))
+    if isinstance(fn, LinearPlusNonnegIndicator):
+        return float(fn.c @ x) if np.all(x >= 0) else math.inf
+    raise TypeError(f"no value oracle for {type(fn).__name__}")
+
+
 def _oracle_record(problem, x, s, optimum) -> IterateRecord:
     grad = problem.f.grad(x)
-    F_val = problem.value(x)
+    F_val = value_oracle(problem, x)
     dist_sq = func_gap = residual = None
     if optimum is not None:
         x_star, F_star = optimum

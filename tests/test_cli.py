@@ -792,6 +792,13 @@ class TestEntryPoint:
                          "residual_grad_sq is not finite at k = 0: it leaves the float range", id="residual-overflows"),
             pytest.param(["simulate", "--mu", "0", "--L", "1e-300", "--gamma", "opt", "--N", "5", "--dim", "3"],
                          "F(x_k) is not finite at k = 1: the iterates diverge", id="objective-overflows"),
+            # F(x_k) passes a float at k = 256 in the one block of the run, and at k = 254, the last row of
+            # block 84 of 3 rows, at dim 2e4; the steps after it in its block run on inf and NaN
+            pytest.param(["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--dim", "5"],
+                         "F(x_k) is not finite at k = 256: the iterates diverge", id="diverges-in-one-block"),
+            pytest.param(["simulate", "--mu", "1", "--L", "10", "--gamma", "0.5", "--N", "400", "--dim", "20000",
+                          "--seed", "0"],
+                         "F(x_k) is not finite at k = 254: the iterates diverge", id="diverges-in-block-84"),
         ],
     )
     def test_run_past_the_float_range_writes_one_error_line(self, tmp_path, argv, error):

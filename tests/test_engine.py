@@ -1,5 +1,6 @@
 
 import hashlib
+import math
 import re
 import tracemalloc
 
@@ -32,7 +33,7 @@ from proxrates import (
 from proxrates import engine
 from proxrates.worstcase import DIST_TO_FUNCGAP, mixed_measure_instance
 
-from helpers import line_search_oracle, line_search_phi, trace_oracle
+from helpers import line_search_oracle, line_search_phi, trace_oracle, value_oracle
 
 M = MeasureKind
 
@@ -269,19 +270,23 @@ class TestExactLineSearch:
                 assert s.tobytes() == trace.records[k + 1].s.tobytes()
 
     def test_value_calls_match_fixed_step(self, monkeypatch):
-        # the line search reads no objective value of h beyond those the loop records
+        # both runners evaluate F once per block of rows, never once per step, and read no value at one point
         N = 10
         for kind in ("zero", "nonneg", "box", "l1"):
-            problem, x0 = random_composite(ClassParams(1.0, 10.0), 8, kind, seed=5)
-            problem.try_optimum()  # cached: neither run pays for it
-            calls = []
-            value = problem.h.value
-            monkeypatch.setattr(problem.h, "value", lambda x: calls.append(1) or value(x))
-            run(problem, 0.15, x0, N)
-            fixed = len(calls)
-            calls.clear()
-            run_exact_line_search(problem, x0, N)
-            assert len(calls) == fixed
+            for dim in (8, 20_000):  # one block of 11 rows; blocks of 3, 3, 3 and 2
+                problem, x0 = random_composite(ClassParams(1.0, 10.0), dim, kind, seed=5)
+                problem.try_optimum()  # cached: neither run pays for it
+                rows, points = [], []
+                values = problem._values
+                monkeypatch.setattr(problem, "_values", lambda X: rows.append(len(X)) or values(X))
+                for owner in (problem, problem.f, problem.h):
+                    monkeypatch.setattr(owner, "value", lambda x: points.append(x))
+                nb = min(N + 1, engine._BLOCK // dim)
+                full, last = divmod(N + 1, nb)
+                for runner in (lambda: run(problem, 0.15, x0, N), lambda: run_exact_line_search(problem, x0, N)):
+                    rows.clear()
+                    runner()
+                    assert rows == [nb] * full + [last] * (last > 0) and not points
 
     def test_closed_form_matches_prox_path(self):
         # h = 0 takes the closed form; l1 with weight 0 is the same objective through the prox-path sweep
@@ -576,6 +581,91 @@ class TestColumnarTrace:
         assert records[0].x[0] != x0[0]
 
 
+F_KINDS = ("scaled", "diagonal", "dense")
+H_KINDS = ("zero", "nonneg", "box", "l1", "linear")
+
+
+def _catalog_problem(f_kind: str, h_kind: str, dim: int, seed: int = 0):
+    """A catalog f plus a catalog h, with a start in the domain of h."""
+    rng = np.random.default_rng(seed)
+    if f_kind == "scaled":
+        f = ScaledSqNorm(3.0, dim, ClassParams(1.0, 10.0))
+    elif f_kind == "diagonal":
+        f = random_instance(ClassParams(1.0, 10.0), dim, seed)
+    else:
+        B = rng.uniform(-1.0, 1.0, (dim, dim))
+        f = DenseQuadratic(B + B.T + 3.0 * dim * np.eye(dim), rng.uniform(-1.0, 1.0, dim))
+    x0 = rng.uniform(-2.0, 2.0, dim)
+    if h_kind == "zero":
+        h = Zero(dim)
+    elif h_kind == "nonneg":
+        h, x0 = NonnegIndicator(dim), np.abs(x0)
+    elif h_kind == "box":
+        lo = rng.uniform(-2.0, 0.0, dim)
+        h = BoxIndicator(lo, lo + rng.uniform(0.5, 2.0, dim))
+        x0 = np.clip(x0, h.lo, h.hi)
+    elif h_kind == "l1":
+        h = L1Norm(0.7, dim)
+    else:
+        h, x0 = LinearPlusNonnegIndicator(rng.uniform(-1.0, 1.0, dim)), np.abs(x0)
+    return CompositeProblem(f, h), x0
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestRowValues:
+    """Each oracle states its value once, over rows: bit-identical to the per-point formulas of helpers.value_oracle."""
+
+    def _check_run(self, problem, x0, N, nb):
+        gamma = 1.0 / problem.f.params.L
+        trace = run(problem, gamma, x0, N)
+        assert (trace._rerun is None) == (nb == N + 1)
+        X, G, S = trace.X, trace.G, trace.S  # several blocks: the rebuild also checks F against the block-wise column
+        want = [value_oracle(problem, x) for x in X]
+        assert _bits(trace.F) == _bits(want)
+        assert _bits(problem._values(X)) == _bits(want)
+        assert _bits([problem.value(x) for x in X]) == _bits(want)
+        for part in (problem.f, problem.h):
+            assert _bits(part._values(X)) == _bits([value_oracle(part, x) for x in X])
+            assert _bits([part.value(x) for x in X]) == _bits([value_oracle(part, x) for x in X])
+        for k, gamma in enumerate(trace.gammas):
+            x, s = pgm_step(problem, gamma, X[k])
+            assert x.tobytes() == X[k + 1].tobytes() and s.tobytes() == S[k + 1].tobytes()
+            assert s.tobytes() == ((X[k] - X[k + 1]) / gamma - G[k]).tobytes()
+
+    @pytest.mark.parametrize("h_kind", H_KINDS)
+    @pytest.mark.parametrize("f_kind", ["scaled", "diagonal"])
+    @pytest.mark.parametrize("dim,N,nb", [(1, 6, 7), (8, 6, 7), (20_000, 6, 3), (70_000, 3, 1)])
+    def test_run_matches_value_oracle(self, f_kind, h_kind, dim, N, nb):
+        # dim 2e4: blocks of 3, 3 and 1 rows; dim 7e4: one row per block
+        assert min(N + 1, max(1, engine._BLOCK // dim)) == nb
+        self._check_run(*_catalog_problem(f_kind, h_kind, dim), N, nb)
+
+    @pytest.mark.parametrize("h_kind", H_KINDS)
+    @pytest.mark.parametrize("dim,block", [(1, None), (8, None), (600, 3 * 600), (600, 600)])
+    def test_dense_run_matches_value_oracle(self, monkeypatch, h_kind, dim, block):
+        # the dense A of dim 2e4 would take 3.2 GB: blocks of 3, 3 and 1 rows, and of one row, come from a smaller block
+        if block is not None:
+            monkeypatch.setattr(engine, "_BLOCK", block)
+        self._check_run(*_catalog_problem("dense", h_kind, dim), 6, min(7, (block or engine._BLOCK) // dim))
+
+    @pytest.mark.parametrize("f_kind", F_KINDS)
+    @pytest.mark.parametrize("h_kind", H_KINDS)
+    def test_rows_off_the_domain_and_the_float_range(self, f_kind, h_kind):
+        problem, x0 = _catalog_problem(f_kind, h_kind, 4)
+        X = np.array([x0, -np.abs(x0) - 3.0, np.full(4, 1e308), [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in (problem, problem.f, problem.h):
+                assert _bits(fn._values(X)) == _bits([value_oracle(fn, x) for x in X])
+                assert _bits(fn._values(X[:0])) == b""
+        # of the finite rows, the second lies below every lower bound and the third above every box; the
+        # third's ||x||_1 overflows inside the domain
+        outside = {"zero": [0, 0, 0], "nonneg": [0, 1, 0], "box": [0, 1, 1], "l1": [0, 0, 0], "linear": [0, 1, 0]}
+        assert problem.h._outside(X[:3]).tolist() == [bool(o) for o in outside[h_kind]]
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("kind", ["zero", "l1"])
     def test_non_finite_start_rejected(self, kind):
@@ -650,6 +740,50 @@ class TestNonFiniteInputs:
                 run(problem, 0.5, x0, 400)
             trace = run(problem, 0.5, x0, 255)
         assert trace.outside_theory and np.isfinite(trace.F).all()
+
+    def test_divergence_mid_block_names_its_k(self):
+        # simulate --mu 1 --L 10 --gamma 0.5 --N 400 --dim 16000 --seed 0: blocks of 4 rows, and F passes a
+        # float at k = 254, the third row of block 63; steps 255 and 256 of that block run on inf and NaN
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 16_000, "zero", 0)
+        nb, k = engine._BLOCK // 16_000, 254
+        assert k // nb > 0 and 0 < k % nb < nb - 1
+        with pytest.raises(ValueError, match=rf"^F\(x_k\) is not finite at k = {k}: the iterates diverge$") as raised:
+            run(problem, 0.5, x0, 400)
+        assert raised.value.__context__ is None
+        # the per-point oracle: each iterate by pgm_step, and F by its formula, until F leaves the float range
+        x, first = x0, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while math.isfinite(value_oracle(problem, x)):
+                x, first = problem.h.prox(0.5, x - 0.5 * problem.f.grad(x)), first + 1
+        assert first == k
+
+    def test_start_check_names_its_case(self):
+        # x0 lies in the domain of h = ||.||_1, but h(x0) = 2e308 leaves the float range
+        overflow = CompositeProblem(DiagonalQuadratic([1e-300, 1e-300]), L1Norm(1.0, 2))
+        box = CompositeProblem(DiagonalQuadratic([1.0, 2.0]), BoxIndicator([0.0, 0.0], [1.0, 1.0]))
+        cases = [
+            (lambda: run(overflow, 0.1, [1e308, 1e308], 2), r"F\(x0\) is not finite: the start is beyond the float range"),
+            (lambda: run_exact_line_search(overflow, [1e308, 1e308], 2),
+             r"F\(x0\) is not finite: the start is beyond the float range"),
+            (lambda: exact_line_search_step(overflow, [1e308, 1e308]),
+             r"F\(x_k\) is not finite: the start is beyond the float range"),
+            (lambda: run(box, 0.1, [2.0, 0.5], 2), "infeasible start: x0 is outside the domain of h"),
+            (lambda: run_exact_line_search(box, [2.0, 0.5], 2), "infeasible start: x0 is outside the domain of h"),
+            (lambda: exact_line_search_step(box, [2.0, 0.5]), "infeasible start: x_k is outside the domain of h"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$") as raised:
+                call()
+            assert raised.value.__context__ is None
+        assert overflow.h.subgradient_membership([1e308, 1e308], [1.0, 1.0])  # in the domain, where h overflows
+
+    @pytest.mark.parametrize("kind,seed", [("zero", 0), ("nonneg", 1), ("l1", 2)])
+    def test_divergence_comes_before_a_failed_step(self, kind, seed):
+        # the exact line search picks a NaN step past F(x0) = inf, in the block that F(x0) is reported at
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 3, kind, seed)
+        with pytest.raises(ValueError, match=r"^F\(x0\) is not finite: the start is beyond the float range$") as raised:
+            run_exact_line_search(problem, x0 * 1e154, 5)
+        assert raised.value.__suppress_context__
 
 
 def _frozen_runs_digest(runner: str, kind: str) -> str:
