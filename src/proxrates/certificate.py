@@ -633,7 +633,12 @@ def alpha_small(mu, L, gamma):
     Concave quadratic in the step size, positive on [0, 2/(L+mu)]:
     alpha(0) = 4(L - mu) and alpha(2/(L+mu)) = 4 L^2 (L-mu)/(L+mu)^2.
     """
-    return -(gamma**2 * L**2 * mu + 2 * L * (gamma * mu - 2) + mu * (gamma * mu - 2) ** 2)
+    return _alpha_small(mu, L, gamma, 2 - gamma * mu)
+
+
+def _alpha_small(mu, L, gamma, u):
+    gl = gamma * L
+    return 2 * L * u - mu * (gl * gl + u * u)
 
 
 def beta_small(mu, L, gamma):
@@ -646,30 +651,36 @@ def alpha_large(mu, L, gamma):
     Increasing linear in the step size, nonnegative from 2/(L+mu) on:
     alpha(2/(L+mu)) = 2 mu^2 (L-mu)/(L+mu).
     """
-    return -2 * L**2 - 2 * mu**2 + 2 * L * mu + gamma * L**3 + gamma * L * mu**2
+    return _alpha_large(mu, L, gamma, 2 - gamma * L)
+
+
+def _alpha_large(mu, L, gamma, u):
+    return 2 * L * mu - u * (L * L + mu * mu)
 
 
 def beta_large(mu, L, gamma):
     return gamma * (L + mu) - 2
 
 
-# Each regime as the curvature a that attains its rate rho = |1 - a*gamma|,
-# and its scalings alpha and beta; beta >= 0 exactly on the regime's steps.
+# Each regime as the curvature a that attains its rate rho = |1 - a*gamma|, its
+# alpha given u = 2 - a*gamma, and its beta; beta >= 0 exactly on its steps.
 _DESCRIPTIONS = {
-    Regime.SMALL_STEP: (lambda mu, L: mu, alpha_small, beta_small),
-    Regime.LARGE_STEP: (lambda mu, L: L, alpha_large, beta_large),
+    Regime.SMALL_STEP: (lambda mu, L: mu, _alpha_small, beta_small),
+    Regime.LARGE_STEP: (lambda mu, L: L, _alpha_large, beta_large),
 }
 
 
 def _describe(regime: Regime, mu, L, gamma):
-    """The regime's attaining curvature a, its beta and its rate rho at (mu, L, gamma).
+    """The regime's attaining curvature a, a*gamma, its beta and its rate rho at (mu, L, gamma).
 
-    rho = max(1 - mu*gamma, L*gamma - 1) is half the sum of the two,
-    gamma*(L - mu), plus half their distance, which on the regime's steps is beta.
+    rho = max(1 - mu*gamma, L*gamma - 1) is half their sum, gamma*(L - mu),
+    plus half their distance, beta on the regime's steps; as an identity in
+    gamma that is 1 - a*gamma (small steps) or a*gamma - 1 (large).
     """
     curvature, _, beta = _DESCRIPTIONS[regime]
-    be = beta(mu, L, gamma)
-    return curvature(mu, L), be, (gamma * (L - mu) + be) / 2
+    a = curvature(mu, L)
+    ga = gamma * a
+    return a, ga, beta(mu, L, gamma), 1 - ga if regime is Regime.SMALL_STEP else ga - 1
 
 
 # A certificate is a triple (weighted, target, sos): per multiplier its name,
@@ -677,16 +688,17 @@ def _describe(regime: Regime, mu, L, gamma):
 # of the target; per SOS term its name, coefficient and combination. The
 # builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
 # and L): `_coerce` has checked 0 <= mu < L, and the point labels are literals.
-# The distance and residual certificates take a regime only through its a,
-# alpha and beta. The function-value certificate still branches per regime for
-# its grad_coeff, point, subgrad_coeff and subgrad terms: no common form in a
-# was found for them.
+# Each shared subexpression is computed once; exact values are canonical, so
+# the route changes no output. Divisors are monomials times the named factors
+# L - mu, 2 - a*gamma and alpha, as the proof in Q(mu, L, gamma) requires. A
+# regime enters through a, alpha and beta, except where the function-value
+# certificate branches: no common form in a was found for those terms.
 
 
 def _distance_certificate(regime: Regime, mu, L, gamma):
-    a, be, rho = _describe(regime, mu, L, gamma)
-    lam_f = 2 * gamma * rho
+    a, _, be, rho = _describe(regime, mu, L, gamma)
     lam_h = 2 * gamma
+    lam_f = lam_h * rho
     weighted = [
         ("lambda0", lam_f, partial(_interp_smooth, "*", "k", mu, L, gamma)),
         ("lambda1", lam_f, partial(_interp_smooth, "k", "*", mu, L, gamma)),
@@ -708,9 +720,9 @@ def _distance_certificate(regime: Regime, mu, L, gamma):
 def _residual_certificate(regime: Regime, mu, L, gamma):
     if gamma == 0:
         raise ValueError("residual certificate requires gamma != 0: its multipliers divide by gamma")
-    a, be, rho = _describe(regime, mu, L, gamma)
+    _, ga, be, rho = _describe(regime, mu, L, gamma)
     lam_f = 2 * rho / gamma
-    lam_h = 2 * rho * rho / gamma
+    lam_h, r2 = lam_f * rho, rho * rho
     weighted = [
         ("lambda0", lam_f, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
         ("lambda1", lam_f, partial(_interp_smooth, "k+1", "k", mu, L, gamma)),
@@ -721,11 +733,11 @@ def _residual_certificate(regime: Regime, mu, L, gamma):
     def target():
         gk_sk = VecExpr({"gk": 1, "sk": 1})
         gk1_sk1 = VecExpr({"gk1": 1, "sk1": 1})
-        return norm_sq(gk_sk).scale(rho * rho) - norm_sq(gk1_sk1)
+        return norm_sq(gk_sk).scale(r2) - norm_sq(gk1_sk1)
 
     sos = [
-        ("subgrad_change", rho * rho, VecExpr({"sk": 1, "sk1": -1})),
-        ("regime", be / (gamma * (L - mu)), VecExpr({"gk": 1 - a * gamma, "gk1": -1, "sk1": -a * gamma})),
+        ("subgrad_change", r2, VecExpr({"sk": 1, "sk1": -1})),
+        ("regime", be / (gamma * (L - mu)), VecExpr({"gk": 1 - ga, "gk1": -1, "sk1": -ga})),
     ]
     return weighted, target, sos
 
@@ -733,61 +745,39 @@ def _residual_certificate(regime: Regime, mu, L, gamma):
 def _funcvalue_certificate(regime: Regime, mu, L, gamma):
     if mu == 0:
         raise ValueError("function-value certificate requires mu > 0")
-    a, be, rho = _describe(regime, mu, L, gamma)
-    _, alpha, _ = _DESCRIPTIONS[regime]
-    al = alpha(mu, L, gamma)
+    _, ga, be, rho = _describe(regime, mu, L, gamma)
+    u = 2 - ga
+    al = _DESCRIPTIONS[regime][1](mu, L, gamma, u)
     if _is_zero_scalar(al):
         raise ValueError("degenerate step size: the alpha scaling vanishes")
-    one = Fraction(1)
+    one, r2, lm, p = Fraction(1), rho * rho, L - mu, ga * mu  # p = a*gamma*mu
+    c, c2 = 1 - rho, 1 - r2
     weighted = [
         ("lambda0", rho, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
-        ("lambda1", (1 - rho) * rho, partial(_interp_smooth, "*", "k", mu, L, gamma)),
-        ("lambda2", 1 - rho, partial(_interp_smooth, "*", "k+1", mu, L, gamma)),
-        ("lambda3", rho * rho, partial(_interp_convex, "k", "k+1", gamma)),
-        ("lambda4", 1 - rho * rho, partial(_interp_convex, "*", "k+1", gamma)),
+        ("lambda1", c * rho, partial(_interp_smooth, "*", "k", mu, L, gamma)),
+        ("lambda2", c, partial(_interp_smooth, "*", "k+1", mu, L, gamma)),
+        ("lambda3", r2, partial(_interp_convex, "k", "k+1", gamma)),
+        ("lambda4", c2, partial(_interp_convex, "*", "k+1", gamma)),
     ]
 
     def target():
-        return (
-            (fval("fk") + fval("hk")).scale(rho * rho)
-            - (fval("fk1") + fval("hk1"))
-            + (fval("fs") + fval("hs")).scale(1 - rho * rho)
-        )
+        return (fval("fk") + fval("hk")).scale(r2) - (fval("fk1") + fval("hk1")) + (fval("fs") + fval("hs")).scale(c2)
 
-    if regime is Regime.SMALL_STEP:
-        grad_coeff = (2 - gamma * mu) * be / (2 * al)
-        point = {
-            "sk1": -(2 * L - 2 * mu + gamma * mu**2) / (L * mu * (2 - gamma * mu)),
-            "gk": -1 / (mu * (2 - gamma * mu)),
-            "gk1": -1 / (mu * (2 - gamma * mu)),
-        }
-        subgrad_coeff = gamma * mu * al / (2 * L * (L - mu) * (2 - gamma * mu))
-        subgrad = {
-            "gk": (mu * gamma - 1) * L * be / al,
-            "gk1": L * be / al,
-            "gs": (L - mu) * (2 - gamma * mu) ** 2 / al,
-        }
+    small = regime is Regime.SMALL_STEP
+    den = al if small else gamma * al  # divide last: a RatFunc quotient reduces once
+    lbd = L * be / den
+    if small:
+        mu_u = mu * u
+        g = -1 / mu_u
+        point = {"sk1": -(2 * lm + p) / (L * mu_u), "gk": g, "gk1": g}
+        subgrad_coeff, gs = ga * al / (2 * L * lm * u), lm * u * u / al
     else:
-        grad_coeff = (2 - gamma * L) * be / (2 * gamma * al)
-        point = {
-            "sk1": -1 / mu,
-            "gk": (1 - gamma * L - gamma * mu) / (gamma * L * mu),
-            "gk1": -1 / (gamma * L * mu),
-        }
-        subgrad_coeff = gamma * al / (2 * mu * (L - mu))
-        subgrad = {
-            "gk": (gamma * L - 1) * L * be / (gamma * al),
-            "gk1": L * be / (gamma * al),
-            "gs": (2 - gamma * L) * (L - mu) * mu / al,
-        }
+        point = {"sk1": -1 / mu, "gk": -(1 + be) / p, "gk1": -1 / p}  # -(1 + be) = 1 - gamma*(L + mu)
+        subgrad_coeff, gs = gamma * al / (2 * mu * lm), u * lm * mu / al
     sos = [
-        ("grad_combination", grad_coeff, VecExpr({"gk": 1 - gamma * a, "gk1": -1, "gs": a * gamma})),
-        (
-            "point_combination",
-            gamma * L * mu * a * (2 - gamma * a) / (2 * (L - mu)),
-            VecExpr({"x": one, **point, "gs": 1 / L}),
-        ),
-        ("subgrad_combination", subgrad_coeff, VecExpr({"sk1": one, **subgrad})),
+        ("grad_combination", u * be / (2 * den), VecExpr({"gk": 1 - ga, "gk1": -1, "gs": ga})),
+        ("point_combination", p * L * u / (2 * lm), VecExpr({"x": one, **point, "gs": 1 / L})),
+        ("subgrad_combination", subgrad_coeff, VecExpr({"sk1": one, "gk": (ga - 1) * lbd, "gk1": lbd, "gs": gs})),
     ]
     return weighted, target, sos
 
@@ -806,8 +796,15 @@ def _certificate(theorem: str, regime: Regime, mu, L, gamma):
 
 def _term_names(theorem: str) -> list[str]:
     """The names of a theorem's multipliers and SOS terms, in report order (the same in both regimes)."""
+    return list(_TERM_NAMES[theorem])
+
+
+def _read_term_names(theorem: str) -> list[str]:
     weighted, _, sos = _certificate(theorem, Regime.SMALL_STEP, Fraction(1), Fraction(2), Fraction(1, 2))
     return [name for name, _, _ in weighted + sos]
+
+
+_TERM_NAMES = {theorem: _read_term_names(theorem) for theorem in _CERTIFICATES}  # they depend on nothing else
 
 
 def _residual(weighted, target, sos) -> SymbolicExpr:
@@ -833,7 +830,7 @@ def _assemble(theorem: str, mu, L, gamma, regime: Regime, mutate) -> Certificate
     sos_terms = [
         SosTerm(name, coeff, _nonneg(name, coeff, mutate), dict(comb.coeffs)) for name, coeff, comb in sos
     ]
-    own = mutate is not None and mutate[0] in [t.name for t in multipliers + sos_terms]
+    own = mutate is not None and mutate[0] in _TERM_NAMES[theorem]
     residual = _residual(weighted, target, sos) if own else SymbolicExpr()
     return CertificateReport(
         theorem, regime, mu, L, gamma, multipliers, sos_terms, residual.is_zero(), residual

@@ -11,7 +11,7 @@ place, e.g. `rows[5].rho is inf`.
 One renderer, `_render`, writes every JSON document, with the bytes of
 `json.dumps(doc, indent=2, allow_nan=False)`. Below Python 3.13 that call runs
 the pure-Python encoder; `_render` hands each container of scalars, and each
-list of such dicts, to the C encoder in one call.
+list of such dicts, to the C encoder in one call, with one encoder per depth.
 
 Step sizes are parsed as decimals on the simulation commands and as exact
 rational strings (e.g. "1/3") on the certificate command; passing a rational
@@ -90,10 +90,21 @@ _SCALARS = (float, str, int, type(None))  # bool is an int; most values are floa
 def _flat_encoder(depth: int):
     """Encode a container of scalars with its items one per line at `depth`.
 
-    With `indent` None, `json` runs its C encoder where the module has one; the
-    item separator carries the newline and the indent instead.
+    The item separator carries the newline and the indent. Where `json` has
+    its C encoder, it is built once per depth, as `JSONEncoder.encode` would
+    build it, but with no markers dict: a document is a tree, so there is no
+    cycle to detect, and an encoder without one keeps no state between calls,
+    not even after a NaN raised mid-encode. Elsewhere `JSONEncoder.encode`
+    runs the pure-Python encoder.
     """
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+    separator = ",\n" + "  " * depth
+    encoder = json.JSONEncoder(separators=(separator, ": "), allow_nan=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None, ": ", separator, False, False, False
+    )
+    return lambda value: "".join(encode(value, 0))
 
 
 def _is_flat(values) -> bool:
@@ -128,9 +139,11 @@ def _leaf(value) -> str:
 def _render(value, depth: int = 0) -> str:
     """`json.dumps(value, indent=2, allow_nan=False)`, nested `depth` levels deep; dict keys are strings.
 
-    The encoder escapes every control character inside a string, so in its
-    output a raw newline comes only from a separator. In a list of flat dicts
-    the seam "},<newline><indent>{" therefore only ever joins two rows.
+    Each container of scalars, and each list of such dicts, is one call of
+    its depth's `_flat_encoder`, so a document builds at most one encoder per
+    depth. The encoder escapes every control character inside a string, so in
+    its output a raw newline comes only from a separator. In a list of flat
+    dicts the seam "},<newline><indent>{" therefore only ever joins two rows.
     """
     pad = "\n" + "  " * depth
     inner = pad + "  "

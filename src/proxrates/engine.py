@@ -473,7 +473,13 @@ def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) 
 
 
 def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace:
-    """N exact-line-search steps: the PGM loop with the step size exact_line_search_step picks at each iterate."""
+    """N exact-line-search steps: the PGM loop with the step size exact_line_search_step picks at each iterate.
+
+    Each step minimizes F along the prox path, so F(x_{k+1}) is at most F after
+    the fixed step 2/(L+mu) from the same x_k, where the function-value
+    certificate holds in both regimes with rho^2 = ((L-mu)/(L+mu))^2. Hence
+    F(x_{k+1}) - F_* <= ((L-mu)/(L+mu))^2 (F(x_k) - F_*), for every h.
+    """
     return _iterate(problem, x0, N, None, partial(_exact_step_size, problem), "els", False)
 
 

@@ -47,7 +47,9 @@ from helpers import (
     PARAM_MU,
     PROOF_FACTORS,
     SIGN_FACTORS,
+    STEP_INTERVALS,
     ParamRat,
+    _poly_div_exact,
     certificate_inputs,
     coefficient_sign,
     distance_weighted_sum,
@@ -832,6 +834,43 @@ class TestSignProof:
         assert sign is None and "denominator factor alpha_large" in reason
         # a concave factor is proven only nonnegative, and only from nonnegative endpoint values
         assert factor_signs(Regime.LARGE_STEP)["alpha_small"] is None
+
+
+class TestRateAtTheRegimeBoundary:
+    """At gamma* = 2/(L+mu) both regimes certify the function-value rate ((L-mu)/(L+mu))^2, over Q(mu, L).
+
+    `ParamRat` refuses to divide by L + mu, so the rate is not evaluated at
+    gamma*. Instead (L+mu)^2 rho^2 - (L-mu)^2 is shown to be beta = 2 -
+    gamma*(L+mu) times a polynomial, and beta vanishes exactly at gamma*. The
+    exact line search's bound follows: see `engine.run_exact_line_search`.
+    """
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_rho_squared_is_the_optimal_rate(self, regime):
+        _, target, _ = parametric_certificate("funcvalue", regime)
+        rho_sq = target().lin_coeff("fk")  # the certified F(x_{k+1}) - F* <= rho^2 (F(x_k) - F*)
+        excess = (PARAM_L + PARAM_MU) ** 2 * rho_sq - (PARAM_L - PARAM_MU) ** 2
+        assert (excess.d, excess.mono, any(excess.fac)) == (1, (0, 0, 0), False)  # a polynomial
+        quotient = _poly_div_exact(excess.num, SIGN_FACTORS["2 - gamma*(L+mu)"])
+        assert quotient is not None and quotient
+        rng = random.Random(17)
+        for _ in range(20):
+            L = F(rng.randint(1, 30), rng.randint(1, 7))
+            mu = L * F(rng.randint(1, 99), 100)
+            report = verify_funcvalue(mu, L, 2 / (L + mu), regime)
+            assert report.verified and report.multipliers[3].value == ((L - mu) / (L + mu)) ** 2
+
+    def test_the_boundary_is_in_both_proven_intervals(self):
+        # small [0, gamma*] and large [gamma*, 2/L]: TestSignProof proves every coefficient on each closed interval
+        g_star = ({(0, 0, 0): 2}, {(0, 1, 0): 1, (1, 0, 0): 1})
+        assert STEP_INTERVALS[Regime.SMALL_STEP][1] == g_star == STEP_INTERVALS[Regime.LARGE_STEP][0]
+        for mu, L in [(F(1), F(3)), (F(1), F(10)), (F(1, 7), F(2))]:
+            assert _regimes(mu, L, 2 / (L + mu)) == [Regime.SMALL_STEP, Regime.LARGE_STEP]
+
+    def test_alpha_is_its_named_factor(self):
+        # the scalings the certificates divide by are the hand-expanded factors of the proof
+        for name, alpha in [("alpha_small", alpha_small), ("alpha_large", alpha_large)]:
+            assert alpha(PARAM_MU, PARAM_L, PARAM_GAMMA) == ParamRat(dict(PROOF_FACTORS[name]))
 
 
 # ------------------------------------------------ the fast path against expansion

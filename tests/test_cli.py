@@ -353,6 +353,21 @@ class TestCertify:
         code, out = run_cli(["certify", "--mu", "0", "--L", "1", "--gamma", "1/2", "--theorem", "distance"], tmp_path)
         assert code == 0 and load_json(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("gamma,regimes", [("1/10", ["small_step"]), ("2/11", ["small_step", "large_step"])])
+    def test_mutation_builds_each_certificate_once(self, tmp_path, monkeypatch, gamma, regimes):
+        # the term names are read once per theorem, so the name check builds no certificate of its own
+        builds = []
+
+        def counted(theorem, build):
+            return lambda regime, *args: builds.append((theorem, regime.value)) or build(regime, *args)
+
+        for theorem, build in list(cert._CERTIFICATES.items()):
+            monkeypatch.setitem(cert._CERTIFICATES, theorem, counted(theorem, build))
+        argv = ["certify", "--mu", "1", "--L", "10", "--gamma", gamma, "--selftest-mutate", "lambda0"]
+        code, _ = run_cli(argv, tmp_path)
+        assert code == 1
+        assert builds == [(theorem, regime) for regime in regimes for theorem in cert.VERIFIERS]
+
     def test_mutation_fails_only_the_theorems_that_own_the_term(self, tmp_path):
         code, out = run_cli(["certify", "--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", "lambda4"],
                             tmp_path)
@@ -521,6 +536,51 @@ class TestRenderer:
             cli._render(doc)
         place = "[0]" * depth + place
         assert cli._non_finite(doc) == f"{place.removeprefix('.')} is {value!r}"
+
+
+class TestFlatEncoder:
+    """`_flat_encoder` builds one C encoder per depth and reuses it; the encoder keeps no state between calls."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_encoders(self):
+        cli._flat_encoder.cache_clear()
+        yield
+        cli._flat_encoder.cache_clear()
+
+    @staticmethod
+    def _certify_document(argv):
+        config, rows, verdict = cli._cmd_certify(cli._parser().parse_args(["certify", *argv]))
+        return {"command": "certify", "config": config, "rows": rows, "verdict": verdict}
+
+    def test_one_build_per_depth(self, monkeypatch):
+        make = json.encoder.c_make_encoder
+        if make is None:
+            pytest.skip("this Python's json has no C encoder")
+        separators = []
+        monkeypatch.setattr(json.encoder, "c_make_encoder", lambda *a: separators.append(a[5]) or make(*a))
+        doc = self._certify_document([])
+        for _ in range(2):
+            assert cli._render(doc) == json_document_oracle(doc)
+        # the config, each multipliers list and each combination dict: one encoder at each of their depths
+        assert sorted(separators) == [",\n" + "  " * depth for depth in (2, 5, 6)]
+
+    def test_a_value_refused_mid_encode_leaves_no_state(self):
+        row = {"a": 1.0, "b": math.nan}
+        doc = {"rows": [{"a": 0.5}, row], "combination": {"x": "1", "gs": math.inf}}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._render(doc)
+        row["b"] = 2.0
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._render(doc)
+        doc["combination"]["gs"] = "1/3"
+        assert cli._render(doc) == json_document_oracle(doc)
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        doc = self._certify_document(["--mu", "1", "--L", "3", "--gamma", "1/2"])
+        assert cli._render(doc) == json_document_oracle(doc)
+        with pytest.raises(ValueError):
+            cli._render({"rows": [{"a": 1.0}, {"a": math.nan}]})
 
 
 _SWEEP = [
