@@ -487,7 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
 
     p_tight = sub.add_parser("tight", help="attained vs predicted worst-case values")
-    p_tight.add_argument("generator", choices=tuple(_TIGHT))
+    p_tight.add_argument(
+        "generator",
+        choices=tuple(_TIGHT),
+        help="qlb: the quadratic that attains the fixed-step rate; mixed: the constrained 1-d instances of "
+        "the step-1/L mixed-measure cells; els: the exact-line-search zigzag, whose per-step gap ratio "
+        "((L-mu)/(L+mu))^2 is the rate that follows from the fixed-step 2/(L+mu) function-value certificate "
+        "(the line search does at least as well as that step); unbounded: the mu = 0 linear program on the orthant",
+    )
     p_tight.add_argument("--mu", type=float, default=1.0)
     p_tight.add_argument("--L", type=float, default=2.0)
     p_tight.add_argument("--gamma", default=None, help='decimal step size or "opt" (qlb; mixed runs at 1/L)')

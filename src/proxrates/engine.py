@@ -433,7 +433,17 @@ def exact_line_search_step(
 
 
 def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) -> float:
-    """The step size of exact_line_search_step at a feasible x_k with gradient g."""
+    """The step size of exact_line_search_step at a feasible x_k with gradient g.
+
+    Off h = 0 the sweep works on contiguous rows: row r of coef holds the c_r
+    of phi_i on segment j of coordinate i at column j * dim + i, and each
+    breakpoint t > 0 is named by the same flat index, so every gather is one
+    take along the rows. Two reductions are sequential: the last piece sums
+    its coordinates in coordinate order, and each earlier piece accumulates
+    the jumps from the last breakpoint back. Both are cumulative sums along a
+    row; a pairwise sum (`.sum(1)`) rounds differently, and the step sizes
+    that TestFrozenTraces pins (TRACE_DIGESTS) would change.
+    """
     if isinstance(problem.h, Zero):
         Hg = problem.f.hess_vec(g)
         denom = float(g @ Hg)
@@ -448,28 +458,40 @@ def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) 
     breaks, p0, p1, slope = problem.h.prox_path(x_k, g)
     # phi_i(t) = 0.5 d_i p_i^2 + (b_i + slope) p_i on each segment of coordinate i
     e = b + slope
-    coef = np.stack([0.5 * d * p1 * p1, (d * p0 + e) * p1, (0.5 * d * p0 + e) * p0], -1)
+    coef = np.array([0.5 * d * p1 * p1, (d * p0 + e) * p1, (0.5 * d * p0 + e) * p0]).reshape(3, -1)
+    dim = len(x_k)
     reached = np.isfinite(breaks)
-    order = np.argsort(breaks[reached])
-    ts = breaks[reached][order]
-    jumps = (coef[1:] - coef[:-1])[reached][order]
+    at = reached.ravel().nonzero()[0]  # breakpoint j of coordinate i, for each one reached, as j * dim + i
+    at = at[breaks.take(at).argsort()]
+    m = len(at)
     # The last piece is summed directly from the segment each coordinate ends
     # on, so pinned coordinates add exact zeros to its c2 and c1 and an
     # unbounded last piece is detected exactly. Each earlier piece subtracts
     # the jumps at later breakpoints only: a jump at time T is of order
     # F_i / T^2, F_i / T and F_i in (c2, c1, c0), with F_i the coordinate's
     # share of F, so on a piece before T its rounding stays of order eps * F_i.
-    last = coef[reached.sum(0), np.arange(len(x_k))].sum(0)
-    pieces = last - np.concatenate([np.cumsum(jumps[::-1], 0)[::-1], np.zeros((1, 3))])
-    c2, c1, c0 = pieces.T
+    last = coef.take(reached.sum(0) * dim + np.arange(dim), axis=1).cumsum(axis=1)[:, -1:]
+    jumps = coef.take(at + dim, axis=1)
+    jumps -= coef.take(at, axis=1)
+    pieces = np.empty((3, m + 1))
+    pieces[:, m] = 0.0
+    jumps[:, ::-1].cumsum(axis=1, out=pieces[:, :m][:, ::-1])
+    c2, c1, c0 = np.subtract(last, pieces, out=pieces)
     if c2[-1] == 0.0 and c1[-1] < 0.0:
         raise LineSearchError("objective is unbounded along the prox path", math.inf, x_k)
     # Best point of each piece: its clipped vertex, or its left end when it is
     # not strictly convex (its right end is the next piece's left end, and
-    # that piece's best point is no worse).
-    lo, hi = np.concatenate([[0.0], ts]), np.concatenate([ts, [np.inf]])
-    t = np.clip(np.divide(-c1, 2.0 * c2, out=lo.copy(), where=c2 > 0.0), lo, hi)
-    return float(t[np.argmin((c2 * t + c1) * t + c0)]) or 1.0 / problem.params.L
+    # that piece's best point is no worse). Piece j runs from ends[j] to ends[j + 1].
+    ends = np.empty(m + 2)
+    ends[0], ends[-1] = 0.0, np.inf
+    breaks.take(at, out=ends[1:-1])
+    t = np.divide(-c1, 2.0 * c2, out=ends[:-1].copy(), where=c2 > 0.0)
+    np.minimum(np.maximum(t, ends[:-1], out=t), ends[1:], out=t)  # np.clip's ufunc, without its wrapper
+    value = c2 * t
+    value += c1
+    value *= t
+    value += c0
+    return float(t[value.argmin()]) or 1.0 / problem.params.L
 
 
 def run_exact_line_search(problem: CompositeProblem, x0, N: int) -> IterateTrace:

@@ -7,7 +7,9 @@ search of the exact line search through the public prox and objective, a
 scalar per-coordinate loop for the closed-form optimum, direct
 recurrence iteration in floats for the constrained quadratic family, a
 fixed-step PGM in exact rationals for one-dimensional quadratics with h = 0
-or the orthant, the rational step-1/L cells the constrained family
+or the orthant, the exact line search in exact rationals for diagonal
+quadratics with h = 0, the exact line search's sweep on the layout it had
+before its rows were contiguous, the rational step-1/L cells the constrained family
 attains, the long hand-expanded coefficient display for the distance
 certificate, an exact Gram-basis evaluator of certificate expressions, an eager
 gcd normalization of rational functions on plain coefficient lists, the
@@ -43,10 +45,10 @@ from proxrates.certificate import (
     interp_convex,
     interp_smooth,
 )
-from proxrates.engine import IterateRecord
+from proxrates.engine import IterateRecord, LineSearchError
 from proxrates.prox import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
 from proxrates.rates import MeasureKind
-from proxrates.smooth import CompositeProblem, DenseQuadratic, DiagonalQuadratic, ScaledSqNorm
+from proxrates.smooth import CompositeProblem, DenseQuadratic, DiagonalQuadratic, ScaledSqNorm, diagonal_form
 
 _FLOOR = 256.0 * float(np.finfo(float).eps)
 
@@ -175,6 +177,45 @@ def line_search_oracle(problem, x) -> float:
     return min(line_search_phi(problem, x, t) for t in grid)
 
 
+def exact_step_oracle(problem, x_k: np.ndarray, g: np.ndarray) -> float:
+    """engine._exact_step_size as it was on a (k+1, dim, 3) stack of segment coefficients.
+
+    The same sweep with the same floating-point operations in the same order,
+    on the layout it replaced: masks and fancy indexing gather the
+    breakpoints, the last piece is a sum along axis 0 of a (dim, 3) array and
+    the jumps a cumsum along axis 0 of an (m, 3) one, both sequential. The
+    library's step must be this float bit for bit, or raise the same
+    LineSearchError.
+    """
+    if isinstance(problem.h, Zero):
+        Hg = problem.f.hess_vec(g)
+        denom = float(g @ Hg)
+        gnorm = float(g @ g)
+        if gnorm == 0.0:
+            return 1.0 / problem.params.L
+        if denom <= 0.0:
+            raise LineSearchError("objective is unbounded along the gradient ray", math.inf, x_k)
+        return gnorm / denom
+
+    d, b = diagonal_form(problem.f)
+    breaks, p0, p1, slope = problem.h.prox_path(x_k, g)
+    # phi_i(t) = 0.5 d_i p_i^2 + (b_i + slope) p_i on each segment of coordinate i
+    e = b + slope
+    coef = np.stack([0.5 * d * p1 * p1, (d * p0 + e) * p1, (0.5 * d * p0 + e) * p0], -1)
+    reached = np.isfinite(breaks)
+    order = np.argsort(breaks[reached])
+    ts = breaks[reached][order]
+    jumps = (coef[1:] - coef[:-1])[reached][order]
+    last = coef[reached.sum(0), np.arange(len(x_k))].sum(0)
+    pieces = last - np.concatenate([np.cumsum(jumps[::-1], 0)[::-1], np.zeros((1, 3))])
+    c2, c1, c0 = pieces.T
+    if c2[-1] == 0.0 and c1[-1] < 0.0:
+        raise LineSearchError("objective is unbounded along the prox path", math.inf, x_k)
+    lo, hi = np.concatenate([[0.0], ts]), np.concatenate([ts, [np.inf]])
+    t = np.clip(np.divide(-c1, 2.0 * c2, out=lo.copy(), where=c2 > 0.0), lo, hi)
+    return float(t[np.argmin((c2 * t + c1) * t + c0)]) or 1.0 / problem.params.L
+
+
 def _coordinate_optimum(d: float, b: float, h, i: int) -> float:
     """Minimize 0.5*d*x^2 + b*x + (coordinate i of h) with scalar arithmetic."""
     from proxrates import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
@@ -253,6 +294,21 @@ def pgm_exact(d: Fraction, b: Fraction, x0: Fraction, gamma: Fraction, N: int, o
         xs.append(max(Fraction(0), y) if orthant else y)
         ss.append((y - xs[-1]) / gamma)
     return xs, ss
+
+
+def els_exact(d: list, x0: list, N: int) -> list[list[Fraction]]:
+    """Exact line search with h = 0 on f(x) = (1/2) sum_i d_i x_i^2, in exact rationals.
+
+    Step k moves along -g_k = -d * x_k by the exact minimizer
+    t_k = <g_k, g_k> / <g_k, H g_k> of f on that ray. Returns the iterates
+    x_0..x_N as lists. Shares no code with `engine`.
+    """
+    xs = [list(x0)]
+    for _ in range(N):
+        g = [di * xi for di, xi in zip(d, xs[-1])]
+        t = sum(gi * gi for gi in g) / sum(di * gi * gi for di, gi in zip(d, g))
+        xs.append([xi - t * gi for xi, gi in zip(xs[-1], g)])
+    return xs
 
 
 def mixed_slope_exact(final: MeasureKind, mu: Fraction, L: Fraction, x0: Fraction, N: int) -> Fraction:

@@ -167,6 +167,13 @@ class TestSimulate:
 
 
 class TestTight:
+    def test_help_names_each_generator_and_the_els_rate(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tight", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert all(f"{name}: " in text for name in cli._TIGHT)
+        assert "((L-mu)/(L+mu))^2 is the rate that follows from the fixed-step 2/(L+mu) function-value certificate" in text
+
     def test_qlb_gaps_vanish(self, tmp_path):
         code, out = run_cli(
             ["tight", "qlb", "--mu", "1", "--L", "10", "--gamma", "0.18", "--N", "4"], tmp_path

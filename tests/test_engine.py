@@ -33,7 +33,7 @@ from proxrates import (
 from proxrates import engine
 from proxrates.worstcase import DIST_TO_FUNCGAP, mixed_measure_instance
 
-from helpers import line_search_oracle, line_search_phi, trace_oracle, value_oracle
+from helpers import exact_step_oracle, line_search_oracle, line_search_phi, trace_oracle, value_oracle
 
 M = MeasureKind
 
@@ -609,6 +609,97 @@ def _catalog_problem(f_kind: str, h_kind: str, dim: int, seed: int = 0):
     else:
         h, x0 = LinearPlusNonnegIndicator(rng.uniform(-1.0, 1.0, dim)), np.abs(x0)
     return CompositeProblem(f, h), x0
+
+
+def _oracle_instance(h_kind: str, dim: int, mu: float, ties: bool, rng):
+    """A diagonal f in F(mu, 4) plus a catalog h, and a start h.prox(1, y), often on a kink.
+
+    At mu = 0 about a third of the coordinates have zero curvature. With
+    `ties` the data take a few small values only, so that breakpoints of
+    different coordinates coincide.
+    """
+    L = 4.0
+    if ties:
+        d = rng.choice([mu, 1.0, L], dim)
+        b, y = rng.choice([-1.0, 0.0, 1.0], dim), rng.choice([-2.0, -1.0, 1.0, 2.0], dim)
+    else:
+        d = rng.uniform(mu, L, dim)
+        if mu == 0:
+            d[rng.random(dim) < 0.3] = 0.0
+        b, y = rng.uniform(-1.0, 1.0, dim), rng.normal(size=dim) * 2
+    lo = rng.uniform(-2.0, 0.0, dim)
+    h = {
+        "zero": lambda: Zero(dim),
+        "nonneg": lambda: NonnegIndicator(dim),
+        "box": lambda: BoxIndicator(lo, lo + rng.uniform(0.5, 2.0, dim)),
+        "l1": lambda: L1Norm(float(rng.uniform(0.1, 1.5)), dim),
+        "linear": lambda: LinearPlusNonnegIndicator(rng.uniform(-1.0, 1.0, dim)),
+    }[h_kind]()
+    return CompositeProblem(DiagonalQuadratic(d, b, ClassParams(mu, L)), h), h.prox(1.0, y)
+
+
+def _same_step(problem, x) -> float | None:
+    """The library's step at x, asserted to be the oracle's float bit for bit; None where both raise the same error."""
+    g = problem.f.grad(x)
+    try:
+        expected = exact_step_oracle(problem, x, g)
+    except LineSearchError as error:
+        with pytest.raises(LineSearchError, match=f"^{re.escape(str(error))}$"):
+            engine._exact_step_size(problem, x, g)
+        return None
+    gamma = engine._exact_step_size(problem, x, g)
+    assert np.float64(gamma).tobytes() == np.float64(expected).tobytes()
+    return gamma
+
+
+class TestExactStepOracle:
+    """The sweep over contiguous coefficient rows is the (k+1, dim, 3) sweep it replaced (helpers.exact_step_oracle)."""
+
+    @pytest.mark.parametrize("h_kind", H_KINDS)
+    @pytest.mark.parametrize("dim,seeds", [(1, 24), (2, 24), (8, 16), (1000, 3), (20_000, 1)])
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_chained_steps(self, h_kind, dim, seeds, mu):
+        # ten steps per start, each from where the last one landed, until the objective is unbounded
+        rng = np.random.default_rng([dim, int(mu), H_KINDS.index(h_kind)])
+        steps = 0
+        for seed in range(seeds):
+            for ties in (False, True):
+                problem, x = _oracle_instance(h_kind, dim, mu, ties, rng)
+                for _ in range(10):
+                    gamma = _same_step(problem, x)
+                    if gamma is None:
+                        break
+                    x, steps = problem.h.prox(gamma, x - gamma * problem.f.grad(x)), steps + 1
+        assert steps >= (20 * seeds if mu else 2 * seeds)
+
+    def test_no_finite_breakpoint(self):
+        # x > 0 and g < 0: every coordinate moves away from the orthant's kink, so the sweep has one piece,
+        # unbounded below only when no moving coordinate has curvature
+        params = ClassParams(0.0, 2.0)
+        for d, unbounded in (([1.0, 2.0, 0.5], False), ([1.0, 0.0, 0.5], False), ([0.0, 0.0, 0.0], True)):
+            for h in (NonnegIndicator(3), BoxIndicator([0.0] * 3, [np.inf] * 3)):
+                problem = CompositeProblem(DiagonalQuadratic(d, [-5.0, -1.0, -4.0], params), h)
+                x = np.array([1.0, 0.5, 2.0])
+                assert np.isinf(h.prox_path(x, problem.f.grad(x))[0]).all()
+                assert (_same_step(problem, x) is None) == unbounded
+
+    def test_unbounded_last_piece(self):
+        # coordinate 0 has no curvature and moves outwards forever; coordinate 1 reaches 0 first
+        f = DiagonalQuadratic([0.0, 1.0], [-1.0, -0.8], ClassParams(0.0, 1.0))
+        for h in (L1Norm(0.5, 2), NonnegIndicator(2), LinearPlusNonnegIndicator([0.25, 0.0])):
+            problem, x = CompositeProblem(f, h), np.array([1.0, 1.0])
+            assert np.isfinite(h.prox_path(x, problem.f.grad(x))[0]).any()
+            assert _same_step(problem, x) is None
+
+    @pytest.mark.parametrize("h_kind", H_KINDS)
+    def test_start_at_the_optimum(self, h_kind):
+        # the prox path stays put, so every piece is flat and both fall back to 1/L; with h = 0 the
+        # gradient at the float optimum is rounding noise, and the closed form takes a step along it
+        rng = np.random.default_rng(H_KINDS.index(h_kind))
+        for dim in (1, 8, 1000):
+            problem, _ = _oracle_instance(h_kind, dim, 1.0, False, rng)
+            gamma = _same_step(problem, problem.optimum()[0])
+            assert gamma is not None and (h_kind == "zero" or gamma == 1 / problem.params.L)
 
 
 def _bits(values) -> bytes:

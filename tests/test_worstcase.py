@@ -29,7 +29,7 @@ from proxrates.worstcase import (
     FUNCGAP_TO_RESIDUAL,
 )
 
-from helpers import iterate_recurrence, mixed_slope_exact, pgm_exact, step_1_over_L_cell_exact
+from helpers import els_exact, iterate_recurrence, mixed_slope_exact, pgm_exact, step_1_over_L_cell_exact
 
 M = MeasureKind
 MIXED = (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL)
@@ -244,11 +244,13 @@ class TestMixedMeasureExact:
 
 
 class TestClosedFormsExact:
-    """Two generators run in Q on the exact values of their float data, at their own float step.
+    """Three generators run in Q on the exact values of their float data, at their own float step.
 
     The exact run follows the documented closed form at every k, and the float
     closed form and predictions agree with it to within their rounding, whose
-    bound each test derives with u = eps/2 per operation.
+    bound each test derives with u = eps/2 per operation. The exact-line-search
+    zigzag runs at dyadic (mu, L), whose floats are exact, from the exact
+    start (1/mu, 1/L), with the exact step <g, g>/<g, Hg>.
     """
 
     def test_quadratic_lower_bound(self):
@@ -283,6 +285,33 @@ class TestClosedFormsExact:
                 assert exact == q ** (2 * N), (where, m)  # rho^(2N)
                 # rho^2 doubles the relative error of rho and ** N multiplies it by N
                 assert abs(Fraction(predicted) - exact) <= (2 * N + 2) * cond * EPS * exact, (where, m)
+
+    def test_els_worst_quadratic(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            # dyadic mu < L with small numerators: exact floats, and so are L - mu and L + mu
+            mu = Fraction(rng.randint(1, 64), 2 ** rng.randint(0, 6))
+            L = mu + Fraction(rng.randint(1, 512), 2 ** rng.randint(0, 6))
+            N = rng.randint(1, 12)
+            where = (mu, L, N)
+            rho = (L - mu) / (L + mu)
+            xs = els_exact([mu, L], [1 / mu, 1 / L], N)
+            gap = [(mu * x[0] ** 2 + L * x[1] ** 2) / 2 for x in xs]  # x* = 0 and F* = 0
+            for k, x in enumerate(xs):
+                assert x == [rho**k / mu, (-1) ** k * rho**k / L], (where, k)  # the zigzag
+            for k in range(N):
+                assert gap[k + 1] / gap[k] == rho**2, (where, k)  # ((L-mu)/(L+mu))^2 at every step
+            spec = els_worst_quadratic(ClassParams(float(mu), float(L)), N)
+            assert [Fraction(v) for v in spec.problem.f.d] == [mu, L], where
+            assert list(spec.x0) == [float(1 / mu), float(1 / L)], where  # 1/mu and 1/L, rounded once
+            for k, x in enumerate(xs):
+                # rho is one rounding of u = eps/2 (L - mu and L + mu are exact), rho ** k multiplies it by k
+                # and pow adds one, 1/mu or (-1)^k/L one and the product one: (k + 3) u < (k + 3) eps
+                closed = [Fraction(v) for v in spec.closed_form_iterates(k)]
+                assert all(abs(c - e) <= (k + 3) * EPS * abs(e) for c, e in zip(closed, x)), (where, k)
+            # rho * rho: twice the relative error of rho plus one rounding, 3 u < 2 eps
+            predicted = Fraction(spec.predicted[M.FUNC_GAP, M.FUNC_GAP])
+            assert abs(predicted - rho**2) <= 2 * EPS * rho**2, where
 
     def test_unbounded_family(self):
         rng = random.Random(21)
