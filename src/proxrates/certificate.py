@@ -16,6 +16,13 @@ f_k, f_{k+1}, f_*, h_k, h_{k+1}, h_* and the Gram matrix of the basis
 
     X = x_k - x_*,  g_k,  g_{k+1},  g_*,  s_k,  s_{k+1}.
 
+These names are derived from one description of a run's points: x_k, the
+iterate of each fixed step gamma_i, and x_*. Over steps gamma_0, ..., the
+basis is X, then g at each point, then s at each iterate, and the
+substitution is x_{k+i+1} = x_{k+i} - gamma_i (g_{k+i} + s_{k+i+1}); the
+one-step description gives the names above, in this order, and the forms
+accept the names of any description (g_{k+2} is "gk2", f_{k+2} is "fk2").
+
 No floating point is used anywhere on this path.
 
 The certificates are proven once, for all parameters, in Q(mu, L, gamma)
@@ -63,6 +70,7 @@ value, hence the same canonical form, so no output can differ.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -95,9 +103,28 @@ __all__ = [
     "SpotCheckResult",
 ]
 
-BASIS = ("x", "gk", "gk1", "gs", "sk", "sk1")
-FUNC_SYMBOLS = ("fk", "fk1", "fs", "hk", "hk1", "hs")
-LABELS = ("k", "k+1", "*")
+
+def _description(steps: int) -> list[tuple[str, str]]:
+    """The points of a run over `steps` fixed steps, as (label, name suffix): x_k, each iterate, x_*."""
+    return [("k", "k"), *((f"k+{i}", f"k{i}") for i in range(1, steps + 1)), ("*", "s")]
+
+
+def _names(steps: int) -> tuple[tuple, tuple, tuple]:
+    """The Gram basis, the function symbols and the point labels of the description over `steps` steps.
+
+    The basis is x = x_k - x_*, then each point's gradient, then each
+    iterate's subgradient (s_* = -g_* is substituted); the symbols are f at
+    each point, then h at each point.
+    """
+    points = _description(steps)
+    basis = ("x", *("g" + p for _, p in points), *("s" + p for _, p in points[:-1]))
+    return basis, tuple(kind + p for kind in "fh" for _, p in points), tuple(label for label, _ in points)
+
+
+BASIS, FUNC_SYMBOLS, LABELS = _names(1)
+# the names of every description, by kind: a point's suffix is k, k1, k2, ... (x_k and the iterates) or s (x_*)
+_BASIS_NAME = re.compile("x|[gs]k(?:[1-9][0-9]*)?|gs")
+_SYMBOL_NAME = re.compile("[fh](?:k(?:[1-9][0-9]*)?|s)")
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +357,9 @@ class _Form:
     """Sparse linear form: `terms` maps keys to nonzero exact coefficients.
 
     Every operation builds its result through `_of`, which sums the terms of
-    equal keys and prunes zeros, so construction is canonicalization.
+    equal keys and prunes zeros, so construction is canonicalization. The
+    public constructors check each name against the naming rule of the point
+    descriptions.
     """
 
     __slots__ = ("terms",)
@@ -364,14 +393,14 @@ class _Form:
 
 
 class VecExpr(_Form):
-    """Linear combination of the basis vectors, exact scalar coefficients."""
+    """Linear combination of the basis vectors of any description, exact scalar coefficients."""
 
     __slots__ = ()
 
     def __init__(self, coeffs=None):
         self.terms = {}
         for name, v in (coeffs or {}).items():
-            if name not in BASIS:
+            if not (name in BASIS or _BASIS_NAME.fullmatch(name)):  # the certificates' own names skip the pattern
                 raise ValueError(f"unknown basis vector {name!r}")
             if not _is_zero_scalar(v):
                 self.terms[name] = v
@@ -393,18 +422,17 @@ class SymbolicExpr(_Form):
     def __init__(self, lin=None, gram=None):
         terms = self.terms = {}
         for name, v in (lin or {}).items():
-            if name not in FUNC_SYMBOLS:
+            if not (name in FUNC_SYMBOLS or _SYMBOL_NAME.fullmatch(name)):
                 raise ValueError(f"unknown function symbol {name!r}")
             if not _is_zero_scalar(v):
                 terms[name] = v
         for (a, b), v in (gram or {}).items():
             key = (a, b) if a <= b else (b, a)
-            if a not in BASIS or b not in BASIS:
+            if not (_BASIS_NAME.fullmatch(a) and _BASIS_NAME.fullmatch(b)):
                 raise ValueError(f"unknown basis pair {key!r}")
-            if not _is_zero_scalar(v):
-                terms[key] = terms.get(key, 0) + v
-                if _is_zero_scalar(terms[key]):
-                    del terms[key]
+            terms[key] = terms.get(key, 0) + v  # both orders of a pair add into the first one's place
+            if _is_zero_scalar(terms[key]):
+                del terms[key]
 
     @property
     def lin(self) -> dict:
@@ -455,22 +483,25 @@ def fval(name: str) -> SymbolicExpr:
 # --------------------------------------------------------------------------
 
 
-def _points(gamma):
-    """Vectors and value symbols per point label, substitutions applied."""
-    X = VecExpr({"x": 1})
-    GK, GK1, GS = VecExpr({"gk": 1}), VecExpr({"gk1": 1}), VecExpr({"gs": 1})
-    SK, SK1 = VecExpr({"sk": 1}), VecExpr({"sk1": 1})
-    x = {"k": X, "k+1": X - (GK + SK1).scale(gamma), "*": VecExpr()}
-    g = {"k": GK, "k+1": GK1, "*": GS}
-    s = {"k": SK, "k+1": SK1, "*": -GS}
-    fsym = {"k": "fk", "k+1": "fk1", "*": "fs"}
-    hsym = {"k": "hk", "k+1": "hk1", "*": "hs"}
-    return x, g, s, fsym, hsym
+def _points(*gammas):
+    """Per point label of the description over the fixed steps `gammas`: x, g, s and the name suffix.
+
+    x_* is the origin with s_* = -g_*, and each iterate is substituted:
+    x_{k+i+1} = x_{k+i} - gamma_i (g_{k+i} + s_{k+i+1}).
+    """
+    points = _description(len(gammas))
+    g = {label: VecExpr({"g" + p: 1}) for label, p in points}
+    s = {label: VecExpr({"s" + p: 1}) for label, p in points[:-1]} | {"*": -g["*"]}
+    x = {"k": VecExpr({"x": 1}), "*": VecExpr()}
+    for (i, _), (j, _), gamma in zip(points, points[1:], gammas):
+        x[j] = x[i] - (g[i] + s[j]).scale(gamma)
+    return x, g, s, dict(points)
 
 
-def _check_label(label: str) -> None:
-    if label not in LABELS:
-        raise ValueError(f"point label must be one of {LABELS}, got {label!r}")
+def _check_labels(*labels: str) -> None:
+    for label in labels:
+        if label not in LABELS:
+            raise ValueError(f"point label must be one of {LABELS}, got {label!r}")
 
 
 def interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
@@ -483,23 +514,25 @@ def interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
 
     which is nonnegative for every f in F_{mu,L}. Requires mu < L.
     """
-    _check_label(i)
-    _check_label(j)
+    _check_labels(i, j)
     mu, L = Fraction(mu), Fraction(L)
     if not 0 <= mu < L:
         raise ValueError("interp_smooth requires 0 <= mu < L")
     return _interp_smooth(i, j, mu, L, gamma)
 
 
-def _interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
-    """`interp_smooth` for any scalars: labels and the class range already checked."""
-    x, g, _, fsym, _ = _points(gamma)
+def _interp_smooth(i: str, j: str, mu, L, *gammas) -> SymbolicExpr:
+    """`interp_smooth` for any scalars, between points of the description over `gammas`.
+
+    The labels and the class range are already checked.
+    """
+    x, g, _, name = _points(*gammas)
     dx = x[i] - x[j]
     dg = g[i] - g[j]
     coeff = mu / (2 * (1 - mu / L))
     return (
-        fval(fsym[i])
-        - fval(fsym[j])
+        fval("f" + name[i])
+        - fval("f" + name[j])
         - inner(g[j], dx)
         - norm_sq(dg).scale(Fraction(1, 2) / L)
         - norm_sq(dx - dg.scale(Fraction(1) / L)).scale(coeff)
@@ -508,15 +541,17 @@ def _interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
 
 def interp_convex(i: str, j: str, gamma) -> SymbolicExpr:
     """The convex (subgradient) inequality h_i - h_j - <s_j, x_i - x_j> >= 0."""
-    _check_label(i)
-    _check_label(j)
+    _check_labels(i, j)
     return _interp_convex(i, j, gamma)
 
 
-def _interp_convex(i: str, j: str, gamma) -> SymbolicExpr:
-    """`interp_convex` for any scalar step: labels already checked."""
-    x, _, s, _, hsym = _points(gamma)
-    return fval(hsym[i]) - fval(hsym[j]) - inner(s[j], x[i] - x[j])
+def _interp_convex(i: str, j: str, *gammas) -> SymbolicExpr:
+    """`interp_convex` for any scalar steps, between points of the description over `gammas`.
+
+    The labels are already checked.
+    """
+    x, _, s, name = _points(*gammas)
+    return fval("h" + name[i]) - fval("h" + name[j]) - inner(s[j], x[i] - x[j])
 
 
 # --------------------------------------------------------------------------
@@ -912,21 +947,21 @@ class SpotCheckResult:
 
 
 def evaluate_expr(expr: SymbolicExpr, vectors: dict, values: dict) -> float:
-    """Evaluate an expression at concrete vectors and function values."""
-    total = 0.0
-    for name in FUNC_SYMBOLS:
-        c = expr.lin_coeff(name)
-        if not _is_zero_scalar(c):
-            total += float(c) * float(values[name])
-    for (a, b), c in expr.gram.items():
-        total += float(c) * float(vectors[a] @ vectors[b])
+    """Evaluate an expression at concrete vectors and function values.
+
+    The function values are summed first, in the order of the symbols (f,
+    then h; x_k, each iterate, x_*), then the Gram entries in the
+    expression's order. A name the assignment lacks raises ValueError.
+    """
+    total, lin = 0.0, expr.lin
+    try:
+        for name in sorted(lin, key=lambda n: (n[0], n[1] == "s", len(n), n)):
+            total += float(lin[name]) * float(values[name])
+        for (a, b), c in expr.gram.items():
+            total += float(c) * float(vectors[a] @ vectors[b])
+    except KeyError as missing:
+        raise ValueError(f"the assignment has no value for {missing.args[0]!r}") from None
     return total
-
-
-def _random_assignment(rng):
-    vectors = {name: rng.standard_normal(3) for name in BASIS}
-    values = {name: float(rng.standard_normal()) for name in FUNC_SYMBOLS}
-    return vectors, values
 
 
 def _trace_assignment(rng, mu: float, L: float, gamma: float, seed: int):
@@ -947,22 +982,10 @@ def _trace_assignment(rng, mu: float, L: float, gamma: float, seed: int):
         x_k = np.abs(x_k)
     s_k = h.subgradient(x_k)
     x_k1, s_k1 = pgm_step(problem, gamma, x_k)
-    vectors = {
-        "x": x_k - x_star,
-        "gk": f.grad(x_k),
-        "gk1": f.grad(x_k1),
-        "gs": f.grad(x_star),
-        "sk": s_k,
-        "sk1": s_k1,
-    }
-    values = {
-        "fk": f.value(x_k),
-        "fk1": f.value(x_k1),
-        "fs": f.value(x_star),
-        "hk": h.value(x_k),
-        "hk1": h.value(x_k1),
-        "hs": h.value(x_star),
-    }
+    vectors, values = {"x": x_k - x_star}, {}
+    for (_, p), point in zip(_description(1), (x_k, x_k1, x_star)):
+        vectors["g" + p], values["f" + p], values["h" + p] = f.grad(point), f.value(point), h.value(point)
+    vectors |= {"s" + p: s for (_, p), s in zip(_description(1), (s_k, s_k1))}  # x_k's and x_{k+1}'s
     return vectors, values
 
 
@@ -986,11 +1009,14 @@ def numeric_spot_check(
 
     if any(isinstance(c, RatFunc) for c in expr.terms.values()):
         raise ValueError("spot checks need a concrete rational step size, not a symbol")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi, big = math.inf, -math.inf, 0.0
     for t in range(trials):
         if assignment == "random":
-            vectors, values = _random_assignment(rng)
+            vectors = {name: rng.standard_normal(3) for name in BASIS}
+            values = {name: float(rng.standard_normal()) for name in FUNC_SYMBOLS}
         elif assignment == "trace":
             vectors, values = _trace_assignment(rng, float(mu), float(L), float(gamma), seed + t)
         else:

@@ -444,6 +444,10 @@ def _table_rows(table: str, params: ClassParams, gamma: float, k: int, conjectur
 
 def _cmd_tables(args):
     params = ClassParams(args.mu, args.L)
+    if params.mu == 0:
+        raise ValueError(
+            "the global and step-1/L tables need mu > 0; smooth_convex_limit, the mu = 0 table, is printed at every mu"
+        )
     gamma = _parse_gamma(args.gamma or "opt", params)
     short = 1.0 / params.L
     rows = _table_rows("global", params, gamma, args.N, conjectured=False)

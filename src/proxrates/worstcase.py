@@ -79,6 +79,13 @@ def _padded(value: float, dim: int) -> np.ndarray:
     return out
 
 
+def _check_sizes(N: int, dim: int) -> None:
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+
+
 def quadratic_lower_bound(
     params: ClassParams, gamma: float, dim: int = 2, N: int = 10
 ) -> WorstCaseSpec:
@@ -96,10 +103,7 @@ def quadratic_lower_bound(
     params.require_strongly_convex()
     if not 0 <= gamma <= 2.0 / params.L * (1 + _REL_TOL):
         raise ValueError("attaining instances exist only for 0 <= gamma <= 2/L")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_sizes(N, dim)
     a = params.mu if gamma <= 2.0 / (params.L + params.mu) else params.L
     initial = (dim, a * dim / 2, _square(a) * dim)
     if not all(map(_is_normal, initial)):
@@ -152,6 +156,7 @@ def mixed_measure_instance(
         raise ValueError("x0 must be a positive scalar")
     if target not in _MIXED_CELLS:
         raise ValueError(f"target must be one of {_MIXED_CELLS}")
+    _check_sizes(N, dim)
 
     gamma = 1.0 / L
     init, final = target
@@ -197,10 +202,12 @@ def unbounded_family(
     normal floats, or whose ratios are not finite, raises ValueError.
     x0 = 0 starts at the optimum and every iterate stays there.
     """
+    params = ClassParams(0.0, L)
     if not c > 0:
         raise ValueError("c must be positive")
-    if x0 < 0:
+    if not x0 >= 0:
         raise ValueError("x0 must be feasible (x0 >= 0)")
+    _check_sizes(N, dim)
     predicted: dict[Cell, float] = {}
     if x0 > 0:
         xN = max(0.0, x0 - N * c / L)
@@ -216,7 +223,7 @@ def unbounded_family(
         }
         if not all(map(math.isfinite, predicted.values())):
             raise ValueError(f"c = {c} gives a predicted ratio beyond the float range (x0 = {x0})")
-    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), ClassParams(0.0, L))
+    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), params)
     problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
 
     def closed_form(k: int) -> np.ndarray:

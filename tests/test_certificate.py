@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from proxrates.certificate import (
     BASIS,
     FUNC_SYMBOLS,
+    LABELS,
     Poly,
     RatFunc,
     Regime,
@@ -18,7 +21,10 @@ from proxrates.certificate import (
     VERIFIERS,
     VecExpr,
     _certificate,
+    _interp_convex,
     _interp_smooth,
+    _names,
+    _points,
     _regimes,
     _residual,
     _term_names,
@@ -26,6 +32,7 @@ from proxrates.certificate import (
     alpha_small,
     default_grid,
     evaluate_expr,
+    fval,
     gamma_symbol,
     inner,
     interp_convex,
@@ -367,6 +374,74 @@ class TestInterpolationBuilders:
             interp_smooth("k", "q", 1, 2, F(1, 2))
 
 
+class TestPointDescription:
+    """The basis, symbols, labels and substitutions all follow from one description of the points."""
+
+    def test_one_step_names(self):
+        assert BASIS == ("x", "gk", "gk1", "gs", "sk", "sk1")
+        assert FUNC_SYMBOLS == ("fk", "fk1", "fs", "hk", "hk1", "hs")
+        assert LABELS == ("k", "k+1", "*")
+        assert _names(1) == (BASIS, FUNC_SYMBOLS, LABELS)
+
+    def test_two_and_zero_step_names(self):
+        basis, symbols, labels = _names(2)
+        assert basis == ("x", "gk", "gk1", "gk2", "gs", "sk", "sk1", "sk2")
+        assert symbols == ("fk", "fk1", "fk2", "fs", "hk", "hk1", "hk2", "hs")
+        assert labels == ("k", "k+1", "k+2", "*")
+        assert _names(0) == (("x", "gk", "gs", "sk"), ("fk", "fs", "hk", "hs"), ("k", "*"))
+
+    def test_two_step_substitution(self):
+        g0, g1 = F(1, 3), F(2, 7)
+        x, g, s, suffix = _points(g0, g1)
+        x_k1 = VecExpr({"x": 1, "gk": -g0, "sk1": -g0})
+        assert (x["k+1"] - x_k1).is_zero()
+        assert (x["k+2"] - (x_k1 - VecExpr({"gk1": g1, "sk2": g1}))).is_zero()
+        assert x["*"].is_zero() and (s["*"] + g["*"]).is_zero() and g["*"].coeffs == {"gs": 1}
+        assert suffix == {"k": "k", "k+1": "k1", "k+2": "k2", "*": "s"}
+        # the one-step points of a two-step description are the one-step description's
+        one = _points(g0)
+        for label in LABELS:
+            assert (x[label] - one[0][label]).is_zero() and (s[label] - one[2][label]).is_zero()
+
+    def test_forms_accept_every_description(self):
+        basis, symbols, _ = _names(12)
+        expr = SymbolicExpr(lin={name: 1 for name in symbols}, gram={(a, b): 1 for a in basis for b in basis})
+        assert set(expr.lin) == set(symbols) and len(expr.gram) == len(basis) * (len(basis) + 1) // 2
+        assert set(VecExpr({name: 1 for name in basis}).coeffs) == set(basis)
+
+    @pytest.mark.parametrize("name", ["gk0", "sk01", "ss", "sx", "k1", "gk+1", "xk", "g", "s", "GK", "gk٣", "fk"])
+    def test_forms_refuse_other_vector_names(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"unknown basis vector '{name}'")):
+            VecExpr({name: 1})
+        with pytest.raises(ValueError, match="unknown basis pair"):
+            SymbolicExpr(gram={("x", name): 1})
+
+    @pytest.mark.parametrize("name", ["fk0", "hk01", "fx", "f", "hk+1", "gk", "x", "Fk", "fk٣", "fss"])
+    def test_forms_refuse_other_symbols(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"unknown function symbol '{name}'")):
+            SymbolicExpr(lin={name: 1})
+
+    def test_two_step_inequalities_between_later_points(self):
+        # the convex inequality between x_{k+2} and x_* at steps (g0, g1), written out by hand
+        g0, g1 = F(1, 3), F(2, 7)
+        x_k2 = VecExpr({"x": 1, "gk": -g0, "sk1": -g0, "gk1": -g1, "sk2": -g1})
+        expected = fval("hk2") - fval("hs") - inner(VecExpr({"gs": -1}), x_k2)
+        assert _interp_convex("k+2", "*", g0, g1) == expected
+        assert _interp_smooth("k+2", "k+2", F(1), F(3), g0, g1).is_zero()
+        assert _interp_smooth("k", "k+1", F(1), F(3), g0, g1) == interp_smooth("k", "k+1", 1, 3, g0)
+
+    def test_evaluation_refuses_a_missing_name(self):
+        vectors = {name: np.ones(3) for name in BASIS}
+        values = {name: 1.0 for name in FUNC_SYMBOLS}
+        assert evaluate_expr(fval("fk1") + norm_sq(VecExpr({"sk1": 1})), vectors, values) == 4.0
+        with pytest.raises(ValueError, match="'fk2'"):
+            evaluate_expr(fval("fk") + fval("fk2"), vectors, values)
+        with pytest.raises(ValueError, match="'gk2'"):
+            evaluate_expr(norm_sq(VecExpr({"gk2": 1})), vectors, values)
+        with pytest.raises(ValueError, match="'hk2'"):  # the values are read first
+            numeric_spot_check(_interp_convex("k+2", "*", F(1, 3), F(1, 3)), 1, 3, F(1, 3))
+
+
 # ------------------------------------------------------------ certificates
 
 
@@ -561,12 +636,17 @@ class TestNumericSpotCheck:
         res = numeric_spot_check(SymbolicExpr(), 1, 2, 0.5, trials=5)
         assert res.max_abs == 0.0
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_refused(self, trials):
+        # evaluating nothing would read as a vanishing, nonnegative expression
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            numeric_spot_check(norm_sq(VecExpr({"x": 1})), 1, 2, 0.5, trials=trials)
+
     def test_single_gram_entry(self):
         expr = norm_sq(VecExpr({"gk": 1}))
         vectors = {name: np.zeros(3) for name in BASIS}
         vectors["gk"] = np.array([1.0, 2.0, 2.0])
         values = {name: 0.0 for name in FUNC_SYMBOLS}
-        values["const"] = 1.0
         assert evaluate_expr(expr, vectors, values) == 9.0
 
     def test_certificate_residuals_vanish_numerically(self):
@@ -607,7 +687,6 @@ class TestNumericSpotCheck:
         for _ in range(20):
             vectors = {name: rng.standard_normal(3) for name in BASIS}
             values = {name: float(rng.standard_normal()) for name in FUNC_SYMBOLS}
-            values["const"] = 1.0
             a = evaluate_expr(lhs, vectors, values)
             b = evaluate_expr(rhs, vectors, values)
             assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
@@ -685,6 +764,75 @@ class TestParametricProof:
             assert [m.name for m in rep.multipliers] + [t.name for t in rep.sos_terms] == _term_names(theorem)
 
 
+def _next_name(name: str) -> str:
+    """A basis name one point on: g_k -> g_{k+1}, s_{k+1} -> s_{k+2}; g_* stays."""
+    return name if name.endswith("s") else f"{name[0]}k{int(name[2:] or 0) + 1}"
+
+
+_NEXT_LABEL = {"k": "k+1", "k+1": "k+2", "*": "*"}
+
+
+def _two_step_distance_chain(regime: Regime, mu=PARAM_MU, L=PARAM_L, gamma=PARAM_GAMMA):
+    """rho^2 times the distance certificate at step k, plus the same certificate at step k+1, over Q(mu, L, gamma).
+
+    The step-k certificate is the one-step one. The step-(k+1) one weighs the
+    same inequalities between the points one step on, in the two-step
+    description, and its SOS combinations are the same with each name one
+    point on and x_k - x_* replaced by x_{k+1} - x_*. The chain's claim is
+    ||x_{k+2} - x_*||^2 <= rho^4 ||x_k - x_*||^2.
+    """
+    rho = 1 - gamma * mu if regime is Regime.SMALL_STEP else gamma * L - 1
+    r2 = rho * rho
+    weighted, _, sos = _certificate("distance", regime, mu, L, gamma)
+    x = _points(gamma, gamma)[0]
+
+    def later(comb: VecExpr) -> VecExpr:
+        out = VecExpr()
+        for name, c in comb.coeffs.items():
+            out = out + (x["k+1"] if name == "x" else VecExpr({_next_name(name): 1})).scale(c)
+        return out
+
+    def one_on(ineq):
+        i, j, *scalars = ineq.args  # the scalars end with the step
+        return partial(ineq.func, _NEXT_LABEL[i], _NEXT_LABEL[j], *scalars, gamma)
+
+    chain_weighted = [(n + "@k", r2 * lam, ineq) for n, lam, ineq in weighted]
+    chain_weighted += [(n + "@k+1", lam, one_on(ineq)) for n, lam, ineq in weighted]
+    chain_sos = [(n + "@k", r2 * c, comb) for n, c, comb in sos] + [(n + "@k+1", c, later(comb)) for n, c, comb in sos]
+
+    def claim():
+        return norm_sq(x["k"]).scale(r2 * r2) - norm_sq(x["k+2"])
+
+    return chain_weighted, claim, chain_sos
+
+
+class TestTwoStepChain:
+    """Two distance certificates, at steps k and k+1 of a two-step description, prove the two-step rate in Q."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_chain_residual_is_identically_zero(self, regime):
+        weighted, claim, sos = _two_step_distance_chain(regime)
+        assert len(weighted) == 8 and len(sos) == 4
+        assert _residual(weighted, claim, sos).is_zero()
+        # the later certificate reaches x_{k+2} = x_{k+1} - gamma (g_{k+1} + s_{k+2})
+        later = weighted[6][2]()  # h_* - h_{k+2} - <s_{k+2}, x_* - x_{k+2}>
+        assert later.gram_coeff("gk1", "sk2") == -PARAM_GAMMA and later.lin_coeff("hk2") == -1
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_every_perturbed_term_leaves_a_residual(self, regime):
+        weighted, claim, sos = _two_step_distance_chain(regime)
+        terms = weighted + sos
+        for k, (name, _, _) in enumerate(terms):
+            perturbed = [(n, v + PARAM_GAMMA if i == k else v, term) for i, (n, v, term) in enumerate(terms)]
+            assert not _residual(perturbed[:8], claim, perturbed[8:]).is_zero(), name
+
+    def test_the_chain_holds_at_a_point(self):
+        # the same chain in exact rationals at (mu, L, gamma) = (1, 3, 1/5)
+        weighted, claim, sos = _two_step_distance_chain(Regime.SMALL_STEP, F(1), F(3), F(1, 5))
+        assert _residual(weighted, claim, sos).is_zero()
+        assert claim().gram_coeff("x", "x") == F(4, 5) ** 4 - 1
+
+
 def _distance_pair(mu, L) -> SymbolicExpr:
     """The two interpolation inequalities between x_k and x* that the distance certificate weighs alike."""
     return _interp_smooth("*", "k", mu, L, PARAM_GAMMA) + _interp_smooth("k", "*", mu, L, PARAM_GAMMA)
@@ -730,7 +878,7 @@ def _worst_case_gram(a, gamma):
     """The Gram data of one step of PGM on the 1-d a x^2/2 with h = 0, from x0 = 1 to x* = 0, in Q."""
     x1 = 1 - gamma * a
     vectors = {"x": [F(1)], "gk": [a], "gk1": [a * x1], "gs": [F(0)], "sk": [F(0)], "sk1": [F(0)]}
-    values = {"const": F(1), "fk": a / 2, "fk1": a * x1 * x1 / 2, "fs": F(0), "hk": F(0), "hk1": F(0), "hs": F(0)}
+    values = {"fk": a / 2, "fk1": a * x1 * x1 / 2, "fs": F(0), "hk": F(0), "hk1": F(0), "hs": F(0)}
     return vectors, values
 
 

@@ -218,6 +218,11 @@ class TestTight:
         assert code == 2 and not out.exists()
         assert "N must be >= 0" in capsys.readouterr().err
 
+    def test_unbounded_refuses_a_nan_start(self, tmp_path, capsys):
+        code, out = run_cli(["tight", "unbounded", "--x0", "nan"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: x0 must be feasible (x0 >= 0)\n"
+
     def test_unbounded_rows(self, tmp_path):
         code, out = run_cli(["tight", "unbounded", "--c", "0.05", "--N", "5", "--L", "1"], tmp_path)
         assert code == 0
@@ -459,6 +464,15 @@ class TestTables:
             params, g, conjectured = lookups[table]
             bound = bound_lookup(init, final, params, g, k, conjectured=conjectured)
             assert row["value"] == ("unbounded" if bound.is_unbounded else bound.value)
+
+    @pytest.mark.parametrize("step", [["--gamma", "1"], []])
+    def test_mu_zero_is_refused(self, tmp_path, capsys, step):
+        # every mu = 0 lookup reads smooth_convex_limit, so a global or step-1/L row would mix two tables
+        code, out = run_cli(["tables", "--mu", "0", "--L", "1", *step], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists() and captured.out == ""
+        assert captured.err.startswith("error: the global and step-1/L tables need mu > 0;")
+        assert captured.err.count("\n") == 1 and "smooth_convex_limit, the mu = 0 table" in captured.err
 
     def test_mu_equal_L(self, tmp_path):
         code, out = run_cli(["tables", "--mu", "2", "--L", "2", "--N", "3"], tmp_path)

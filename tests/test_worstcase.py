@@ -446,6 +446,13 @@ class TestErrorPaths:
             pytest.param(lambda: unbounded_family(0.1, x0=-1.0), re.escape("x0 must be feasible (x0 >= 0)"),
                          id="unbounded-negative-x0"),
             pytest.param(lambda: unbounded_family(math.inf), "c = inf gives the initial gap inf", id="unbounded-c-inf"),
+            pytest.param(lambda: unbounded_family(0.1, x0=math.nan), re.escape("x0 must be feasible (x0 >= 0)"),
+                         id="unbounded-nan-x0"),
+            pytest.param(lambda: unbounded_family(0.1, N=-1), "N must be >= 0", id="unbounded-negative-N"),
+            pytest.param(lambda: unbounded_family(0.1, L=0.0), "L must be positive, got 0.0", id="unbounded-zero-L"),
+            pytest.param(lambda: unbounded_family(0.1, dim=0), "dim must be >= 1", id="unbounded-dim-0"),
+            pytest.param(lambda: mixed_measure_instance(ClassParams(1.0, 2.0), 3, 1.0, DIST_TO_FUNCGAP, dim=0),
+                         "dim must be >= 1", id="mixed-dim-0"),
         ],
     )
     def test_raises(self, build, message):
