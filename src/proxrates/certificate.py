@@ -23,6 +23,20 @@ substitution is x_{k+i+1} = x_{k+i} - gamma_i (g_{k+i} + s_{k+i+1}); the
 one-step description gives the names above, in this order, and the forms
 accept the names of any description (g_{k+2} is "gk2", f_{k+2} is "fk2").
 
+What each rate assumes is read off its certificate (`TestPairedInequalities`
+proves the identities in Q(mu, L, gamma)). The distance and residual
+certificates weigh their two smooth inequalities alike, one inequality in both
+orders, and their two convex ones alike, so the f and h values cancel. A
+smooth pair between x_i and x_j is `smooth.relaxed_distance_condition` between
+them, and a convex pair is <s_i - s_j, x_i - x_j>, the monotonicity of the
+subgradients of h. So the distance rate needs only that condition between x_k
+and x_* and monotone subgradients between x_{k+1} and x_*; the residual rate
+needs only that condition and monotone subgradients between x_k and x_{k+1}.
+The function-value certificate weighs its three one-sided smooth inequalities,
+(k, k+1), (*, k) and (*, k+1), and its two convex ones, (k, k+1) and
+(*, k+1), unequally, and no two of them are one inequality in both orders: it
+uses all five as they are.
+
 No floating point is used anywhere on this path.
 
 The certificates are proven once, for all parameters, in Q(mu, L, gamma)
@@ -356,35 +370,46 @@ def _is_zero_scalar(v) -> bool:
 class _Form:
     """Sparse linear form: `terms` maps keys to nonzero exact coefficients.
 
-    Every operation builds its result through `_of`, which sums the terms of
-    equal keys and prunes zeros, so construction is canonicalization. The
-    public constructors check each name against the naming rule of the point
-    descriptions.
+    Every operation builds its result through `_of`, which adds nonzero
+    (key, coefficient) items into the terms it is given, in place, and deletes
+    a key as soon as its coefficient reaches zero, so construction is
+    canonicalization. A sum copies the left operand's terms and adds the right
+    one's, each key once; `inner` adds at most two products per pair key,
+    (a, b) and (b, a). So a key reaches zero only with its last item, and
+    pruning on the spot leaves the terms, in the key order, that summing all
+    items first and pruning after would leave. Negating, or scaling by a
+    nonzero scalar, creates no zero. The public constructors check each name
+    against the naming rule of the point descriptions.
     """
 
     __slots__ = ("terms",)
 
     @classmethod
-    def _of(cls, items):
-        """The form summing the (key, coefficient) items, keys known valid."""
-        terms = {}
+    def _of(cls, items, terms=None):
+        """The form adding the nonzero (key, coefficient) items into `terms`, which it owns; keys known valid."""
+        terms = {} if terms is None else terms
         for k, v in items:
-            terms[k] = terms[k] + v if k in terms else v
+            if k in terms:
+                v = terms[k] + v
+                if _is_zero_scalar(v):
+                    del terms[k]
+                    continue
+            terms[k] = v
         out = cls.__new__(cls)
-        out.terms = {k: v for k, v in terms.items() if not _is_zero_scalar(v)}
+        out.terms = terms
         return out
 
     def __add__(self, other):
-        return self._of([*self.terms.items(), *other.terms.items()])
+        return self._of(other.terms.items(), dict(self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of((k, -v) for k, v in self.terms.items())
+        return self._of((), {k: -v for k, v in self.terms.items()})
 
     def scale(self, v):
-        return self._of((k, v * c) for k, c in self.terms.items())
+        return self._of((), {} if _is_zero_scalar(v) else {k: v * c for k, c in self.terms.items()})
 
     __rmul__ = scale
 

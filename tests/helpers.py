@@ -11,7 +11,8 @@ or the orthant, the exact line search in exact rationals for diagonal
 quadratics with h = 0, the exact line search's sweep on the layout it had
 before its rows were contiguous, the rational step-1/L cells the constrained family
 attains, the long hand-expanded coefficient display for the distance
-certificate, an exact Gram-basis evaluator of certificate expressions, an eager
+certificate, an exact Gram-basis evaluator of certificate expressions, the
+sum-then-prune form arithmetic that the in-place sum replaced, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
 the certificate report with its residual always expanded, and each catalog
@@ -40,6 +41,7 @@ from proxrates.certificate import (
     SymbolicExpr,
     _certificate,
     _coerce,
+    _is_zero_scalar,
     _perturb,
     _residual,
     interp_convex,
@@ -342,6 +344,48 @@ def gram_value(expr: SymbolicExpr, vectors: dict, values: dict) -> Fraction:
     for (a, b), c in expr.gram.items():
         total += Fraction(c) * sum(u * v for u, v in zip(vectors[a], vectors[b], strict=True))
     return total
+
+
+def _reference_form(cls, items):
+    """The form summing every (key, coefficient) item first and pruning the zero coefficients after."""
+    terms = {}
+    for k, v in items:
+        terms[k] = terms[k] + v if k in terms else v
+    out = cls.__new__(cls)
+    out.terms = {k: v for k, v in terms.items() if not _is_zero_scalar(v)}
+    return out
+
+
+def reference_add(a, b):
+    return _reference_form(type(a), [*a.terms.items(), *b.terms.items()])
+
+
+def reference_neg(a):
+    return _reference_form(type(a), ((k, -v) for k, v in a.terms.items()))
+
+
+def reference_sub(a, b):
+    return reference_add(a, reference_neg(b))
+
+
+def reference_scale(a, v):
+    return _reference_form(type(a), ((k, v * c) for k, c in a.terms.items()))
+
+
+def reference_inner(u, v) -> SymbolicExpr:
+    pairs = (((a, b) if a <= b else (b, a), ca * cb) for a, ca in u.terms.items() for b, cb in v.terms.items())
+    return _reference_form(SymbolicExpr, pairs)
+
+
+# The same arithmetic as the `certificate._Form` methods it replaced, to patch onto the class
+# (`inner` builds through `_of`, and `a - b` is `a + (-b)`).
+REFERENCE_FORM_METHODS = {
+    "_of": classmethod(_reference_form),
+    "__add__": reference_add,
+    "__neg__": reference_neg,
+    "scale": reference_scale,
+    "__rmul__": reference_scale,
+}
 
 
 def distance_weighted_sum(mu, L, gamma, regime: Regime) -> SymbolicExpr:

@@ -21,9 +21,12 @@ from proxrates.certificate import (
     VERIFIERS,
     VecExpr,
     _certificate,
+    _Form,
     _interp_convex,
     _interp_smooth,
+    _is_zero_scalar,
     _names,
+    _perturb,
     _points,
     _regimes,
     _residual,
@@ -53,6 +56,7 @@ from helpers import (
     PARAM_L,
     PARAM_MU,
     PROOF_FACTORS,
+    REFERENCE_FORM_METHODS,
     SIGN_FACTORS,
     STEP_INTERVALS,
     ParamRat,
@@ -65,7 +69,12 @@ from helpers import (
     gram_value,
     parametric_certificate,
     ratfunc_oracle,
+    reference_add,
     reference_display,
+    reference_inner,
+    reference_neg,
+    reference_scale,
+    reference_sub,
 )
 
 F = Fraction
@@ -317,6 +326,99 @@ class TestAlgebraLaws:
         # building from pre-substituted vectors commutes with the module ops
         assert a.scale(s) + b.scale(t) == (b.scale(t) + a.scale(s))
         assert (a + b).scale(s) - b.scale(s) == a.scale(s)
+
+
+def ratfuncs_st():
+    """Rational functions in gamma, some over a denominator of degree 1, zero included."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    shift = st.sampled_from([F(0), F(-1), F(2)])
+    return st.builds(lambda a, b, c: RatFunc(Poly((a, b)), Poly((c, 1))), coeff, coeff, shift)
+
+
+_FORM_KEYS = {
+    VecExpr: list(BASIS),
+    SymbolicExpr: [*FUNC_SYMBOLS, *((a, b) for a in BASIS for b in BASIS if a <= b)],
+}
+
+
+def _form(kind, terms: dict):
+    """The form of `kind` with the nonzero of `terms`, in their order (no arithmetic runs)."""
+    out = kind.__new__(kind)
+    out.terms = {k: v for k, v in terms.items() if not _is_zero_scalar(v)}
+    return out
+
+
+@st.composite
+def cancelling_forms(draw, kind, scalars):
+    """Two forms of `kind` in any key order whose shared keys often carry opposite coefficients."""
+    keys = _FORM_KEYS[kind]
+    a = {k: draw(scalars) for k in draw(st.lists(st.sampled_from(keys), unique=True, max_size=6))}
+    b = {}
+    for k in draw(st.lists(st.sampled_from([*a, *a, *keys]), unique=True, max_size=6)):
+        b[k] = -a[k] if k in a and draw(st.booleans()) else draw(scalars)
+    return _form(kind, a), _form(kind, b)
+
+
+def _items(form) -> list:
+    """A form's terms in key order, with each coefficient's type."""
+    return [(k, type(v), v) for k, v in form.terms.items()]
+
+
+class TestInPlaceSumMatchesSumThenPrune:
+    """`_Form` arithmetic against the sum-then-prune route it replaced (`helpers.REFERENCE_FORM_METHODS`).
+
+    Equal terms are not enough: the key order reaches every report's residual,
+    so each result must list the same keys in the same order.
+    """
+
+    @pytest.mark.parametrize("scalars", [fractions_st, ratfuncs_st], ids=["Fraction", "RatFunc"])
+    @pytest.mark.parametrize("kind", [VecExpr, SymbolicExpr], ids=["VecExpr", "SymbolicExpr"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_operation(self, kind, scalars, data):
+        a, b = data.draw(cancelling_forms(kind, scalars()))
+        s = data.draw(scalars())
+        cases = [
+            (a + b, reference_add(a, b)),
+            (a - b, reference_sub(a, b)),
+            (b - a, reference_sub(b, a)),
+            (-a, reference_neg(a)),
+            (a - a + b, reference_add(reference_sub(a, a), b)),
+            (a + b - a, reference_sub(reference_add(a, b), a)),
+            (a.scale(s), reference_scale(a, s)),
+            (a.scale(F(0)), reference_scale(a, F(0))),
+            (a.scale(RatFunc(Poly())), reference_scale(a, RatFunc(Poly()))),
+        ]
+        if isinstance(s, Fraction):  # a RatFunc on the left multiplies only scalars
+            cases.append((s * a, reference_scale(a, s)))
+        if kind is VecExpr:
+            # flipping every other sign makes the two products of a pair key cancel
+            flipped = _form(VecExpr, {k: -v if i % 2 else v for i, (k, v) in enumerate(a.terms.items())})
+            cases += [
+                (inner(a, b), reference_inner(a, b)),
+                (inner(a, flipped), reference_inner(a, flipped)),
+                (norm_sq(a - b), reference_inner(reference_sub(a, b), reference_sub(a, b))),
+            ]
+        for got, want in cases:
+            assert _items(got) == _items(want)
+
+    def test_mutated_residuals_over_the_grid(self, monkeypatch):
+        def residuals():
+            out = []
+            for mu, L, gamma, regime in default_grid():
+                for theorem in VERIFIERS:
+                    certificate = _certificate(theorem, regime, mu, L, gamma)
+                    for name in _term_names(theorem):
+                        out.append(_items(_residual(*_perturb(certificate, (name, F(1, 1000))))))
+            return out
+
+        in_place = residuals()
+        with monkeypatch.context() as m:
+            for attr, method in REFERENCE_FORM_METHODS.items():
+                m.setattr(_Form, attr, method)
+            reference = residuals()
+        assert len(in_place) == len(default_grid()) * 20 and all(in_place)
+        assert in_place == reference
 
 
 class TestInterpolationBuilders:
@@ -833,9 +935,13 @@ class TestTwoStepChain:
         assert claim().gram_coeff("x", "x") == F(4, 5) ** 4 - 1
 
 
+def _smooth_pair(i, j, mu, L, gamma) -> SymbolicExpr:
+    return _interp_smooth(i, j, mu, L, gamma) + _interp_smooth(j, i, mu, L, gamma)
+
+
 def _distance_pair(mu, L) -> SymbolicExpr:
     """The two interpolation inequalities between x_k and x* that the distance certificate weighs alike."""
-    return _interp_smooth("*", "k", mu, L, PARAM_GAMMA) + _interp_smooth("k", "*", mu, L, PARAM_GAMMA)
+    return _smooth_pair("*", "k", mu, L, PARAM_GAMMA)
 
 
 class TestRelaxedDistanceCondition:
@@ -872,6 +978,84 @@ class TestRelaxedDistanceCondition:
             expected = evaluate_expr(pair, vectors, values)
             got = relaxed_distance_condition(f, ClassParams(mu, L), x, x_star)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * (1 + float(np.sum(x * x))) * L)
+
+
+# the two pairs each certificate weighs alike: one inequality in both orders between two points
+_PAIRED = {
+    "distance": (("*", "k"), ("*", "k+1")),
+    "residual": (("k", "k+1"), ("k", "k+1")),
+}
+
+
+class TestPairedInequalities:
+    """The distance and residual rates need only two symmetric conditions between two points.
+
+    Each certificate weighs its two smooth inequalities alike and its two
+    convex ones alike, so the f and h values cancel. The smooth pair is
+    `relaxed_distance_condition` between the two points, and the convex pair
+    is the monotonicity of h's subgradients between its two points: between
+    x_k and x* and between x_{k+1} and x* (distance), and between x_k and
+    x_{k+1} for both (residual).
+    """
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("theorem", list(_PAIRED))
+    def test_each_pair_carries_one_weight(self, theorem, regime):
+        weighted, _, _ = parametric_certificate(theorem, regime)
+        (_, l0, _), (_, l1, _), (_, l2, _), (_, l3, _) = weighted
+        assert l0 == l1 and l2 == l3
+        (i, j), (p, q) = _PAIRED[theorem]
+        assert [(ineq.func, ineq.args[:2]) for _, _, ineq in weighted] == [
+            (_interp_smooth, (i, j)), (_interp_smooth, (j, i)), (_interp_convex, (p, q)), (_interp_convex, (q, p))
+        ]
+
+    def test_funcvalue_weighs_no_inequality_in_both_orders(self):
+        # five one-sided inequalities, none of them the reverse of another of its kind
+        for regime in Regime:
+            weighted, _, _ = parametric_certificate("funcvalue", regime)
+            used = [(ineq.func, ineq.args[:2]) for _, _, ineq in weighted]
+            assert len(used) == 5 and not any((f, (j, i)) in used for f, (i, j) in used)
+
+    @pytest.mark.parametrize("theorem", list(_PAIRED))
+    def test_smooth_pair_is_the_condition_over_Q_mu_L_gamma(self, theorem):
+        # <g_j - g_i, x_j - x_i> - ||g_i - g_j||^2 / L - mu/(1 - mu/L) ||x_i - x_j - (g_i - g_j)/L||^2
+        mu, L, gamma = PARAM_MU, PARAM_L, PARAM_GAMMA
+        (i, j), _ = _PAIRED[theorem]
+        x, g, _, _ = _points(gamma)
+        dx, dg = x[i] - x[j], g[i] - g[j]
+        condition = inner(dg, dx) - norm_sq(dg).scale(1 / L) - norm_sq(dx - dg.scale(1 / L)).scale(mu / (1 - mu / L))
+        assert (_smooth_pair(i, j, mu, L, gamma) - condition).is_zero()
+
+    @pytest.mark.parametrize("theorem", list(_PAIRED))
+    def test_convex_pair_is_subgradient_monotonicity_over_Q_gamma(self, theorem):
+        _, (i, j) = _PAIRED[theorem]
+        x, _, s, _ = _points(PARAM_GAMMA)
+        pair = _interp_convex(i, j, PARAM_GAMMA) + _interp_convex(j, i, PARAM_GAMMA)
+        assert (pair - inner(s[i] - s[j], x[i] - x[j])).is_zero()
+
+    def test_float_condition_evaluates_the_smooth_pairs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            dim = int(rng.integers(1, 6))
+            L = float(rng.uniform(0.5, 20))
+            mu = L * float(rng.uniform(0, 0.95))
+            gamma = F(float(rng.uniform(0.05, 2)) / L)
+            # rank-deficient quadratics included: the identities hold pointwise
+            d = rng.uniform(0, L, dim) * (rng.random(dim) < 0.8)
+            f = DiagonalQuadratic(d, rng.normal(size=dim), ClassParams(0, L))
+            point = {"k": rng.normal(size=dim) * 3, "k+1": rng.normal(size=dim) * 3, "*": rng.normal(size=dim)}
+            grads = {label: f.grad(p) for label, p in point.items()}
+            # s_{k+1} is whatever makes x_{k+1} the step's iterate: x_{k+1} = x_k - gamma (g_k + s_{k+1})
+            vectors = {
+                "x": point["k"] - point["*"], "gk": grads["k"], "gk1": grads["k+1"], "gs": grads["*"],
+                "sk1": (point["k"] - point["k+1"]) / float(gamma) - grads["k"],
+            }
+            values = {name: float(rng.normal()) for name in FUNC_SYMBOLS}  # the f values cancel
+            for (i, j), _ in _PAIRED.values():
+                expected = evaluate_expr(_smooth_pair(i, j, F(mu), F(L), gamma), vectors, values)
+                got = relaxed_distance_condition(f, ClassParams(mu, L), point[i], point[j])
+                scale = 1 + float(np.sum((point[i] - point[j]) ** 2))
+                assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * scale * L)
 
 
 def _worst_case_gram(a, gamma):
@@ -1132,6 +1316,36 @@ MUTATION_DIGESTS = {
     "subgrad_change": "a37ae62b64161fae385c5a675c116ce4c4cf48c1b6bd13807f23535b2095b505",
     "subgrad_combination": "d18ebd396140567440e8282cdd3e8456a6e871c0b06aa4aba381f8c5184f5120",
 }
+# The same bytes at a large step (gamma = 3/5) and at the regime boundary 2/(L+mu) = 1/2, where
+# every certificate is built in both regimes, per gamma and NAME:
+MUTATION_DIGESTS_OTHER_STEPS = {
+    "3/5": {
+        "grad_combination": "dc2d81f0ef783fe607bb24fb1be186663385bfac20707740dc4c23adee0020a9",
+        "lambda0": "039661fdab8c836882b8995e97266bd369bc6620615084431c4d1c32ca2eae02",
+        "lambda1": "0707ba5e3bdfe4c588418d5a321c66f48bc1c1efe40c9798302cdeb2fe4b191b",
+        "lambda2": "b553fe4feee0d4675e18244a488ccda4cb7c208a4f9b0ffa94d2533db25ccdc8",
+        "lambda3": "0db5d676a3d358e824170ada5d5837a88bcdb673b7b1eab8ef043df485f3be90",
+        "lambda4": "0d7634fd2fb9358386bd818916b83d9c085d53ec53ce4877d9902c83af0b86e9",
+        "point_combination": "a5ad4665e9d377c36d16e8f6c07e668fe2c6d6156882f1f1967386f49b5884a5",
+        "prox_residual": "23c036e807e0f2acf1598589aa786c674f6615a85855f7bae3b23bb2f58d8883",
+        "regime": "9ecfb8bc4a945ced364357ecad5f0444e2efc1f9394a56deb34195c3eaa4a92f",
+        "subgrad_change": "2497421605dc1934195df77e0121d87bea9315ccf2ef6b13427786407fafa623",
+        "subgrad_combination": "3bd4382771e6f26a18676a23d21a9327f04925f1c2878c005d44a5dc8f0a9bc4",
+    },
+    "1/2": {
+        "grad_combination": "e1d532640329da00e0330403967d10b02961caf1f17b78b8ee4932f5a96ea586",
+        "lambda0": "04d9a0b8a2a610329fcc33bb3bd4ca50d872d03f044e6adf6e86dceb0ab6b7b4",
+        "lambda1": "90879c83345dea7e1711b21d64b0c54f4a4cc2a4cf57516b776055fe0d2b53c4",
+        "lambda2": "686db6991f749acb5ac6bb25ebd3061125c9ca9d9be584816a4b656b284f61ac",
+        "lambda3": "d32735250507993a8e35e7dea6b89ea528a8fa41d66d0d797b81296357556d1b",
+        "lambda4": "af846320a4bc68f9a9633e8d365e2e3ddef0f0a726dc800e2ea6d6876f2ae533",
+        "point_combination": "e001e912a5434ea25509ff32d31e9d84f01f33ef104e9f43f0c70d0d9a34e527",
+        "prox_residual": "5da8f61922fb0ddaf8c11087e81f01817239c783ceca75eea3f38c4f75c41202",
+        "regime": "777eaacd5692f1e28d6a76cae4c35acb90a7f635d1ebbf2c0641ea6a39ffc50e",
+        "subgrad_change": "12acbaa404ba4a55fbf99ca4c1b013d6726175c6e218327963378ce4f3ca83c4",
+        "subgrad_combination": "8746376fa5ce6d07e2549389ad857daa531d720e6ca0a30093067c7b1713267b",
+    },
+}
 # The unmutated all-step-sizes reports at the distinct seeded pairs, in sorted order, one
 # `json.dumps(to_json_dict())` text per line (or "ValueError: message"), per theorem and regime:
 SYMBOLIC_DIGESTS = {
@@ -1163,6 +1377,12 @@ class TestFrozenOutput:
     def test_every_mutation_name(self, tmp_path, name):
         code, data = self._certify(tmp_path, ["--mu", "1", "--L", "3", "--gamma", "1/3", "--selftest-mutate", name])
         assert code == 1 and _sha256(data) == MUTATION_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(MUTATION_DIGESTS))
+    @pytest.mark.parametrize("gamma", list(MUTATION_DIGESTS_OTHER_STEPS))
+    def test_every_mutation_name_at_a_large_step_and_the_boundary(self, tmp_path, gamma, name):
+        code, data = self._certify(tmp_path, ["--mu", "1", "--L", "3", "--gamma", gamma, "--selftest-mutate", name])
+        assert code == 1 and _sha256(data) == MUTATION_DIGESTS_OTHER_STEPS[gamma][name]
 
     def test_symbolic_reports(self):
         pairs = sorted(set(_seeded_pairs()))
