@@ -88,7 +88,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 
 __all__ = [
     "Poly",
@@ -148,6 +147,14 @@ _SYMBOL_NAME = re.compile("[fh](?:k(?:[1-9][0-9]*)?|s)")
 
 def _frac(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
+
+
+def _scalar(v) -> Fraction | None:
+    """`v` as a Fraction; None when Fraction() refuses it, so that a RatFunc operator returns NotImplemented."""
+    try:
+        return _frac(v)
+    except (TypeError, ValueError):
+        return None
 
 
 class Poly:
@@ -278,7 +285,8 @@ class RatFunc:
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
-            return RatFunc(self.num + self.den.scale(other), self.den)
+            other = _scalar(other)
+            return NotImplemented if other is None else RatFunc(self.num + self.den.scale(other), self.den)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -287,27 +295,31 @@ class RatFunc:
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
-            return RatFunc(self.num - self.den.scale(other), self.den)
+            other = _scalar(other)
+            return NotImplemented if other is None else RatFunc(self.num - self.den.scale(other), self.den)
         if self.den == other.den:
             return RatFunc(self.num - other.num, self.den)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        return RatFunc(self.den.scale(other) - self.num, self.den)
+        other = _scalar(other)
+        return NotImplemented if other is None else RatFunc(self.den.scale(other) - self.num, self.den)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
-            return RatFunc(self.num.scale(other), self.den)
+            other = _scalar(other)
+            return NotImplemented if other is None else RatFunc(self.num.scale(other), self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc):
-            other = _frac(other)
+            if (other := _scalar(other)) is None:
+                return NotImplemented
             if other == 0:
                 raise ZeroDivisionError("division by the zero rational function")
             return RatFunc(self.num.scale(1 / other), self.den)
@@ -318,7 +330,8 @@ class RatFunc:
     def __rtruediv__(self, other):
         if self.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.den.scale(other), self.num)
+        other = _scalar(other)
+        return NotImplemented if other is None else RatFunc(self.den.scale(other), self.num)
 
     def __pow__(self, n: int):
         out = RatFunc(_ONE)
@@ -332,11 +345,8 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
-        try:
-            o = RatFunc(Poly.const(other))
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self == o
+        other = _scalar(other)
+        return NotImplemented if other is None else self.den == _ONE and self.num == Poly.const(other)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -537,21 +547,17 @@ def interp_smooth(i: str, j: str, mu, L, gamma) -> SymbolicExpr:
         f_i - f_j - <g_j, x_i - x_j> - ||g_i - g_j||^2 / (2L)
             - mu / (2 (1 - mu/L)) ||x_i - x_j - (g_i - g_j)/L||^2
 
-    which is nonnegative for every f in F_{mu,L}. Requires mu < L.
+    which is nonnegative for every f in F_{mu,L}. Requires 0 <= mu < L. The
+    arguments are made exact as in `verify_*`: the step a Fraction or a RatFunc.
     """
     _check_labels(i, j)
-    mu, L = Fraction(mu), Fraction(L)
-    if not 0 <= mu < L:
-        raise ValueError("interp_smooth requires 0 <= mu < L")
-    return _interp_smooth(i, j, mu, L, gamma)
+    mu, L, gamma = _coerce(mu, L, gamma)
+    return _interp_smooth(i, j, mu, L, _points(gamma))
 
 
-def _interp_smooth(i: str, j: str, mu, L, *gammas) -> SymbolicExpr:
-    """`interp_smooth` for any scalars, between points of the description over `gammas`.
-
-    The labels and the class range are already checked.
-    """
-    x, g, _, name = _points(*gammas)
+def _interp_smooth(i: str, j: str, mu, L, points) -> SymbolicExpr:
+    """`interp_smooth` for any scalars, between two of the `points` built by `_points`; labels and range checked."""
+    x, g, _, name = points
     dx = x[i] - x[j]
     dg = g[i] - g[j]
     coeff = mu / (2 * (1 - mu / L))
@@ -565,17 +571,14 @@ def _interp_smooth(i: str, j: str, mu, L, *gammas) -> SymbolicExpr:
 
 
 def interp_convex(i: str, j: str, gamma) -> SymbolicExpr:
-    """The convex (subgradient) inequality h_i - h_j - <s_j, x_i - x_j> >= 0."""
+    """The convex (subgradient) inequality h_i - h_j - <s_j, x_i - x_j> >= 0; the step as in `interp_smooth`."""
     _check_labels(i, j)
-    return _interp_convex(i, j, gamma)
+    return _interp_convex(i, j, _points(_step(gamma)))
 
 
-def _interp_convex(i: str, j: str, *gammas) -> SymbolicExpr:
-    """`interp_convex` for any scalar steps, between points of the description over `gammas`.
-
-    The labels are already checked.
-    """
-    x, _, s, name = _points(*gammas)
+def _interp_convex(i: str, j: str, points) -> SymbolicExpr:
+    """`interp_convex` for any scalar steps, between two of the `points` built by `_points`; labels checked."""
+    x, _, s, name = points
     return fval("h" + name[i]) - fval("h" + name[j]) - inner(s[j], x[i] - x[j])
 
 
@@ -660,13 +663,16 @@ class CertificateReport:
         }
 
 
+def _step(gamma):
+    """An exact step: a Fraction, or a RatFunc kept as it is."""
+    return gamma if isinstance(gamma, RatFunc) else Fraction(gamma)
+
+
 def _coerce(mu, L, gamma):
     mu, L = Fraction(mu), Fraction(L)
     if not 0 <= mu < L:
         raise ValueError("certificates require exact rationals with 0 <= mu < L")
-    if not isinstance(gamma, RatFunc):
-        gamma = Fraction(gamma)
-    return mu, L, gamma
+    return mu, L, _step(gamma)
 
 
 def _nonneg(name: str, value, mutate) -> bool:
@@ -744,15 +750,16 @@ def _describe(regime: Regime, mu, L, gamma):
 
 
 # A certificate is a triple (weighted, target, sos): per multiplier its name,
-# value and a zero-argument builder of its inequality; a zero-argument builder
-# of the target; per SOS term its name, coefficient and combination. The
-# builders below work for any scalars (Fraction, RatFunc, or a symbolic mu
-# and L): `_coerce` has checked 0 <= mu < L, and the point labels are literals.
-# Each shared subexpression is computed once; exact values are canonical, so
-# the route changes no output. Divisors are monomials times the named factors
-# L - mu, 2 - a*gamma and alpha, as the proof in Q(mu, L, gamma) requires. A
-# regime enters through a, alpha and beta, except where the function-value
-# certificate branches: no common form in a was found for those terms.
+# value and inequality (kind, i, j), "smooth" or "convex" between points i and
+# j; the target as a function of the points; per SOS term its name, coefficient
+# and combination. `_residual` builds the points once, then every inequality
+# and the target from them. The builders below work for any scalars (Fraction,
+# RatFunc, or a symbolic mu and L): `_coerce` has checked 0 <= mu < L, and the
+# point labels are literals. Each shared subexpression is computed once; exact
+# values are canonical, so the route changes no output. Divisors are monomials
+# times the named factors L - mu, 2 - a*gamma and alpha, as the proof in
+# Q(mu, L, gamma) requires. A regime enters through a, alpha and beta, except
+# where the function-value certificate branches: no common form in a was found.
 
 
 def _distance_certificate(regime: Regime, mu, L, gamma):
@@ -760,15 +767,14 @@ def _distance_certificate(regime: Regime, mu, L, gamma):
     lam_h = 2 * gamma
     lam_f = lam_h * rho
     weighted = [
-        ("lambda0", lam_f, partial(_interp_smooth, "*", "k", mu, L, gamma)),
-        ("lambda1", lam_f, partial(_interp_smooth, "k", "*", mu, L, gamma)),
-        ("lambda2", lam_h, partial(_interp_convex, "*", "k+1", gamma)),
-        ("lambda3", lam_h, partial(_interp_convex, "k+1", "*", gamma)),
+        ("lambda0", lam_f, ("smooth", "*", "k")),
+        ("lambda1", lam_f, ("smooth", "k", "*")),
+        ("lambda2", lam_h, ("convex", "*", "k+1")),
+        ("lambda3", lam_h, ("convex", "k+1", "*")),
     ]
 
-    def target():
-        x = _points(gamma)[0]
-        return norm_sq(x["k"]).scale(rho * rho) - norm_sq(x["k+1"])
+    def target(points):
+        return norm_sq(points[0]["k"]).scale(rho * rho) - norm_sq(points[0]["k+1"])
 
     sos = [
         ("prox_residual", gamma * gamma, VecExpr({"gs": 1, "sk1": 1})),
@@ -784,16 +790,15 @@ def _residual_certificate(regime: Regime, mu, L, gamma):
     lam_f = 2 * rho / gamma
     lam_h, r2 = lam_f * rho, rho * rho
     weighted = [
-        ("lambda0", lam_f, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
-        ("lambda1", lam_f, partial(_interp_smooth, "k+1", "k", mu, L, gamma)),
-        ("lambda2", lam_h, partial(_interp_convex, "k", "k+1", gamma)),
-        ("lambda3", lam_h, partial(_interp_convex, "k+1", "k", gamma)),
+        ("lambda0", lam_f, ("smooth", "k", "k+1")),
+        ("lambda1", lam_f, ("smooth", "k+1", "k")),
+        ("lambda2", lam_h, ("convex", "k", "k+1")),
+        ("lambda3", lam_h, ("convex", "k+1", "k")),
     ]
 
-    def target():
-        gk_sk = VecExpr({"gk": 1, "sk": 1})
-        gk1_sk1 = VecExpr({"gk1": 1, "sk1": 1})
-        return norm_sq(gk_sk).scale(r2) - norm_sq(gk1_sk1)
+    def target(points):
+        _, g, s, _ = points
+        return norm_sq(g["k"] + s["k"]).scale(r2) - norm_sq(g["k+1"] + s["k+1"])
 
     sos = [
         ("subgrad_change", r2, VecExpr({"sk": 1, "sk1": -1})),
@@ -813,14 +818,14 @@ def _funcvalue_certificate(regime: Regime, mu, L, gamma):
     one, r2, lm, p = Fraction(1), rho * rho, L - mu, ga * mu  # p = a*gamma*mu
     c, c2 = 1 - rho, 1 - r2
     weighted = [
-        ("lambda0", rho, partial(_interp_smooth, "k", "k+1", mu, L, gamma)),
-        ("lambda1", c * rho, partial(_interp_smooth, "*", "k", mu, L, gamma)),
-        ("lambda2", c, partial(_interp_smooth, "*", "k+1", mu, L, gamma)),
-        ("lambda3", r2, partial(_interp_convex, "k", "k+1", gamma)),
-        ("lambda4", c2, partial(_interp_convex, "*", "k+1", gamma)),
+        ("lambda0", rho, ("smooth", "k", "k+1")),
+        ("lambda1", c * rho, ("smooth", "*", "k")),
+        ("lambda2", c, ("smooth", "*", "k+1")),
+        ("lambda3", r2, ("convex", "k", "k+1")),
+        ("lambda4", c2, ("convex", "*", "k+1")),
     ]
 
-    def target():
+    def target(points):
         return (fval("fk") + fval("hk")).scale(r2) - (fval("fk1") + fval("hk1")) + (fval("fs") + fval("hs")).scale(c2)
 
     small = regime is Regime.SMALL_STEP
@@ -842,6 +847,7 @@ def _funcvalue_certificate(regime: Regime, mu, L, gamma):
     return weighted, target, sos
 
 
+# each theorem's builder of its (weighted, target, sos) certificate in one regime, for any scalars
 _CERTIFICATES = {
     "distance": _distance_certificate,
     "residual": _residual_certificate,
@@ -849,30 +855,23 @@ _CERTIFICATES = {
 }
 
 
-def _certificate(theorem: str, regime: Regime, mu, L, gamma):
-    """The (weighted, target, sos) certificate of one theorem in one regime, for any scalars."""
-    return _CERTIFICATES[theorem](regime, mu, L, gamma)
-
-
-def _term_names(theorem: str) -> list[str]:
-    """The names of a theorem's multipliers and SOS terms, in report order (the same in both regimes)."""
-    return list(_TERM_NAMES[theorem])
-
-
 def _read_term_names(theorem: str) -> list[str]:
-    weighted, _, sos = _certificate(theorem, Regime.SMALL_STEP, Fraction(1), Fraction(2), Fraction(1, 2))
+    weighted, _, sos = _CERTIFICATES[theorem](Regime.SMALL_STEP, Fraction(1), Fraction(2), Fraction(1, 2))
     return [name for name, _, _ in weighted + sos]
 
 
-_TERM_NAMES = {theorem: _read_term_names(theorem) for theorem in _CERTIFICATES}  # they depend on nothing else
+# each theorem's multiplier and SOS term names in report order, the same in both regimes; read once, at import
+_TERM_NAMES = {theorem: _read_term_names(theorem) for theorem in _CERTIFICATES}
 
 
-def _residual(weighted, target, sos) -> SymbolicExpr:
-    """A certificate's weighted inequalities minus its target plus its SOS terms, expanded."""
+def _residual(weighted, target, sos, mu, L, *gammas) -> SymbolicExpr:
+    """A certificate's weighted inequalities minus its target plus its SOS terms, expanded over one build of points."""
+    points = _points(*gammas)
     total = SymbolicExpr()
-    for _, lam, ineq in weighted:
-        total = total + ineq().scale(lam)
-    residual = total - target()
+    for _, lam, (kind, i, j) in weighted:
+        ineq = _interp_smooth(i, j, mu, L, points) if kind == "smooth" else _interp_convex(i, j, points)
+        total = total + ineq.scale(lam)
+    residual = total - target(points)
     for _, coeff, comb in sos:
         residual = residual + norm_sq(comb).scale(coeff)
     return residual
@@ -885,13 +884,13 @@ def _assemble(theorem: str, mu, L, gamma, regime: Regime, mutate) -> Certificate
     is expanded only when `mutate` perturbs one of this certificate's terms.
     """
     mu, L, gamma = _coerce(mu, L, gamma)
-    weighted, target, sos = _perturb(_certificate(theorem, regime, mu, L, gamma), mutate)
+    weighted, target, sos = _perturb(_CERTIFICATES[theorem](regime, mu, L, gamma), mutate)
     multipliers = [Multiplier(name, lam, _nonneg(name, lam, mutate)) for name, lam, _ in weighted]
     sos_terms = [
         SosTerm(name, coeff, _nonneg(name, coeff, mutate), dict(comb.coeffs)) for name, coeff, comb in sos
     ]
     own = mutate is not None and mutate[0] in _TERM_NAMES[theorem]
-    residual = _residual(weighted, target, sos) if own else SymbolicExpr()
+    residual = _residual(weighted, target, sos, mu, L, gamma) if own else SymbolicExpr()
     return CertificateReport(
         theorem, regime, mu, L, gamma, multipliers, sos_terms, residual.is_zero(), residual
     )

@@ -405,7 +405,7 @@ def _cmd_certify(args):
             "function-value certificate requires mu > 0; at mu = 0 use --theorem distance or --theorem residual"
         )
     if mutate is not None:
-        names = sorted({n for theorem in theorems for n in cert._term_names(theorem)})
+        names = sorted({n for theorem in theorems for n in cert._TERM_NAMES[theorem]})
         if name not in names:
             raise ValueError(
                 f"--selftest-mutate NAME must be a term of the selected theorems ({', '.join(names)}), got {name!r}"

@@ -39,7 +39,7 @@ from proxrates.certificate import (
     CertificateReport,
     Regime,
     SymbolicExpr,
-    _certificate,
+    _CERTIFICATES,
     _coerce,
     _is_zero_scalar,
     _perturb,
@@ -829,7 +829,7 @@ PARAM_GAMMA = ParamRat({(0, 0, 1): 1})
 
 def parametric_certificate(theorem: str, regime: Regime):
     """The certificate of `theorem` in `regime` with mu, L and gamma all symbolic."""
-    return _certificate(theorem, regime, PARAM_MU, PARAM_L, PARAM_GAMMA)
+    return _CERTIFICATES[theorem](regime, PARAM_MU, PARAM_L, PARAM_GAMMA)
 
 
 def certificate_inputs(certificate) -> list:
@@ -958,5 +958,5 @@ def expanded_report(theorem: str, mu, L, gamma, regime: Regime, mutate=None) -> 
     """The report of verify_<theorem> with its residual always expanded, as before the proof."""
     report = VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
     mu, L, gamma = _coerce(mu, L, gamma)
-    residual = _residual(*_perturb(_certificate(theorem, regime, mu, L, gamma), mutate))
+    residual = _residual(*_perturb(_CERTIFICATES[theorem](regime, mu, L, gamma), mutate), mu, L, gamma)
     return dataclasses.replace(report, residual_zero=residual.is_zero(), residual=residual)

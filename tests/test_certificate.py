@@ -3,7 +3,6 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +19,8 @@ from proxrates.certificate import (
     SymbolicExpr,
     VERIFIERS,
     VecExpr,
-    _certificate,
+    _CERTIFICATES,
+    _TERM_NAMES,
     _Form,
     _interp_convex,
     _interp_smooth,
@@ -30,7 +30,6 @@ from proxrates.certificate import (
     _points,
     _regimes,
     _residual,
-    _term_names,
     alpha_large,
     alpha_small,
     default_grid,
@@ -113,6 +112,34 @@ class TestPolyRatFunc:
         t = gamma_symbol()
         with pytest.raises(ZeroDivisionError):
             (1 / t).eval(F(0))
+
+    def test_a_foreign_operand_is_declined(self):
+        # an operand that Fraction() refuses gets NotImplemented, so a form's reflected product scales it
+        t, v = gamma_symbol(), VecExpr({"x": 1, "gk": F(-2, 3)})
+        assert _items(t * v) == _items(v.scale(t))
+        for other in (v, object(), float("nan"), "one half"):
+            for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                       "__rtruediv__", "__eq__"):
+                assert getattr(t, op)(other) is NotImplemented, (op, other)
+            assert t != other
+        for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a / b):
+            for left, right in ((t, v), (t, object()), (object(), t), (t, float("nan"))):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    combine(left, right)
+
+    @pytest.mark.parametrize("other", [3, F(-2, 7), 0.375, "5/4", True])
+    def test_an_operand_that_fraction_accepts_keeps_its_result(self, other):
+        # each scalar route equals the same operation on the constant rational function
+        t, c = 1 + gamma_symbol() * 2, RatFunc(Poly((F(other),)))
+        assert (t + other, other + t, t - other, other - t) == (t + c, c + t, t - c, c - t)
+        assert (t * other, other * t, t / other, other / t) == (t * c, c * t, t / c, c / t)
+        assert c == other and (t == other) is False
+
+    def test_division_by_an_accepted_zero_still_raises(self):
+        t = gamma_symbol()
+        for divide in (lambda: t / 0, lambda: t / F(0), lambda: 1 / RatFunc(Poly()), lambda: t / (t - t)):
+            with pytest.raises(ZeroDivisionError, match="division by the zero rational function"):
+                divide()
 
 
 # Factors that the operands below share between numerator and denominator.
@@ -389,8 +416,7 @@ class TestInPlaceSumMatchesSumThenPrune:
             (a.scale(F(0)), reference_scale(a, F(0))),
             (a.scale(RatFunc(Poly())), reference_scale(a, RatFunc(Poly()))),
         ]
-        if isinstance(s, Fraction):  # a RatFunc on the left multiplies only scalars
-            cases.append((s * a, reference_scale(a, s)))
+        cases.append((s * a, reference_scale(a, s)))
         if kind is VecExpr:
             # flipping every other sign makes the two products of a pair key cancel
             flipped = _form(VecExpr, {k: -v if i % 2 else v for i, (k, v) in enumerate(a.terms.items())})
@@ -407,9 +433,9 @@ class TestInPlaceSumMatchesSumThenPrune:
             out = []
             for mu, L, gamma, regime in default_grid():
                 for theorem in VERIFIERS:
-                    certificate = _certificate(theorem, regime, mu, L, gamma)
-                    for name in _term_names(theorem):
-                        out.append(_items(_residual(*_perturb(certificate, (name, F(1, 1000))))))
+                    certificate = _CERTIFICATES[theorem](regime, mu, L, gamma)
+                    for name in _TERM_NAMES[theorem]:
+                        out.append(_items(_residual(*_perturb(certificate, (name, F(1, 1000))), mu, L, gamma)))
             return out
 
         in_place = residuals()
@@ -471,6 +497,19 @@ class TestInterpolationBuilders:
         with pytest.raises(ValueError):
             interp_smooth("k", "*", 2, 2, F(1, 2))
 
+    def test_the_step_is_made_exact_as_in_verify(self):
+        # a float step is its exact binary value and a string is parsed, as `verify_*` coerces them; no float is left
+        pairs = [
+            (interp_smooth("k", "k+1", 1, 2, 0.1), interp_smooth("k", "k+1", 1, 2, F(0.1))),
+            (interp_smooth("*", "k+1", "1/2", 3, "1/3"), interp_smooth("*", "k+1", F(1, 2), 3, F(1, 3))),
+            (interp_convex("k", "k+1", 0.1), interp_convex("k", "k+1", F(0.1))),
+            (interp_convex("k", "k+1", "1/3"), interp_convex("k", "k+1", F(1, 3))),
+        ]
+        for expr, exact in pairs:
+            assert _items(expr) == _items(exact) and {type(v) for v in expr.terms.values()} == {Fraction}
+        symbolic = interp_convex("*", "k+1", gamma_symbol())
+        assert symbolic.gram_coeff("gk", "sk1") == -gamma_symbol()  # a RatFunc step is kept as it is
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             interp_smooth("k", "q", 1, 2, F(1, 2))
@@ -528,9 +567,10 @@ class TestPointDescription:
         g0, g1 = F(1, 3), F(2, 7)
         x_k2 = VecExpr({"x": 1, "gk": -g0, "sk1": -g0, "gk1": -g1, "sk2": -g1})
         expected = fval("hk2") - fval("hs") - inner(VecExpr({"gs": -1}), x_k2)
-        assert _interp_convex("k+2", "*", g0, g1) == expected
-        assert _interp_smooth("k+2", "k+2", F(1), F(3), g0, g1).is_zero()
-        assert _interp_smooth("k", "k+1", F(1), F(3), g0, g1) == interp_smooth("k", "k+1", 1, 3, g0)
+        points = _points(g0, g1)
+        assert _interp_convex("k+2", "*", points) == expected
+        assert _interp_smooth("k+2", "k+2", F(1), F(3), points).is_zero()
+        assert _interp_smooth("k", "k+1", F(1), F(3), points) == interp_smooth("k", "k+1", 1, 3, g0)
 
     def test_evaluation_refuses_a_missing_name(self):
         vectors = {name: np.ones(3) for name in BASIS}
@@ -541,7 +581,7 @@ class TestPointDescription:
         with pytest.raises(ValueError, match="'gk2'"):
             evaluate_expr(norm_sq(VecExpr({"gk2": 1})), vectors, values)
         with pytest.raises(ValueError, match="'hk2'"):  # the values are read first
-            numeric_spot_check(_interp_convex("k+2", "*", F(1, 3), F(1, 3)), 1, 3, F(1, 3))
+            numeric_spot_check(_interp_convex("k+2", "*", _points(F(1, 3), F(1, 3))), 1, 3, F(1, 3))
 
 
 # ------------------------------------------------------------ certificates
@@ -689,7 +729,7 @@ class TestSymbolicGammaMode:
         for delta, nonneg in ((F(-1, 1000), False), (F(1, 1000), True)):
             rep = verify_distance(1, 2, gamma_symbol(), Regime.SMALL_STEP, _mutate=("lambda2", delta))
             signs = {m.name: m.nonneg for m in rep.multipliers} | {t.name: t.nonneg for t in rep.sos_terms}
-            assert signs == {name: nonneg or name != "lambda2" for name in _term_names("distance")}
+            assert signs == {name: nonneg or name != "lambda2" for name in _TERM_NAMES["distance"]}
             assert not rep.verified
 
     def test_verify_path_evaluates_nothing(self, monkeypatch):
@@ -808,7 +848,7 @@ class TestParametricProof:
     @pytest.mark.parametrize("theorem", list(VERIFIERS))
     def test_residual_is_identically_zero(self, theorem, regime):
         certificate = parametric_certificate(theorem, regime)
-        assert _residual(*certificate).is_zero()
+        assert _residual(*certificate, PARAM_MU, PARAM_L, PARAM_GAMMA).is_zero()
         inputs = certificate_inputs(certificate)
         assert any(isinstance(v, ParamRat) and v.factors() for v in inputs)
         for v in inputs:
@@ -817,14 +857,14 @@ class TestParametricProof:
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("theorem", list(VERIFIERS))
     def test_every_perturbed_term_leaves_a_residual(self, theorem, regime):
-        names = _term_names(theorem)
+        names = _TERM_NAMES[theorem]
         assert len(names) == len(set(names))
         for name in names:
             for delta in (ParamRat.lift(1), PARAM_GAMMA * PARAM_MU):
                 weighted, target, sos = parametric_certificate(theorem, regime)
                 weighted = [(n, v + delta if n == name else v, ineq) for n, v, ineq in weighted]
                 sos = [(n, v + delta if n == name else v, comb) for n, v, comb in sos]
-                assert not _residual(weighted, target, sos).is_zero(), (name, delta)
+                assert not _residual(weighted, target, sos, PARAM_MU, PARAM_L, PARAM_GAMMA).is_zero(), (name, delta)
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("theorem", list(VERIFIERS))
@@ -835,7 +875,7 @@ class TestParametricProof:
         for _ in range(5):
             L = Fraction(rng.randint(1, 20), rng.randint(1, 5))
             mu, gamma = L * Fraction(rng.randint(1, 19), 20), Fraction(rng.randint(1, 40), 10) / L
-            point = certificate_inputs(_certificate(theorem, regime, mu, L, gamma))
+            point = certificate_inputs(_CERTIFICATES[theorem](regime, mu, L, gamma))
             assert [ParamRat.lift(v).eval(mu, L, gamma) for v in symbolic] == point
 
     def test_arithmetic_against_fractions(self):
@@ -863,7 +903,7 @@ class TestParametricProof:
     def test_term_names_are_the_report_names_in_both_regimes(self, theorem):
         for regime in Regime:
             rep = VERIFIERS[theorem](F(1), F(3), F(1, 3), regime)
-            assert [m.name for m in rep.multipliers] + [t.name for t in rep.sos_terms] == _term_names(theorem)
+            assert [m.name for m in rep.multipliers] + [t.name for t in rep.sos_terms] == _TERM_NAMES[theorem]
 
 
 def _next_name(name: str) -> str:
@@ -881,11 +921,12 @@ def _two_step_distance_chain(regime: Regime, mu=PARAM_MU, L=PARAM_L, gamma=PARAM
     same inequalities between the points one step on, in the two-step
     description, and its SOS combinations are the same with each name one
     point on and x_k - x_* replaced by x_{k+1} - x_*. The chain's claim is
-    ||x_{k+2} - x_*||^2 <= rho^4 ||x_k - x_*||^2.
+    ||x_{k+2} - x_*||^2 <= rho^4 ||x_k - x_*||^2. Its residual is expanded
+    over the two-step points, `_residual(..., mu, L, gamma, gamma)`.
     """
     rho = 1 - gamma * mu if regime is Regime.SMALL_STEP else gamma * L - 1
     r2 = rho * rho
-    weighted, _, sos = _certificate("distance", regime, mu, L, gamma)
+    weighted, _, sos = _CERTIFICATES["distance"](regime, mu, L, gamma)
     x = _points(gamma, gamma)[0]
 
     def later(comb: VecExpr) -> VecExpr:
@@ -895,17 +936,22 @@ def _two_step_distance_chain(regime: Regime, mu=PARAM_MU, L=PARAM_L, gamma=PARAM
         return out
 
     def one_on(ineq):
-        i, j, *scalars = ineq.args  # the scalars end with the step
-        return partial(ineq.func, _NEXT_LABEL[i], _NEXT_LABEL[j], *scalars, gamma)
+        kind, i, j = ineq
+        return kind, _NEXT_LABEL[i], _NEXT_LABEL[j]
 
     chain_weighted = [(n + "@k", r2 * lam, ineq) for n, lam, ineq in weighted]
     chain_weighted += [(n + "@k+1", lam, one_on(ineq)) for n, lam, ineq in weighted]
     chain_sos = [(n + "@k", r2 * c, comb) for n, c, comb in sos] + [(n + "@k+1", c, later(comb)) for n, c, comb in sos]
 
-    def claim():
+    def claim(points):
+        x = points[0]
         return norm_sq(x["k"]).scale(r2 * r2) - norm_sq(x["k+2"])
 
     return chain_weighted, claim, chain_sos
+
+
+# (mu, L, gamma, gamma): the scalars of the chain's two-step description over Q(mu, L, gamma)
+_TWO_STEPS = (PARAM_MU, PARAM_L, PARAM_GAMMA, PARAM_GAMMA)
 
 
 class TestTwoStepChain:
@@ -915,9 +961,10 @@ class TestTwoStepChain:
     def test_chain_residual_is_identically_zero(self, regime):
         weighted, claim, sos = _two_step_distance_chain(regime)
         assert len(weighted) == 8 and len(sos) == 4
-        assert _residual(weighted, claim, sos).is_zero()
+        assert _residual(weighted, claim, sos, *_TWO_STEPS).is_zero()
         # the later certificate reaches x_{k+2} = x_{k+1} - gamma (g_{k+1} + s_{k+2})
-        later = weighted[6][2]()  # h_* - h_{k+2} - <s_{k+2}, x_* - x_{k+2}>
+        assert weighted[6][2] == ("convex", "*", "k+2")
+        later = _interp_convex("*", "k+2", _points(*_TWO_STEPS[2:]))  # h_* - h_{k+2} - <s_{k+2}, x_* - x_{k+2}>
         assert later.gram_coeff("gk1", "sk2") == -PARAM_GAMMA and later.lin_coeff("hk2") == -1
 
     @pytest.mark.parametrize("regime", list(Regime))
@@ -926,17 +973,18 @@ class TestTwoStepChain:
         terms = weighted + sos
         for k, (name, _, _) in enumerate(terms):
             perturbed = [(n, v + PARAM_GAMMA if i == k else v, term) for i, (n, v, term) in enumerate(terms)]
-            assert not _residual(perturbed[:8], claim, perturbed[8:]).is_zero(), name
+            assert not _residual(perturbed[:8], claim, perturbed[8:], *_TWO_STEPS).is_zero(), name
 
     def test_the_chain_holds_at_a_point(self):
         # the same chain in exact rationals at (mu, L, gamma) = (1, 3, 1/5)
         weighted, claim, sos = _two_step_distance_chain(Regime.SMALL_STEP, F(1), F(3), F(1, 5))
-        assert _residual(weighted, claim, sos).is_zero()
-        assert claim().gram_coeff("x", "x") == F(4, 5) ** 4 - 1
+        assert _residual(weighted, claim, sos, F(1), F(3), F(1, 5), F(1, 5)).is_zero()
+        assert claim(_points(F(1, 5), F(1, 5))).gram_coeff("x", "x") == F(4, 5) ** 4 - 1
 
 
 def _smooth_pair(i, j, mu, L, gamma) -> SymbolicExpr:
-    return _interp_smooth(i, j, mu, L, gamma) + _interp_smooth(j, i, mu, L, gamma)
+    points = _points(gamma)
+    return _interp_smooth(i, j, mu, L, points) + _interp_smooth(j, i, mu, L, points)
 
 
 def _distance_pair(mu, L) -> SymbolicExpr:
@@ -1005,16 +1053,15 @@ class TestPairedInequalities:
         (_, l0, _), (_, l1, _), (_, l2, _), (_, l3, _) = weighted
         assert l0 == l1 and l2 == l3
         (i, j), (p, q) = _PAIRED[theorem]
-        assert [(ineq.func, ineq.args[:2]) for _, _, ineq in weighted] == [
-            (_interp_smooth, (i, j)), (_interp_smooth, (j, i)), (_interp_convex, (p, q)), (_interp_convex, (q, p))
-        ]
+        used = [ineq for _, _, ineq in weighted]
+        assert used == [("smooth", i, j), ("smooth", j, i), ("convex", p, q), ("convex", q, p)]
 
     def test_funcvalue_weighs_no_inequality_in_both_orders(self):
         # five one-sided inequalities, none of them the reverse of another of its kind
         for regime in Regime:
             weighted, _, _ = parametric_certificate("funcvalue", regime)
-            used = [(ineq.func, ineq.args[:2]) for _, _, ineq in weighted]
-            assert len(used) == 5 and not any((f, (j, i)) in used for f, (i, j) in used)
+            used = [ineq for _, _, ineq in weighted]
+            assert len(used) == 5 and not any((kind, j, i) in used for kind, i, j in used)
 
     @pytest.mark.parametrize("theorem", list(_PAIRED))
     def test_smooth_pair_is_the_condition_over_Q_mu_L_gamma(self, theorem):
@@ -1029,8 +1076,9 @@ class TestPairedInequalities:
     @pytest.mark.parametrize("theorem", list(_PAIRED))
     def test_convex_pair_is_subgradient_monotonicity_over_Q_gamma(self, theorem):
         _, (i, j) = _PAIRED[theorem]
-        x, _, s, _ = _points(PARAM_GAMMA)
-        pair = _interp_convex(i, j, PARAM_GAMMA) + _interp_convex(j, i, PARAM_GAMMA)
+        points = _points(PARAM_GAMMA)
+        x, _, s, _ = points
+        pair = _interp_convex(i, j, points) + _interp_convex(j, i, points)
         assert (pair - inner(s[i] - s[j], x[i] - x[j])).is_zero()
 
     def test_float_condition_evaluates_the_smooth_pairs(self):
@@ -1058,6 +1106,12 @@ class TestPairedInequalities:
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-9 * scale * L)
 
 
+def _inequality(ineq, mu, L, points) -> SymbolicExpr:
+    """A certificate's inequality (kind, i, j) between two of `points`."""
+    kind, i, j = ineq
+    return _interp_smooth(i, j, mu, L, points) if kind == "smooth" else _interp_convex(i, j, points)
+
+
 def _worst_case_gram(a, gamma):
     """The Gram data of one step of PGM on the 1-d a x^2/2 with h = 0, from x0 = 1 to x* = 0, in Q."""
     x1 = 1 - gamma * a
@@ -1083,11 +1137,13 @@ class TestCertificateTightOnWorstCase:
 
     def _terms(self, theorem, regime, a):
         gamma = self.STEPS[regime]
-        weighted, target, sos = _certificate(theorem, regime, self.MU, self.L, gamma)
-        data = _worst_case_gram(a, gamma)
-        slacks = {name: lam * gram_value(ineq(), *data) for name, lam, ineq in weighted}
+        weighted, target, sos = _CERTIFICATES[theorem](regime, self.MU, self.L, gamma)
+        data, points = _worst_case_gram(a, gamma), _points(gamma)
+        slacks = {
+            name: lam * gram_value(_inequality(ineq, self.MU, self.L, points), *data) for name, lam, ineq in weighted
+        }
         squares = {name: coeff * gram_value(norm_sq(comb), *data) for name, coeff, comb in sos}
-        return gram_value(target(), *data), slacks, squares
+        return gram_value(target(points), *data), slacks, squares
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("theorem", list(VERIFIERS))
@@ -1126,7 +1182,7 @@ class TestSignProof:
         signs = factor_signs(regime)
         weighted, _, sos = parametric_certificate(theorem, regime)
         terms = [(name, lam) for name, lam, _ in weighted] + [(name, coeff) for name, coeff, _ in sos]
-        assert [name for name, _ in terms] == _term_names(theorem)
+        assert [name for name, _ in terms] == _TERM_NAMES[theorem]
         for name, value in terms:
             sign, reason = coefficient_sign(value, signs)
             assert sign == 1, f"{theorem}, {regime.value}, {name}: sign {sign}, {reason}"
@@ -1180,7 +1236,7 @@ class TestRateAtTheRegimeBoundary:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_rho_squared_is_the_optimal_rate(self, regime):
         _, target, _ = parametric_certificate("funcvalue", regime)
-        rho_sq = target().lin_coeff("fk")  # the certified F(x_{k+1}) - F* <= rho^2 (F(x_k) - F*)
+        rho_sq = target(_points(PARAM_GAMMA)).lin_coeff("fk")  # the certified F(x_{k+1}) - F* <= rho^2 (F(x_k) - F*)
         excess = (PARAM_L + PARAM_MU) ** 2 * rho_sq - (PARAM_L - PARAM_MU) ** 2
         assert (excess.d, excess.mono, any(excess.fac)) == (1, (0, 0, 0), False)  # a polynomial
         quotient = _poly_div_exact(excess.num, SIGN_FACTORS["2 - gamma*(L+mu)"])
@@ -1261,7 +1317,7 @@ class TestFastPathMatchesExpansion:
 
     @pytest.mark.parametrize("delta", [F(1, 1000), F(-3, 7)])
     def test_every_mutation_name(self, delta):
-        names = sorted({n for t in VERIFIERS for n in _term_names(t)})
+        names = sorted({n for t in VERIFIERS for n in _TERM_NAMES[t]})
         assert len(names) == 11
         points = [(F(1), F(2), F(1, 2), Regime.SMALL_STEP), (F(3), F(10), F(1, 6), Regime.LARGE_STEP),
                   (F(1, 2), F(3), gamma_symbol(), Regime.SMALL_STEP)]
@@ -1269,7 +1325,7 @@ class TestFastPathMatchesExpansion:
             for theorem in VERIFIERS:
                 for name in names:
                     doc = json.loads(_agree(theorem, mu, L, gamma, regime, (name, delta)))
-                    assert doc["residual_zero"] is (name not in _term_names(theorem))
+                    assert doc["residual_zero"] is (name not in _TERM_NAMES[theorem])
 
     def test_residual_expanded_only_for_an_own_mutated_term(self, monkeypatch):
         from proxrates import certificate
@@ -1289,6 +1345,30 @@ class TestFastPathMatchesExpansion:
             verify_residual(1, 3, 0, Regime.SMALL_STEP)
         assert verify_distance(1, 3, 0, Regime.SMALL_STEP).verified
         assert verify_funcvalue(1, 3, 0, Regime.SMALL_STEP).verified
+
+
+class TestPointsBuiltOnce:
+    """An expanded residual builds the points of its description once; the unmutated path builds none."""
+
+    POINTS = [(F(1), F(3), F(1, 3), Regime.SMALL_STEP), (F(1), F(3), F(3, 5), Regime.LARGE_STEP)]
+    POINTS += [(F(1), F(3), gamma_symbol(), regime) for regime in Regime]
+
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_one_build_per_expanded_residual(self, monkeypatch, theorem):
+        from proxrates import certificate
+
+        calls, build = [], certificate._points
+        monkeypatch.setattr(certificate, "_points", lambda *gammas: calls.append(gammas) or build(*gammas))
+        other = next(n for t in VERIFIERS for n in _TERM_NAMES[t] if n not in _TERM_NAMES[theorem])
+        for mu, L, gamma, regime in self.POINTS:
+            for name in _TERM_NAMES[theorem]:
+                calls.clear()
+                assert not VERIFIERS[theorem](mu, L, gamma, regime, _mutate=(name, F(1, 1000))).residual_zero
+                assert calls == [(gamma,)], (regime, gamma, name)
+            calls.clear()
+            assert VERIFIERS[theorem](mu, L, gamma, regime).verified
+            assert VERIFIERS[theorem](mu, L, gamma, regime, _mutate=(other, F(1, 1000))).verified
+            assert calls == [], (regime, gamma)
 
 
 # ------------------------------------------------------------ frozen output
