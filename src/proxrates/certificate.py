@@ -632,9 +632,7 @@ class CertificateReport:
         return isinstance(self.gamma, RatFunc)
 
     def to_json_dict(self) -> dict:
-        def s(v):
-            return repr(v) if isinstance(v, RatFunc) else str(v)
-
+        """The report as JSON scalars; every value is written with str, which is repr for a RatFunc."""
         return {
             "theorem": self.theorem,
             "regime": self.regime.value,
@@ -644,21 +642,21 @@ class CertificateReport:
             "verified": self.verified,
             "residual_zero": self.residual_zero,
             "multipliers": [
-                {"name": m.name, "value": s(m.value), "nonneg": m.nonneg}
+                {"name": m.name, "value": str(m.value), "nonneg": m.nonneg}
                 for m in self.multipliers
             ],
             "sos_terms": [
                 {
                     "name": t.name,
-                    "coefficient": s(t.coefficient),
+                    "coefficient": str(t.coefficient),
                     "nonneg": t.nonneg,
-                    "combination": {k: s(v) for k, v in t.combination.items()},
+                    "combination": {k: str(v) for k, v in t.combination.items()},
                 }
                 for t in self.sos_terms
             ],
             "residual": {} if self.residual_zero else {
-                "lin": {k: s(v) for k, v in self.residual.lin.items()},
-                "gram": {f"{a},{b}": s(v) for (a, b), v in self.residual.gram.items()},
+                "lin": {k: str(v) for k, v in self.residual.lin.items()},
+                "gram": {f"{a},{b}": str(v) for (a, b), v in self.residual.gram.items()},
             },
         }
 

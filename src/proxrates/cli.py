@@ -37,7 +37,7 @@ import numpy as np
 from . import certificate as cert
 from .engine import run, run_exact_line_search
 from .rates import BOUND_TABLES, ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, rate_branch
-from .smooth import random_composite
+from .smooth import _H_KINDS, random_composite
 from .worstcase import (
     DIST_TO_FUNCGAP,
     DIST_TO_RESIDUAL,
@@ -334,15 +334,15 @@ def _tight_unbounded(args, params: ClassParams):
     yield from _measured(unbounded_family(args.c, x0=args.x0, N=args.N, L=params.L))
 
 
-_TIGHT = {"qlb": _tight_qlb, "mixed": _tight_mixed, "els": _tight_els, "unbounded": _tight_unbounded}
-# the options of `tight` that only some generators read, with their defaults, and who reads which;
+# each generator of `tight`, and the options it reads of those that only some generators read;
 # --mu, --L and --N are read by all
+_TIGHT = {"qlb": (_tight_qlb, ("gamma", "dim")), "mixed": (_tight_mixed, ("x0",)),
+          "els": (_tight_els, ()), "unbounded": (_tight_unbounded, ("x0", "c"))}
 _TIGHT_DEFAULTS = {"gamma": None, "dim": 2, "x0": 1.0, "c": 0.1}
-_TIGHT_READS = {"qlb": ("gamma", "dim"), "mixed": ("x0",), "els": (), "unbounded": ("x0", "c")}
 
 
 def _cmd_tight(args):
-    reads = _TIGHT_READS[args.generator]
+    generate, reads = _TIGHT[args.generator]
     unread = [f"--{name}" for name in _TIGHT_DEFAULTS if name not in reads and getattr(args, name) is not None]
     if unread:
         raise ValueError(f"tight {args.generator} does not read {', '.join(unread)}")
@@ -352,7 +352,7 @@ def _cmd_tight(args):
     params = ClassParams(args.mu, args.L)
     rows = [
         {"cell": cell, "predicted": predicted, "attained": attained, "rel_gap": _rel_gap(predicted, attained)}
-        for cell, predicted, attained in _TIGHT[args.generator](args, params)
+        for cell, predicted, attained in generate(args, params)
     ]
     if not rows:
         raise ValueError(f"tight {args.generator} predicts no value at these inputs: there is nothing to compare")
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--N", type=int, default=20)
     p_sim.add_argument("--dim", type=int, default=5)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--h", choices=("zero", "nonneg", "box", "l1"), default="zero")
+    p_sim.add_argument("--h", choices=_H_KINDS, default="zero")
     p_sim.add_argument(
         "--instance",
         choices=("random", "worst-case", "optimum"),
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tight)
 
     p_cert = sub.add_parser("certify", help="verify the proof certificates in exact arithmetic")
-    p_cert.add_argument("--theorem", choices=("distance", "residual", "funcvalue", "all"), default="all")
+    p_cert.add_argument("--theorem", choices=(*cert.VERIFIERS, "all"), default="all")
     p_cert.add_argument("--mu", default=None, help="exact rational, e.g. 1/2")
     p_cert.add_argument("--L", default=None, help="exact rational")
     p_cert.add_argument("--gamma", default=None, help='exact rational or "opt"')

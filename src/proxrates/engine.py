@@ -34,7 +34,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .prox import Zero, _row_dot
-from .rates import _REL_TOL, MeasureKind
+from .rates import MeasureKind, _max_step
 from .smooth import CompositeProblem, SmoothFunction, diagonal_form
 
 __all__ = [
@@ -267,8 +267,8 @@ def _feasible_start(problem: CompositeProblem, x, name: str) -> np.ndarray:
     return x
 
 
-def _objective(problem: CompositeProblem, X: np.ndarray, out: np.ndarray, k0: int) -> ValueError | None:
-    """Write F at the rows of X, iterates k0, k0 + 1, ..., into out; the error naming the first non-finite one, if any.
+def _objective(problem: CompositeProblem, X: np.ndarray, out: np.ndarray, k0: int) -> None:
+    """Write F at the rows of X, iterates k0, k0 + 1, ..., into out; ValueError naming the first non-finite one.
 
     x_0 is finite and in the domain of h, so a non-finite F(x_0) is a value
     beyond the float range; a later one is a run that diverges.
@@ -276,11 +276,11 @@ def _objective(problem: CompositeProblem, X: np.ndarray, out: np.ndarray, k0: in
     out[:] = problem._values(X)
     bad = np.flatnonzero(~np.isfinite(out))
     if not bad.size:
-        return None
+        return
     k = k0 + int(bad[0])
     if k == 0:
-        return ValueError("F(x0) is not finite: the start is beyond the float range")
-    return ValueError(f"F(x_k) is not finite at k = {k}: the iterates diverge")
+        raise ValueError("F(x0) is not finite: the start is beyond the float range") from None
+    raise ValueError(f"F(x_k) is not finite at k = {k}: the iterates diverge") from None
 
 
 def _initial_subgradient(problem: CompositeProblem, x0, s0, step_size):
@@ -341,16 +341,14 @@ def _iterate(
         x, g = X[r], G[r]
         g[:] = grad(x)
         if r == nb - 1 or k == N:
-            if error := _objective(problem, X[: r + 1], F[k - r : k + 1], k - r):
-                raise error
+            _objective(problem, X[: r + 1], F[k - r : k + 1], k - r)
             _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1])
         if k < N:
             try:  # every catalog prox checks gamma
                 gamma = step_size(x, g)
                 x_next = prox(gamma, x - gamma * g)
             except (ValueError, LineSearchError):  # the exact step is NaN or unbounded past a divergence
-                if error := _objective(problem, X[: r + 1], F[k - r : k + 1], k - r):
-                    raise error from None
+                _objective(problem, X[: r + 1], F[k - r : k + 1], k - r)  # a divergence replaces the error
                 raise
             n = (k + 1) % nb
             _subgradient_into(S[n], x, x_next, gamma, g)  # before X[n] = x_next: with nb = 1, X[n] is x
@@ -399,13 +397,10 @@ def run(
         raise ValueError("run requires gamma > 0")
     if N >= 0 and math.isinf(gamma):
         raise ValueError("run requires a finite gamma")
-    outside = gamma > 2.0 / problem.params.L * (1 + _REL_TOL)
-    return _iterate(problem, x0, N, s0, lambda x, grad: gamma, "fixed", outside)
+    return _iterate(problem, x0, N, s0, lambda x, grad: gamma, "fixed", gamma > _max_step(problem.params.L))
 
 
-def exact_line_search_step(
-    problem: CompositeProblem, x_k, grad_k=None
-) -> tuple[float, np.ndarray]:
+def exact_line_search_step(problem: CompositeProblem, x_k) -> tuple[float, np.ndarray]:
     """Step size minimizing phi(t) = F(prox(h, t, x_k - t grad f(x_k))) over t > 0, and the new point.
 
     With h = 0 the quadratic catalog admits the closed form
@@ -419,15 +414,14 @@ def exact_line_search_step(
     The only failure is an objective unbounded below on the last piece,
     reported as LineSearchError. A start where no step decreases phi (an
     optimum) returns the step 1/L, which stays put. x_k must be finite and
-    feasible. grad_k, when given, is grad f(x_k), as in pgm_step; the new
-    point is pgm_step's at the returned step size.
+    feasible. The new point is pgm_step's at the returned step size.
     """
     x_k = _feasible_start(problem, x_k, "x_k")
     with np.errstate(over="ignore", invalid="ignore"):
         F_k = problem.value(x_k)
     if not math.isfinite(F_k):
         raise ValueError("F(x_k) is not finite: the start is beyond the float range")
-    g = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
+    g = problem.f.grad(x_k)
     gamma = _exact_step_size(problem, x_k, g)
     return gamma, problem.h.prox(gamma, x_k - gamma * g)
 

@@ -31,6 +31,11 @@ __all__ = [
 _REL_TOL = 1e-12
 
 
+def _max_step(L: float) -> float:
+    """The largest step the theory covers: 2/L, with its slack."""
+    return 2.0 / L * (1 + _REL_TOL)
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Function-class constants: strong-convexity modulus mu and smoothness L.
@@ -239,7 +244,7 @@ def bound_lookup(
             raise ValueError("mu = 0 bounds are only available at gamma = 1/L")
         table = BOUND_TABLES["smooth_convex_limit"]
     else:
-        if not 0 <= gamma <= (2.0 / L) * (1.0 + _REL_TOL):
+        if not 0 <= gamma <= _max_step(L):
             raise ValueError("bounds are only proven for 0 <= gamma <= 2/L")
         table = BOUND_TABLES["global"]
         if table[(init, final)].factor is None:

@@ -69,6 +69,14 @@ class SmoothFunction:
         if lo < self.params.mu - slack or hi > self.params.L + slack:
             raise ValueError(message)
 
+    def _set_linear(self, b, of: str):
+        """b, or zeros if None; ValueError unless it is a finite vector of the dimension of `of`."""
+        self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
+        if self.b.shape != (self.dim,):
+            raise ValueError(f"b must match the dimension of {of}")
+        if not np.isfinite(self.b).all():
+            raise ValueError("b must be finite")
+
 
 class ScaledSqNorm(SmoothFunction):
     """f(x) = (a/2)||x||^2 with curvature a inside the declared class [mu, L]."""
@@ -98,11 +106,7 @@ class DiagonalQuadratic(SmoothFunction):
         if not np.isfinite(self.d).all():
             raise ValueError("d must be finite")
         self.dim = self.d.shape[0]
-        self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
-        if self.b.shape != (self.dim,):
-            raise ValueError("b must match the dimension of d")
-        if not np.isfinite(self.b).all():
-            raise ValueError("b must be finite")
+        self._set_linear(b, "d")
         self._set_class(float(self.d.min()), float(self.d.max()), params,
                         "diagonal entries must lie within the declared [mu, L]")
 
@@ -129,11 +133,7 @@ class DenseQuadratic(SmoothFunction):
         if not np.array_equal(self.A, self.A.T):  # else grad, A x + b, is not the derivative of value
             raise ValueError("A must be symmetric")
         self.dim = self.A.shape[0]
-        self.b = np.zeros(self.dim) if b is None else np.asarray(b, dtype=float)
-        if self.b.shape != (self.dim,):
-            raise ValueError("b must match the dimension of A")
-        if not np.isfinite(self.b).all():
-            raise ValueError("b must be finite")
+        self._set_linear(b, "A")
         eigs = np.linalg.eigvalsh(self.A)
         slack = 4 * self.dim * float(np.finfo(float).eps) * float(np.abs(eigs).max())  # eigvalsh's backward error
         self._set_class(float(eigs.min()), float(eigs.max()), params,
@@ -174,23 +174,24 @@ def random_instance(params: ClassParams, dim: int, seed: int) -> DiagonalQuadrat
 
 @dataclass
 class CompositeProblem:
-    """A smooth quadratic oracle f plus a proximable nonsmooth term h."""
+    """A smooth quadratic oracle f plus a proximable nonsmooth term h, in f's class."""
 
     f: SmoothFunction
     h: ProxFunction
-    params: ClassParams = None
     known_optimum: tuple[np.ndarray, float] | None = None
-    _solved: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
-    _unsolvable: bool = field(default=False, init=False, repr=False, compare=False)
+    # the solved optimum, or the message of the ValueError its solve raised
+    _optimum: tuple[np.ndarray, float] | str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.params is None:
-            self.params = self.f.params
         if self.f.dim != self.h.dim:
             raise ValueError("f and h dimensions disagree")
         if self.known_optimum is not None:
             x_star, F_star = self.known_optimum
             self.known_optimum = (np.asarray(x_star, dtype=float), float(F_star))
+
+    @property
+    def params(self) -> ClassParams:
+        return self.f.params
 
     @property
     def dim(self) -> int:
@@ -204,22 +205,25 @@ class CompositeProblem:
         return self.f._values(X) + self.h._values(X)
 
     def optimum(self) -> tuple[np.ndarray, float]:
-        """Minimizer and optimal value, solved in closed form for catalog members."""
+        """Minimizer and optimal value, solved in closed form for catalog members; a failed solve is not retried."""
         if self.known_optimum is not None:
             return self.known_optimum
-        if self._solved is None:
-            x_star = _solve_catalog_optimum(self.f, self.h)
-            self._solved = (x_star, self.value(x_star))
-        return self._solved
+        if self._optimum is None:
+            try:
+                x_star = _solve_catalog_optimum(self.f, self.h)
+            except ValueError as exc:
+                self._optimum = str(exc)
+            else:
+                self._optimum = (x_star, self.value(x_star))
+        if isinstance(self._optimum, str):
+            raise ValueError(self._optimum)
+        return self._optimum
 
     def try_optimum(self) -> tuple[np.ndarray, float] | None:
-        """The optimum, or None when it has no closed form; a failed solve is not retried."""
-        if self._unsolvable:
-            return None
+        """The optimum, or None when it has no closed form."""
         try:
             return self.optimum()
         except ValueError:
-            self._unsolvable = True
             return None
 
     def fixed_point_residual(self, gamma: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .prox import NonnegIndicator, Zero
-from .rates import _REL_TOL, ClassParams, MeasureKind, _geometric_minus_one, bound_lookup, contraction, optimal_step
+from .rates import ClassParams, MeasureKind, _geometric_minus_one, _max_step, bound_lookup, contraction, optimal_step
 from .smooth import CompositeProblem, DiagonalQuadratic, ScaledSqNorm
 
 __all__ = [
@@ -101,7 +101,7 @@ def quadratic_lower_bound(
     the optimal step) predicts an exact 0.
     """
     params.require_strongly_convex()
-    if not 0 <= gamma <= 2.0 / params.L * (1 + _REL_TOL):
+    if not 0 <= gamma <= _max_step(params.L):
         raise ValueError("attaining instances exist only for 0 <= gamma <= 2/L")
     _check_sizes(N, dim)
     a = params.mu if gamma <= 2.0 / (params.L + params.mu) else params.L

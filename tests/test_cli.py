@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from proxrates import ClassParams, MeasureKind, bound_lookup, contraction, optimal_step, pgm_step, run
 from proxrates import certificate as cert
-from proxrates import cli
+from proxrates import cli, smooth
 from proxrates.cli import build_parser, main
 from proxrates.smooth import random_composite
 
@@ -173,6 +173,19 @@ class TestTight:
         text = " ".join(capsys.readouterr().out.split())
         assert all(f"{name}: " in text for name in cli._TIGHT)
         assert "((L-mu)/(L+mu))^2 is the rate that follows from the fixed-step 2/(L+mu) function-value certificate" in text
+
+    def test_choices_are_the_library_tables(self, monkeypatch):
+        def choices(parser, command, dest):
+            commands = next(a for a in parser._actions if a.dest == "command").choices
+            return next(a.choices for a in commands[command]._actions if a.dest == dest)
+
+        monkeypatch.setitem(cert.VERIFIERS, "extra", cert.verify_distance)
+        parser = build_parser()
+        assert choices(parser, "simulate", "h") is smooth._H_KINDS
+        assert choices(parser, "certify", "theorem") == (*cert.VERIFIERS, "all")
+        assert choices(parser, "tight", "generator") == tuple(cli._TIGHT)
+        for generate, reads in cli._TIGHT.values():
+            assert callable(generate) and set(reads) <= set(cli._TIGHT_DEFAULTS)
 
     def test_qlb_gaps_vanish(self, tmp_path):
         code, out = run_cli(
@@ -802,7 +815,7 @@ class TestPipeline:
     def test_tight_fails_on_any_nan_gap(self, monkeypatch):
         # max() skips a NaN that is not its first argument; every gap has to pass
         rows = [("a", 1.0, 1.0), ("b", 1.0, math.nan)]
-        monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter(rows))
+        monkeypatch.setitem(cli._TIGHT, "qlb", (lambda args, params: iter(rows), ()))
         _, _, verdict = cli._COMMANDS["tight"](cli._parser().parse_args(["tight", "qlb"]))
         assert verdict == "fail"
 
@@ -810,7 +823,7 @@ class TestPipeline:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_document_never_carries_nan_or_infinity(self, tmp_path, capsys, monkeypatch, fmt, value):
         rows = [("a", 1.0, 1.0), ("b", 1.0, value)]
-        monkeypatch.setitem(cli._TIGHT, "qlb", lambda args, params: iter(rows))
+        monkeypatch.setitem(cli._TIGHT, "qlb", (lambda args, params: iter(rows), ()))
         code, out = run_cli(["tight", "qlb", "--format", fmt], tmp_path)
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == f"error: rows[1].attained is {value!r}; documents never carry NaN or Infinity\n"

@@ -463,7 +463,7 @@ def _oracle_step(problem, gamma):
         return lambda x, g: (gamma, *pgm_step(problem, gamma, x, g))
 
     def step(x, g):
-        t, x_next = exact_line_search_step(problem, x, g)
+        t, x_next = exact_line_search_step(problem, x)  # its gradient at x is g, bit for bit
         return t, x_next, (x - x_next) / t - g
 
     return step

@@ -228,28 +228,41 @@ class TestCompositeProblem:
         for k in range(len(trace)):
             for kind in MeasureKind:
                 trace.measure_floor(kind, k)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^f of type DenseQuadratic is not separable") as raised:
+                problem.optimum()
+            assert raised.value.__context__ is None
         assert problem.try_optimum() is None
         assert len(solves) == 1
 
-    def test_optimum_caches_are_not_constructor_arguments(self):
+    def test_optimum_memo_is_not_a_constructor_argument(self):
         f = DiagonalQuadratic([1.0, 4.0, 2.5], [0.3, -1.2, 0.8], ClassParams(1.0, 4.0))
-        for cache, value in (("_solved", (np.zeros(3), -5.0)), ("_unsolvable", True)):
-            with pytest.raises(TypeError, match=cache):
-                CompositeProblem(f, Zero(3), **{cache: value})
+        for value in ((np.zeros(3), -5.0), "unbounded below on the orthant"):
+            with pytest.raises(TypeError, match="_optimum"):
+                CompositeProblem(f, Zero(3), _optimum=value)
         x_star, F_star = CompositeProblem(f, Zero(3)).optimum()
         np.testing.assert_allclose(f.grad(x_star), np.zeros(3), atol=1e-12)
         assert F_star < 0
 
-    def test_equality_ignores_the_optimum_caches(self):
+    def test_equality_ignores_the_optimum_memo(self):
         f = DiagonalQuadratic([1.0, 4.0, 2.5], [0.3, -1.2, 0.8], ClassParams(1.0, 4.0))
         h = NonnegIndicator(3)
         solved, fresh = CompositeProblem(f, h), CompositeProblem(f, h)
         solved.optimum()
-        assert solved == fresh and "_solved" not in repr(solved)
+        assert solved == fresh and repr(solved) == repr(fresh)
         dense = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
         unsolvable = CompositeProblem(dense, NonnegIndicator(2))
         fresh = CompositeProblem(dense, unsolvable.h)
-        assert unsolvable.try_optimum() is None and unsolvable == fresh
+        assert unsolvable.try_optimum() is None and unsolvable == fresh and repr(unsolvable) == repr(fresh)
+
+    def test_params_are_those_of_f(self):
+        f = DiagonalQuadratic([1.0, 4.0, 2.5], [0.3, -1.2, 0.8], ClassParams(0.5, 5.0))
+        with pytest.raises(TypeError, match="params"):
+            CompositeProblem(f, Zero(3), params=ClassParams(1.0, 4.0))
+        problem = CompositeProblem(f, Zero(3))
+        assert problem.params is f.params
+        with pytest.raises(AttributeError):
+            problem.params = ClassParams(1.0, 4.0)
 
     def test_unbounded_composite_rejected(self):
         f = DiagonalQuadratic([0.0], [-1.0], ClassParams(0.0, 1.0))
