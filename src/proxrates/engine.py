@@ -13,12 +13,13 @@ that iterate's own gradient and subgradient, which distinguishes it from the
 gradient mapping (x_k - x_{k+1}) / gamma.
 
 A trace's memory is O(dim) for any number of steps. Each step of the loop
-does only what the next iterate needs: grad f(x_k), the step size, the prox
-step written into the next row of a buffer of about _BLOCK floats, and s_{k+1}
-formed in place in its row. Each full block of rows is then reduced at once
-into per-iterate columns: the composite values F (one row-wise evaluation of
-the problem per block, with its finiteness check), the measures and the
-squared norms the noise floors need. A run that fits in one block keeps its
+does only what the next iterate needs, in place and with no copy of a row:
+grad f(x_k) written into its row, the step size, the prox step applied in the
+next row of a buffer of about _BLOCK floats, and s_{k+1} formed in its row.
+Each full block of rows is then reduced at once into per-iterate columns:
+the composite values F (one row-wise evaluation of the problem per block,
+with its finiteness check), the measures and the squared norms the noise
+floors need. A run that fits in one block keeps its
 rows; a longer one rebuilds them, by running the loop again, the first time
 they are read, and raises RuntimeError if the problem was changed in place
 since the run.
@@ -206,15 +207,15 @@ def _noise_floors(rr, xx, gg, ss, F, optimum) -> dict[MeasureKind, np.ndarray]:
     }
 
 
-def _row_sums(X, G, S, optimum, out) -> None:
+def _row_sums(X, G, S, optimum, out, T) -> None:
     """Reduce a block of rows into `out`: the distance and residual measures, |x|^2, |g|^2 and |s|^2.
 
-    Each row's values depend on that row alone, not on the rows that share
-    its block.
+    T, of the shape of X, is scratch for x - x* and g + s. Each row's values
+    depend on that row alone, not on the rows that share its block.
     """
-    out[0] = np.sum((X - optimum[0]) ** 2, axis=1) if optimum else np.nan
-    residual = G + S
-    out[1] = _row_dot(residual, residual)
+    out[0] = np.sum(np.square(np.subtract(X, optimum[0], out=T), out=T), axis=1) if optimum else np.nan
+    np.add(G, S, out=T)
+    out[1] = _row_dot(T, T)
     out[2], out[3], out[4] = _row_dot(X, X), _row_dot(G, G), _row_dot(S, S)
 
 
@@ -304,14 +305,17 @@ def _iterate(
     """The PGM loop: iterates 0..N and the N steps, reduced into the trace's columns.
 
     Row k of X, G and S is written to row k % nb of a buffer of nb rows (by
-    default enough for about _BLOCK floats, at most N + 1). Per step, the loop
-    computes grad f(x_k) into G's row and the step size gamma_k =
-    step_size(x_k, grad f(x_k)) that the method's rule picks, writes
-    prox_{gamma_k h}(x_k - gamma_k grad f(x_k)) into the next row of X, and
-    forms s_{k+1} in place in S's row: pgm_step, with no temporary for s. Per
-    block (each full one, and the last), before the next step overwrites it,
-    one row-wise evaluation of the problem fills F (_objective), and
-    _row_sums the other per-iterate columns. A run of more than one block
+    default enough for about _BLOCK floats, at most N + 1), beside a scratch
+    block T of as many rows. Per step, the loop writes grad f(x_k) into G's
+    row (f._grad_into), takes the step size gamma_k = step_size(x_k,
+    grad f(x_k)) that the method's rule picks, checks it as prox does, forms
+    x_k - gamma_k grad f(x_k) in the next row of X and applies the prox there
+    in place (h._prox_into), and forms s_{k+1} in place in S's row: pgm_step,
+    with no temporary and no copy of a row. With one row (nb = 1) the step
+    lands in T[0] instead, and X and T swap rows. Per block (each full one,
+    and the last), before the next step overwrites it, one row-wise
+    evaluation of the problem fills F (_objective), and _row_sums the other
+    per-iterate columns, with T as its scratch. A run of more than one block
     keeps its arguments, to rebuild its rows in one block (nb = N + 1) when
     they are read.
 
@@ -328,45 +332,54 @@ def _iterate(
     optimum = problem.try_optimum()
     s0_given = s0 is not None
     s0 = _initial_subgradient(problem, x0, s0, step_size)
+    has_s0 = s0 is not None
     nb = nb or min(N + 1, max(1, _BLOCK // max(x0.size, 1)))
     buffer = np.empty((3, nb, *x0.shape))
     X, G, S = buffer
+    T = np.empty_like(X)
     F, sums = np.empty(N + 1), np.empty((5, N + 1))
     X[0] = x0
-    S[0] = 0.0 if s0 is None else s0
-    grad, prox = problem.f.grad, problem.h.prox
+    S[0] = s0 if has_s0 else 0.0
+    if not s0_given:
+        del s0  # the canonical s0 lives only in S[0]
+    grad_into, prox_into, check_gamma = problem.f._grad_into, problem.h._prox_into, problem.h._check_gamma
     gammas: list[float] = []
     for k in range(N + 1):
         r = k % nb
         x, g = X[r], G[r]
-        g[:] = grad(x)
+        grad_into(x, g)
         if r == nb - 1 or k == N:
             _objective(problem, X[: r + 1], F[k - r : k + 1], k - r)
-            _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1])
+            _row_sums(X[: r + 1], G[: r + 1], S[: r + 1], optimum, sums[:, k - r : k + 1], T[: r + 1])
         if k < N:
-            try:  # every catalog prox checks gamma
+            try:
                 gamma = step_size(x, g)
-                x_next = prox(gamma, x - gamma * g)
+                checked = check_gamma(gamma)  # a float, as prox checks it; gammas keep the rule's own type
             except (ValueError, LineSearchError):  # the exact step is NaN or unbounded past a divergence
                 _objective(problem, X[: r + 1], F[k - r : k + 1], k - r)  # a divergence replaces the error
                 raise
             n = (k + 1) % nb
-            _subgradient_into(S[n], x, x_next, gamma, g)  # before X[n] = x_next: with nb = 1, X[n] is x
-            X[n] = x_next
-            del x_next  # kept to the next step, it would add a row to the loop's peak memory
+            y = T[0] if nb == 1 else X[n]
+            np.multiply(gamma, g, out=y)
+            np.subtract(x, y, out=y)
+            prox_into(checked, y, y)
+            _subgradient_into(S[n], x, y, gamma, g)
+            if nb == 1:
+                X, T = T, X
             gammas.append(gamma)
-    if s0 is None:
+    if not has_s0:
         sums[1, 0] = np.nan
     if nb == N + 1:
         rows, rerun = buffer, None
     else:
+        del buffer, X, G, S, T, x, g, y  # freed before the copies the rerun keeps
         rows = None
         s0_arg = s0.copy() if s0_given else None
         rerun = partial(_iterate, problem, x0.copy(), N, s0_arg, step_size, method, outside_theory, N + 1)
     trace = IterateTrace(problem, F, sums, optimum, gammas, method, outside_theory, rows, rerun)
     for kind, values in trace.measures.items():
         if optimum or kind is MeasureKind.RESIDUAL_GRAD_SQ:  # else undefined throughout
-            start = int(kind is MeasureKind.RESIDUAL_GRAD_SQ and s0 is None)  # undefined at x0 without s0
+            start = int(kind is MeasureKind.RESIDUAL_GRAD_SQ and not has_s0)  # undefined at x0 without s0
             bad = np.flatnonzero(~np.isfinite(values[start:]))
             if bad.size:
                 raise ValueError(f"{kind.value} is not finite at k = {bad[0] + start}: it leaves the float range")

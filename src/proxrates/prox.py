@@ -5,7 +5,8 @@ prox_{gamma*h}(x) = argmin_y gamma*h(y) + 0.5*||x - y||^2, an extended-real
 value, a canonical subgradient at every feasible point, and its prox path: the
 one statement of h's kinks, from which subdifferential membership is read.
 Each member states its value once, over a stack of rows (_values); value(x)
-is the one-row case.
+is the one-row case. It states its prox once, into a given row (_prox_into);
+prox(gamma, x) checks its arguments and writes into a new row.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class ProxFunction:
-    """Base class; subclasses implement _values, prox, subgradient and prox_path; value and membership are derived.
+    """Base class; subclasses implement _values, _prox_into, subgradient and prox_path.
 
-    A subclass whose domain is not all of R^dim also states it, in _outside.
+    value, prox and membership are derived from them. A subclass whose domain
+    is not all of R^dim also states it, in _outside.
     """
 
     dim: int
@@ -71,6 +73,12 @@ class ProxFunction:
         return np.zeros(len(X), dtype=bool)
 
     def prox(self, gamma: float, x) -> np.ndarray:
+        """prox_{gamma h}(x), in a new array."""
+        gamma = self._check_gamma(gamma)
+        return self._prox_into(gamma, self._check_point(x), np.empty(self.dim))
+
+    def _prox_into(self, gamma: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write prox_{gamma h}(y) into out, which may be y itself; returns out. gamma and y are checked."""
         raise NotImplementedError
 
     def subgradient(self, x) -> np.ndarray:
@@ -133,9 +141,10 @@ class Zero(ProxFunction):
 
     _values = ProxFunction._indicator  # of R^dim
 
-    def prox(self, gamma, x):
-        self._check_gamma(gamma)
-        return self._check_point(x).copy()
+    def _prox_into(self, gamma, y, out):
+        if out is not y:
+            out[:] = y
+        return out
 
     def subgradient(self, x):
         self._check_point(x)
@@ -157,9 +166,8 @@ class NonnegIndicator(ProxFunction):
 
     _values = ProxFunction._indicator
 
-    def prox(self, gamma, x):
-        self._check_gamma(gamma)
-        return np.maximum(self._check_point(x), 0.0)
+    def _prox_into(self, gamma, y, out):
+        return np.maximum(y, 0.0, out=out)
 
     def subgradient(self, x):
         self._require_feasible(x)
@@ -187,9 +195,10 @@ class BoxIndicator(ProxFunction):
 
     _values = ProxFunction._indicator
 
-    def prox(self, gamma, x):
-        self._check_gamma(gamma)
-        return np.clip(self._check_point(x), self.lo, self.hi)
+    def _prox_into(self, gamma, y, out):
+        # the array np.clip, which returns the bound on a tie; np.clip into y itself keeps y at dim 1
+        np.maximum(y, self.lo, out=out)
+        return np.minimum(out, self.hi, out=out)
 
     def subgradient(self, x):
         self._require_feasible(x)
@@ -214,11 +223,13 @@ class L1Norm(ProxFunction):
     def _values(self, X):
         return self.weight * np.sum(np.abs(X), axis=-1)
 
-    def prox(self, gamma, x):
-        gamma = self._check_gamma(gamma)
-        x = self._check_point(x)
-        shift = gamma * self.weight
-        return np.sign(x) * np.maximum(np.abs(x) - shift, 0.0)
+    def _prox_into(self, gamma, y, out):
+        # sign(y) * max(|y| - gamma * weight, 0), with the sign read before out overwrites y
+        sign = np.sign(y)
+        np.abs(y, out=out)
+        out -= gamma * self.weight
+        np.maximum(out, 0.0, out=out)
+        return np.multiply(sign, out, out=out)
 
     def subgradient(self, x):
         return self.weight * np.sign(self._check_point(x))
@@ -250,9 +261,9 @@ class LinearPlusNonnegIndicator(ProxFunction):
     def _values(self, X):
         return np.where(self._outside(X), math.inf, _row_dot(X, self.c))
 
-    def prox(self, gamma, x):
-        gamma = self._check_gamma(gamma)
-        return np.maximum(self._check_point(x) - gamma * self.c, 0.0)
+    def _prox_into(self, gamma, y, out):
+        np.subtract(y, gamma * self.c, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     def subgradient(self, x):
         self._require_feasible(x)

@@ -5,6 +5,8 @@ proximal gradient method in this library is quadratic (or quadratic plus a
 simple nonsmooth term), and quadratics keep gradients, optima and attained
 rates exact to machine precision. Each oracle, and CompositeProblem, states
 its value once, over a stack of rows (_values); value(x) is the one-row case.
+Each oracle states its gradient once, into a given row (_grad_into); grad(x)
+checks x and writes into a new row.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class SmoothFunction:
         raise NotImplementedError
 
     def grad(self, x) -> np.ndarray:
+        """grad f(x), in a new array."""
+        return self._grad_into(self._check_point(x), np.empty(self.dim))
+
+    def _grad_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write grad f(x) into out, which is not x; returns out. x is checked."""
         raise NotImplementedError
 
     def value_grad(self, x) -> tuple[float, np.ndarray]:
@@ -89,8 +96,8 @@ class ScaledSqNorm(SmoothFunction):
     def _values(self, X):
         return 0.5 * self.a * _row_dot(X, X)
 
-    def grad(self, x) -> np.ndarray:
-        return self.a * self._check_point(x)
+    def _grad_into(self, x, out):
+        return np.multiply(self.a, x, out=out)
 
     def hess_vec(self, v) -> np.ndarray:
         return self.a * self._check_point(v)
@@ -113,9 +120,10 @@ class DiagonalQuadratic(SmoothFunction):
     def _values(self, X):
         return 0.5 * _row_dot(X * X, self.d) + _row_dot(X, self.b)
 
-    def grad(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        return self.d * x + self.b
+    def _grad_into(self, x, out):
+        np.multiply(self.d, x, out=out)
+        out += self.b
+        return out
 
     def hess_vec(self, v) -> np.ndarray:
         return self.d * self._check_point(v)
@@ -143,9 +151,10 @@ class DenseQuadratic(SmoothFunction):
         # A @ x row by row, each the matrix-vector product of one x (X @ A.T would round differently)
         return 0.5 * _row_dot(X, (self.A @ X[..., None])[..., 0]) + _row_dot(X, self.b)
 
-    def grad(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        return self.A @ x + self.b
+    def _grad_into(self, x, out):
+        np.matmul(self.A, x, out=out)
+        out += self.b
+        return out
 
     def hess_vec(self, v) -> np.ndarray:
         return self.A @ self._check_point(v)
@@ -211,10 +220,14 @@ class CompositeProblem:
         if self._optimum is None:
             try:
                 x_star = _solve_catalog_optimum(self.f, self.h)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    F_star = self.value(x_star)
+                if not math.isfinite(F_star):
+                    raise ValueError("the optimal value is beyond the float range")
             except ValueError as exc:
                 self._optimum = str(exc)
             else:
-                self._optimum = (x_star, self.value(x_star))
+                self._optimum = (x_star, F_star)
         if isinstance(self._optimum, str):
             raise ValueError(self._optimum)
         return self._optimum
@@ -249,48 +262,56 @@ def diagonal_form(f: SmoothFunction) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # a flat coordinate's vertex is replaced
 def _solve_catalog_optimum(f: SmoothFunction, h: ProxFunction) -> np.ndarray:
     """Minimizer of f + h in closed form, one array expression per catalog h.
 
-    Coordinate i minimizes 0.5*d_i*x^2 + b_i*x + h_i(x). A curved coordinate
-    (d_i > 0) takes the vertex -b_i/d_i mapped through h; a zero-curvature one
-    takes 0, or the box end its slope points to (with no slope, lo where it is
-    finite, else hi where it is finite, else 0), and ValueError reports an
-    objective unbounded below along it.
+    Coordinate i minimizes 0.5*d_i*x^2 + b_i*x + h_i(x). Every coordinate
+    takes the vertex -b_i/d_i mapped through h; a zero-curvature (flat) one,
+    read by index, then takes 0, or the box end its slope points to (with no
+    slope, lo where it is finite, else hi where it is finite, else 0), and
+    ValueError reports an objective unbounded below along it. ValueError also
+    reports a minimizer beyond the float range.
     """
     if isinstance(f, DenseQuadratic) and isinstance(h, Zero):
-        return np.linalg.solve(f.A, -f.b)
-    d, b = diagonal_form(f)
-    curved = d > 0
-    flat = ~curved
-    d = np.where(curved, d, 1.0)  # flat coordinates divide by 1; np.where replaces their value
-    if isinstance(h, Zero):
-        if np.any(flat & (b != 0)):
-            raise ValueError("unbounded below: zero curvature with a linear slope")
-        return np.where(curved, -b / d, 0.0)
-    if isinstance(h, LinearPlusNonnegIndicator):
-        b = b + h.c
-    if isinstance(h, (NonnegIndicator, LinearPlusNonnegIndicator)):
-        if np.any(flat & ~(b >= 0)):
-            raise ValueError("unbounded below on the orthant")
-        # np.maximum returns its second argument on a tie, so -0.0 becomes 0.0
-        return np.where(curved, np.maximum(-b / d, 0.0), 0.0)
-    if isinstance(h, BoxIndicator):
-        level = np.where(np.isfinite(h.lo), h.lo, np.where(np.isfinite(h.hi), h.hi, 0.0))
-        target = np.where(b < 0, h.hi, np.where(b > 0, h.lo, level))
-        if np.any(flat & ~np.isfinite(target)):
-            raise ValueError("unbounded below on the box")
-        x = -b / d
-        # a clip that keeps x on a tie with a bound, as the scalar np.clip does; the
-        # array np.clip returns the bound, which flips the sign of x = -0.0 at lo = 0.0
-        x = np.where(x < h.lo, h.lo, np.where(x > h.hi, h.hi, x))
-        return np.where(curved, x, target)
-    if isinstance(h, L1Norm):
-        w = h.weight
-        if np.any(flat & ~(np.abs(b) <= w)):
-            raise ValueError("unbounded below with l1 term")
-        return np.where(curved, np.copysign(np.maximum(np.abs(b) - w, 0.0), -b) / d, 0.0)
-    raise ValueError(f"no closed-form optimum for h of type {type(h).__name__}")
+        x = np.linalg.solve(f.A, -f.b)
+    else:
+        d, b = diagonal_form(f)
+        flat = np.flatnonzero(~(d > 0))  # empty when every coordinate is curved
+        if isinstance(h, LinearPlusNonnegIndicator):
+            b = b + h.c
+        slope = b[flat]
+        target = 0.0
+        if isinstance(h, Zero):
+            if np.any(slope != 0):
+                raise ValueError("unbounded below: zero curvature with a linear slope")
+            x = -b / d
+        elif isinstance(h, (NonnegIndicator, LinearPlusNonnegIndicator)):
+            if not np.all(slope >= 0):
+                raise ValueError("unbounded below on the orthant")
+            # np.maximum returns its second argument on a tie, so -0.0 becomes 0.0
+            x = np.maximum(-b / d, 0.0)
+        elif isinstance(h, BoxIndicator):
+            lo, hi = h.lo[flat], h.hi[flat]
+            level = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+            target = np.where(slope < 0, hi, np.where(slope > 0, lo, level))
+            if not np.isfinite(target).all():
+                raise ValueError("unbounded below on the box")
+            x = -b / d
+            # a clip that keeps x on a tie with a bound, as the scalar np.clip does; the
+            # array np.clip returns the bound, which flips the sign of x = -0.0 at lo = 0.0
+            x = np.where(x < h.lo, h.lo, np.where(x > h.hi, h.hi, x))
+        elif isinstance(h, L1Norm):
+            w = h.weight
+            if not np.all(np.abs(slope) <= w):
+                raise ValueError("unbounded below with l1 term")
+            x = np.copysign(np.maximum(np.abs(b) - w, 0.0), -b) / d
+        else:
+            raise ValueError(f"no closed-form optimum for h of type {type(h).__name__}")
+        x[flat] = target
+    if not np.isfinite(x).all():
+        raise ValueError("the optimum is beyond the float range")
+    return x
 
 
 _H_KINDS = ("zero", "nonneg", "box", "l1")

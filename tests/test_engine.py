@@ -242,8 +242,8 @@ class TestExactLineSearch:
         for kind in ("zero", "nonneg", "box", "l1"):
             problem, x0 = random_composite(ClassParams(1.0, 10.0), 6, kind, seed=2)
             calls = []
-            grad = problem.f.grad
-            monkeypatch.setattr(problem.f, "grad", lambda x: calls.append(1) or grad(x))
+            grad_into = problem.f._grad_into
+            monkeypatch.setattr(problem.f, "_grad_into", lambda x, out: calls.append(1) or grad_into(x, out))
             trace = run_exact_line_search(problem, x0, N)
             assert len(calls) == N + 1
             # steps that recompute their own gradient reach the same iterates
@@ -258,8 +258,8 @@ class TestExactLineSearch:
         for kind in ("zero", "nonneg", "box", "l1"):
             problem, x0 = random_composite(ClassParams(1.0, 10.0), 6, kind, seed=3)
             calls = []
-            prox = problem.h.prox
-            monkeypatch.setattr(problem.h, "prox", lambda g, v: calls.append(1) or prox(g, v))
+            prox_into = problem.h._prox_into
+            monkeypatch.setattr(problem.h, "_prox_into", lambda g, v, out: calls.append(1) or prox_into(g, v, out))
             trace = run_exact_line_search(problem, x0, N)
             assert len(calls) == N
             monkeypatch.undo()
@@ -583,6 +583,58 @@ class TestColumnarTrace:
 
 F_KINDS = ("scaled", "diagonal", "dense")
 H_KINDS = ("zero", "nonneg", "box", "l1", "linear")
+
+
+class TestInPlaceLoop:
+    """The PGM loop writes each row in place, with no copy of a row, and keeps each value bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 8])
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_one_row_buffer_matches_record_oracle(self, monkeypatch, kind, dim):
+        # one row per block, as at dim > _BLOCK: each step lands in the scratch row, which then swaps with X's
+        monkeypatch.setattr(engine, "_BLOCK", dim)
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), dim, kind, 0)
+        s0 = problem.h.subgradient(x0) + 0.0
+        for N in (0, 1, 12):
+            assert _matches_oracle(problem, x0, N, gamma=0.15)
+            assert _matches_oracle(problem, x0, N, gamma=0.15, s0=s0)
+            assert _matches_oracle(problem, x0, N)
+        calls = []
+        grad_into, prox_into = problem.f._grad_into, problem.h._prox_into
+        monkeypatch.setattr(problem.f, "_grad_into", lambda x, out: calls.append(np.shares_memory(x, out))
+                            or grad_into(x, out))
+        monkeypatch.setattr(problem.h, "_prox_into", lambda g, y, out: calls.append(out is not y)
+                            or prox_into(g, y, out))
+        run(problem, 0.15, x0, 12).X  # the run, and its rebuild in one block
+        run_exact_line_search(problem, x0, 12).X
+        assert len(calls) == 4 * (2 * 12 + 1) and not any(calls)  # into G's row, apart from x; the prox in place
+
+    def test_peak_memory_is_the_buffer(self):
+        # at dim 1e5 the buffer has one row each of X, G, S and the scratch T, and no step copies a row:
+        # the peak does not grow with N, and holds one temporary row beyond the buffer (l1's signs, or f's x*x)
+        dim = 100_000
+        for kind in ("zero", "l1"):
+            peaks = []
+            for N in (10, 40):
+                problem, x0 = random_composite(ClassParams(1.0, 10.0), dim, kind, 0)
+                problem.try_optimum()
+                tracemalloc.start()
+                try:
+                    run(problem, 0.15, x0, N)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < peaks[0] + 16_384 and max(peaks) < 5.5 * 8 * dim, (kind, peaks)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_step_is_checked_as_prox_checks_it(self, gamma):
+        for kind in ("zero", "nonneg", "box", "l1"):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 4, kind, 0)
+            with pytest.raises(ValueError) as expected:
+                problem.h.prox(gamma, x0)
+            with pytest.raises(ValueError) as info:
+                engine._iterate(problem, x0, 3, None, lambda x, g: gamma, "fixed", False)
+            assert str(info.value) == str(expected.value)
 
 
 def _catalog_problem(f_kind: str, h_kind: str, dim: int, seed: int = 0):

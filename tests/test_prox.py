@@ -8,6 +8,7 @@ from proxrates import (
     L1Norm,
     LinearPlusNonnegIndicator,
     NonnegIndicator,
+    ProxFunction,
     Zero,
 )
 
@@ -239,6 +240,99 @@ class TestProperties:
                     expected = h.prox(t, x - t * g)
                     np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12 * (1 + t))
                     assert float(slope[seg, cols] @ p) == pytest.approx(h.value(expected), abs=1e-11 * (1 + t))
+
+
+def _prox_oracle(h, gamma, x):
+    """prox_{gamma h}(x) as one array expression per catalog h, into a new array."""
+    if isinstance(h, Zero):
+        return x.copy()
+    if isinstance(h, NonnegIndicator):
+        return np.maximum(x, 0.0)
+    if isinstance(h, BoxIndicator):
+        return np.clip(x, h.lo, h.hi)
+    if isinstance(h, L1Norm):
+        return np.sign(x) * np.maximum(np.abs(x) - gamma * h.weight, 0.0)
+    return np.maximum(x - gamma * h.c, 0.0)
+
+
+def _special_points(h, gamma, rng):
+    """Random points, and points whose coordinates sit on h's kinks, on signed zeros and past the float range."""
+    dim = h.dim
+    kinks = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324]
+    if isinstance(h, BoxIndicator):
+        kinks += [*h.lo, *h.hi, *-h.lo]
+    if isinstance(h, L1Norm):
+        kinks += [gamma * h.weight, -gamma * h.weight, np.nextafter(gamma * h.weight, 0.0)]
+    if isinstance(h, LinearPlusNonnegIndicator):
+        kinks += [*(gamma * h.c), *(-gamma * h.c)]
+    points = [rng.normal(size=dim) * 3 for _ in range(4)]
+    for start in range(0, len(kinks), dim):
+        x = rng.normal(size=dim)
+        chunk = kinks[start : start + dim]
+        x[: len(chunk)] = chunk
+        points += [x, np.roll(x, 1)]
+    return points
+
+
+class TestProxInto:
+    """_prox_into, the one statement of each prox, which the PGM loop applies in place.
+
+    Into a fresh row or into its own input, it writes the array expression of
+    prox bit for bit, signed zeros and non-finite entries included, and prox
+    keeps its argument checks and their messages.
+    """
+
+    @staticmethod
+    def _members(dim):
+        inf = math.inf
+        lo = np.resize([0.0, -0.0, -inf, -1.0], dim)
+        hi = np.resize([1.0, inf, 0.0, -0.0], dim)
+        return [*catalog_members(dim), BoxIndicator(lo, hi), L1Norm(0.0, dim),
+                LinearPlusNonnegIndicator(np.resize([0.0, -0.0, 0.5, -2.0], dim))]
+
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_matches_the_array_expression(self, dim):
+        rng = np.random.default_rng(dim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for h in self._members(dim):
+                for gamma in (0.3, 1.0, 2.5):
+                    for x in _special_points(h, gamma, rng):
+                        expected = _prox_oracle(h, gamma, x).tobytes()
+                        before = x.tobytes()
+                        assert h.prox(gamma, x).tobytes() == expected
+                        out = np.full(dim, 7.0)
+                        assert h._prox_into(gamma, x, out) is out and out.tobytes() == expected
+                        assert x.tobytes() == before
+                        y = x.copy()
+                        assert h._prox_into(gamma, y, y) is y and y.tobytes() == expected
+
+    def test_prox_returns_a_new_array(self):
+        for h in self._members(3):
+            x = np.array([0.5, -0.0, 2.0])
+            p = h.prox(1.0, x)
+            assert p is not x and not np.shares_memory(p, x)
+
+    def test_argument_messages(self):
+        for h in self._members(3):
+            for gamma, message in [
+                (0.0, "prox step size must be positive, got 0.0"),
+                (-1, "prox step size must be positive, got -1"),
+                (math.nan, "prox step size must be positive, got nan"),
+                (math.inf, "prox step size must be finite, got inf"),
+            ]:
+                with pytest.raises(ValueError) as info:
+                    h.prox(gamma, np.zeros(4))  # the step size is checked first
+                assert str(info.value) == message
+            with pytest.raises(ValueError) as info:
+                h.prox(1.0, np.zeros(4))
+            assert str(info.value) == "expected point of shape (3,), got (4,)"
+
+    def test_a_member_without_a_prox(self):
+        class Other(ProxFunction):
+            dim = 2
+
+        with pytest.raises(NotImplementedError):
+            Other().prox(1.0, np.zeros(2))
 
 
 class TestErrorPaths:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,59 @@ class TestOracles:
             DiagonalQuadratic([0.5, 3.0], None, ClassParams(1, 2))
         with pytest.raises(ValueError):
             ScaledSqNorm(3.0, 2, ClassParams(1, 2))
+
+
+def _grad_oracle(f, x):
+    """grad f(x) as one array expression per catalog f, into a new array."""
+    if isinstance(f, ScaledSqNorm):
+        return f.a * x
+    if isinstance(f, DiagonalQuadratic):
+        return f.d * x + f.b
+    return f.A @ x + f.b
+
+
+class TestGradInto:
+    """_grad_into, the one statement of each gradient, which the PGM loop writes into G's row.
+
+    It writes the array expression of grad bit for bit, signed zeros and
+    non-finite entries included, and grad keeps its check and its message.
+    """
+
+    @staticmethod
+    def _members(dim, rng):
+        M = rng.normal(size=(dim, dim))
+        params = ClassParams(0.0, 1e3)
+        return [
+            ScaledSqNorm(0.7, dim, params),
+            ScaledSqNorm(0.0, dim, params),
+            random_instance(ClassParams(0.5, 4.0), dim, seed=dim),
+            DiagonalQuadratic(np.resize([0.0, 2.0, 1e-300], dim), np.resize([-0.0, 0.0, 1.5], dim), params),
+            DenseQuadratic(M @ M.T, rng.normal(size=dim)),
+            DenseQuadratic(np.zeros((dim, dim)), np.resize([0.0, -0.0], dim), params),
+        ]
+
+    @pytest.mark.parametrize("dim", [1, 3, 40])
+    def test_matches_the_array_expression(self, dim):
+        rng = np.random.default_rng(dim)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+        points = [rng.normal(size=dim) * 3 for _ in range(4)]
+        points += [np.resize(np.roll(specials, k), dim) for k in range(len(specials))]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for f in self._members(dim, rng):
+                for x in points:
+                    expected = _grad_oracle(f, x).tobytes()
+                    before = x.tobytes()
+                    assert f.grad(x).tobytes() == expected
+                    out = np.full(dim, 7.0)
+                    assert f._grad_into(x, out) is out and out.tobytes() == expected
+                    assert x.tobytes() == before
+
+    def test_grad_message(self):
+        for f in self._members(3, np.random.default_rng(0)):
+            with pytest.raises(ValueError) as info:
+                f.grad(np.zeros(4))
+            assert str(info.value) == "expected point of shape (3,), got (4,)"
+            assert f.grad([1, 2, 3]).dtype == np.float64
 
 
 class TestRandomInstance:
@@ -382,6 +436,40 @@ class TestClosedFormOptimum:
         # -b/d keeps the sign flip of b = +-0 on a curved coordinate without h
         x_star, _ = CompositeProblem(DiagonalQuadratic([1.0, 2.0], [0.0, -0.0], params), Zero(2)).optimum()
         assert list(np.signbit(x_star)) == [True, False]
+
+    def test_minimizer_beyond_the_float_range(self):
+        # a vertex -b/d past the float range, or an optimal value past it, is no optimum: no numpy warning,
+        # try_optimum reads None and a run reports no distance or gap instead of failing on them
+        params = ClassParams(0.0, 1.0)
+        cases = [
+            (DiagonalQuadratic([1e-300], [1e10], params), Zero(1), "the optimum is beyond the float range"),
+            (DiagonalQuadratic([1e-300, 1.0], [1e10, 0.5], params), L1Norm(0.5, 2),
+             "the optimum is beyond the float range"),
+            (DiagonalQuadratic([1e-300, 0.0], [-1e10, 0.0], params), NonnegIndicator(2),
+             "the optimum is beyond the float range"),
+            (DiagonalQuadratic([1.0], [1e200], params), Zero(1), "the optimal value is beyond the float range"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, h, message in cases:
+                problem = CompositeProblem(f, h)
+                with pytest.raises(ValueError) as info:
+                    problem.optimum()
+                assert str(info.value) == message
+                assert problem.try_optimum() is None
+            problem = CompositeProblem(*cases[0][:2])
+            trace = run(problem, 0.5, [0.0], 3)
+            assert all(trace.measure(m, k) is None for m in (MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP)
+                       for k in range(4))
+            # a vertex past the float range that h maps back into it gives a finite optimum
+            f = DiagonalQuadratic([1e-300, 1e-300], [-1e10, 1e10], params)
+            for h, expected in ((BoxIndicator([-1.0, -1.0], [2.0, 2.0]), [2.0, -1.0]),
+                                (L1Norm(0.5, 2), None),
+                                (LinearPlusNonnegIndicator([2e10, 0.0]), [0.0, 0.0])):
+                if expected is None:
+                    assert CompositeProblem(f, h).try_optimum() is None
+                else:
+                    assert CompositeProblem(f, h).optimum()[0].tolist() == expected
 
     def test_isotropic_flat_and_unknown_h(self):
         f = ScaledSqNorm(0.0, 3, ClassParams(0.0, 1.0))
