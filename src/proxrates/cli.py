@@ -221,7 +221,7 @@ def _cmd_rate(args):
     gammas = _parse_grid(grid_spec)
     markers = {
         "1/L": 1.0 / params.L,
-        "2/(L+mu)": 2.0 / (params.L + params.mu),
+        "2/(L+mu)": optimal_step(params)[0],
         "2/L": 2.0 / params.L,
     }
     if params.mu > 0:

@@ -225,9 +225,7 @@ def _ratios(values: np.ndarray, floors: np.ndarray) -> list[float | None]:
     return [r if o else None for r, o in zip(ratio.tolist(), ok.tolist())]
 
 
-def pgm_step(
-    problem: CompositeProblem, gamma: float, x_k, grad_k=None
-) -> tuple[np.ndarray, np.ndarray]:
+def pgm_step(problem: CompositeProblem, gamma: float, x_k) -> tuple[np.ndarray, np.ndarray]:
     """One proximal gradient step; returns (x_{k+1}, s_{k+1}).
 
     s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k) is the subgradient of h
@@ -239,7 +237,7 @@ def pgm_step(
         raise ValueError("pgm_step requires gamma > 0")
     if math.isinf(gamma):
         raise ValueError("pgm_step requires a finite gamma")
-    grad_k = problem.f.grad(x_k) if grad_k is None else np.asarray(grad_k, dtype=float)
+    grad_k = problem.f.grad(x_k)
     x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
     return x_next, _subgradient_into(np.empty(x_next.shape), x_k, x_next, gamma, grad_k)
 

@@ -1,13 +1,9 @@
 """Strong-convexity conversions between performance measures, as checkable predicates.
 
-For a feasible point x with subgradient s of h, strong convexity of F = f + h
-with modulus mu > 0 gives
-
-    (i)   ||x - x*||^2  <=  ||grad f(x) + s||^2 / mu^2
-    (ii)  F(x) - F*     <=  ||grad f(x) + s||^2 / (2 mu)
-    (iii) ||x - x*||^2  <=  2 (F(x) - F*) / mu
-
-Composing (i)-(iii) with the per-iteration contraction yields the
+The three conversions, which bound the distance by the residual, the gap by
+the residual and the distance by the gap at one feasible point, are stated
+once, in `rates.CONVERSIONS`. `check_proposition` checks each at one point;
+the bound table composes each with the per-iteration contraction into the
 mixed-measure trajectory bounds checked by `check_mixed_bound`. All slacks
 are normalized by the magnitude of the quantities compared, so tolerances are
 dimensionless across parameter scales.
@@ -19,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import IterateTrace
-from .rates import ClassParams, MeasureKind, bound_lookup
+from .rates import CONVERSIONS, ClassParams, MeasureKind, bound_lookup
 
 __all__ = ["MeasureTriple", "check_proposition", "check_mixed_bound"]
 
@@ -52,47 +48,46 @@ def _normalized_slack(lhs: float, rhs: float, floor: float = 0.0) -> float:
     return raw / scale if scale > 0 else 0.0
 
 
+# Each conversion's slack by name, as (name, initial measure, final measure).
+_PROPOSITION = (
+    ("dist_le_residual_over_musq", MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.DISTANCE_SQ),
+    ("gap_le_residual_over_2mu", MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP),
+    ("dist_le_2gap_over_mu", MeasureKind.FUNC_GAP, MeasureKind.DISTANCE_SQ),
+)
+
+
 def check_proposition(
     triple: MeasureTriple,
     params: ClassParams,
     floors: MeasureTriple | None = None,
 ) -> list[tuple[str, float]]:
-    """Normalized slacks of the three strong-convexity conversions at one point.
+    """Normalized slacks of the three strong-convexity conversions (rates.CONVERSIONS) at one point.
 
     All slacks are >= 0 (up to rounding) for measures coming from a feasible
     point of a genuine mu-strongly-convex composite problem. `floors`, when
     given, carries the absolute noise floors of the three measures (see
-    IterateTrace.measure_floor); apparent violations below them read as zero.
+    IterateTrace.measure_floor); apparent violations below them read as zero:
+    the final measure's floor plus the converted floor of the initial one. A
+    converted measure that leaves the float range is a ValueError.
     """
     params.require_strongly_convex()
     mu = params.mu
     f = floors if floors is not None else MeasureTriple(0.0, 0.0, 0.0)
-    return [
-        (
-            "dist_le_residual_over_musq",
-            _normalized_slack(
-                triple.dist_sq,
-                triple.residual_grad_sq / mu**2,
-                f.dist_sq + f.residual_grad_sq / mu**2,
-            ),
-        ),
-        (
-            "gap_le_residual_over_2mu",
-            _normalized_slack(
-                triple.func_gap,
-                triple.residual_grad_sq / (2 * mu),
-                abs(f.func_gap) + f.residual_grad_sq / (2 * mu),
-            ),
-        ),
-        (
-            "dist_le_2gap_over_mu",
-            _normalized_slack(
-                triple.dist_sq,
-                2 * triple.func_gap / mu,
-                f.dist_sq + 2 * abs(f.func_gap) / mu,
-            ),
-        ),
-    ]
+    slacks = []
+    for name, initial, final in _PROPOSITION:
+        convert = CONVERSIONS[(initial, final)]
+        try:
+            bound = convert(getattr(triple, initial.value), mu)
+            floor = convert(abs(getattr(f, initial.value)), mu)
+        except (OverflowError, ZeroDivisionError):
+            bound = math.inf
+        if math.isinf(bound):
+            raise ValueError(
+                f"the {initial.value} -> {final.value} conversion {name} leaves the float range at mu = {mu}"
+            )
+        floor += abs(getattr(f, final.value))
+        slacks.append((name, _normalized_slack(getattr(triple, final.value), bound, floor)))
+    return slacks
 
 
 def check_mixed_bound(

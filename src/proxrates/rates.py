@@ -1,9 +1,10 @@
 """Closed-form worst-case convergence rates for the proximal gradient method.
 
 Everything in here is a pure formula: the per-iteration contraction factor,
-the optimal fixed step size, and the lookup table of global guarantees for
-every (initial measure, final measure) pair, including the step-size-1/L
-conjectured-tight values and their smooth-convex (mu = 0) limits.
+the optimal fixed step size, the strong-convexity conversions between
+measures, and the lookup table of global guarantees for every (initial
+measure, final measure) pair, including the step-size-1/L conjectured-tight
+values and their smooth-convex (mu = 0) limits.
 """
 
 from __future__ import annotations
@@ -175,15 +176,33 @@ _DIAGONAL = _Cell("rho^(2k)", _decay, _TIGHT)
 _ONE = _Cell("1", lambda mu, L, g, k: 1.0, _TIGHT)
 _UNBOUNDED = _Cell("Unbounded", lambda mu, L, g, k: math.inf, _CONJ)
 
+# The three strong-convexity conversions at a feasible point x with subgradient s of h,
+# each mapping (initial, final) measure to (value, mu) -> the bound that value gives on the final measure:
+#   (iii) ||x - x*||^2 <= 2 (F(x) - F*) / mu
+#   (i)   ||x - x*||^2 <= ||grad f(x) + s||^2 / mu^2
+#   (ii)  F(x) - F*    <= ||grad f(x) + s||^2 / (2 mu)
+# Each proven off-diagonal cell contracts its initial measure k times, then converts it once.
+CONVERSIONS: dict[tuple[MeasureKind, MeasureKind], Callable[[float, float], float]] = {
+    (_G, _D): lambda value, mu: 2 * value / mu,
+    (_R, _D): lambda value, mu: value / mu**2,
+    (_R, _G): lambda value, mu: value / (2 * mu),
+}
+
+
+def _converted(cell: tuple[MeasureKind, MeasureKind], form: str) -> _Cell:
+    """The proven cell that contracts its initial measure k times, then converts it once."""
+    return _Cell(form, lambda mu, L, g, k: CONVERSIONS[cell](1.0, mu) * _decay(mu, L, g, k), _UPPER)
+
+
 _GLOBAL = {
     (_D, _D): _DIAGONAL,
     (_D, _G): _Cell("open"),
     (_D, _R): _Cell("open"),
-    (_G, _D): _Cell("(2/mu) rho^(2k)", lambda mu, L, g, k: 2.0 / mu * _decay(mu, L, g, k), _UPPER),
+    (_G, _D): _converted((_G, _D), "(2/mu) rho^(2k)"),
     (_G, _G): _DIAGONAL,
     (_G, _R): _Cell("open"),
-    (_R, _D): _Cell("rho^(2k)/mu^2", lambda mu, L, g, k: 1.0 / mu**2 * _decay(mu, L, g, k), _UPPER),
-    (_R, _G): _Cell("rho^(2k)/(2 mu)", lambda mu, L, g, k: 1.0 / (2.0 * mu) * _decay(mu, L, g, k), _UPPER),
+    (_R, _D): _converted((_R, _D), "rho^(2k)/mu^2"),
+    (_R, _G): _converted((_R, _G), "rho^(2k)/(2 mu)"),
     (_R, _R): _DIAGONAL,
 }
 

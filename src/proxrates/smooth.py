@@ -165,8 +165,8 @@ def random_instance(params: ClassParams, dim: int, seed: int) -> DiagonalQuadrat
 
     The spectrum always contains both endpoints mu and L so the declared class
     constants are attained. With dim = 1 and mu < L both endpoints cannot fit;
-    the instance falls back to curvature mu and its effective smoothness is
-    max(d) = mu rather than the declared L.
+    the instance falls back to curvature mu, so its effective smoothness is
+    max(d) = mu rather than the declared L; at mu = 0 it takes curvature L.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -195,8 +195,10 @@ class CompositeProblem:
         if self.f.dim != self.h.dim:
             raise ValueError("f and h dimensions disagree")
         if self.known_optimum is not None:
-            x_star, F_star = self.known_optimum
-            self.known_optimum = (np.asarray(x_star, dtype=float), float(F_star))
+            x_star, F_star = np.asarray(self.known_optimum[0], dtype=float), float(self.known_optimum[1])
+            if x_star.shape != (self.dim,) or not (np.isfinite(x_star).all() and math.isfinite(F_star)):
+                raise ValueError(f"known_optimum must be a finite x* of shape ({self.dim},) and a finite F*")
+            self.known_optimum = (x_star, F_star)
 
     @property
     def params(self) -> ClassParams:

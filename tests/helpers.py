@@ -15,8 +15,9 @@ certificate, an exact Gram-basis evaluator of certificate expressions, the
 sum-then-prune form arithmetic that the in-place sum replaced, an eager
 gcd normalization of rational functions on plain coefficient lists, the
 list-of-records PGM trace with noise floors and step ratios recomputed per call,
-the certificate report with its residual always expanded, and each catalog
-value by its own formula at one point. The CLI's
+the certificate report with its residual always expanded, each catalog
+value by its own formula at one point, and the bound table's converted cells
+and `check_proposition` with each strong-convexity conversion written inline. The CLI's
 documents are checked against the standard library's encoders:
 `json.dumps(indent=2)` for JSON and `csv.DictWriter` for CSV.
 
@@ -49,7 +50,8 @@ from proxrates.certificate import (
 )
 from proxrates.engine import IterateRecord, LineSearchError
 from proxrates.prox import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
-from proxrates.rates import MeasureKind
+from proxrates.measures import MeasureTriple, _normalized_slack
+from proxrates.rates import MeasureKind, _decay
 from proxrates.smooth import CompositeProblem, DenseQuadratic, DiagonalQuadratic, ScaledSqNorm, diagonal_form
 
 _FLOOR = 256.0 * float(np.finfo(float).eps)
@@ -386,6 +388,50 @@ REFERENCE_FORM_METHODS = {
     "scale": reference_scale,
     "__rmul__": reference_scale,
 }
+
+
+# The three proven converted cells of the global table, each with its conversion written inline, as
+# the table stated them before `rates.CONVERSIONS`.
+_D, _G, _R = MeasureKind.DISTANCE_SQ, MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ
+REFERENCE_CONVERTED_CELLS = {
+    (_G, _D): lambda mu, L, g, k: 2.0 / mu * _decay(mu, L, g, k),
+    (_R, _D): lambda mu, L, g, k: 1.0 / mu**2 * _decay(mu, L, g, k),
+    (_R, _G): lambda mu, L, g, k: 1.0 / (2.0 * mu) * _decay(mu, L, g, k),
+}
+
+
+def reference_check_proposition(triple, params, floors=None) -> list[tuple[str, float]]:
+    """`measures.check_proposition` with each conversion and its floor written out by hand, as it was
+    before it read `rates.CONVERSIONS`."""
+    params.require_strongly_convex()
+    mu = params.mu
+    f = floors if floors is not None else MeasureTriple(0.0, 0.0, 0.0)
+    return [
+        (
+            "dist_le_residual_over_musq",
+            _normalized_slack(
+                triple.dist_sq,
+                triple.residual_grad_sq / mu**2,
+                f.dist_sq + f.residual_grad_sq / mu**2,
+            ),
+        ),
+        (
+            "gap_le_residual_over_2mu",
+            _normalized_slack(
+                triple.func_gap,
+                triple.residual_grad_sq / (2 * mu),
+                abs(f.func_gap) + f.residual_grad_sq / (2 * mu),
+            ),
+        ),
+        (
+            "dist_le_2gap_over_mu",
+            _normalized_slack(
+                triple.dist_sq,
+                2 * triple.func_gap / mu,
+                f.dist_sq + 2 * abs(f.func_gap) / mu,
+            ),
+        ),
+    ]
 
 
 def distance_weighted_sum(mu, L, gamma, regime: Regime) -> SymbolicExpr:

@@ -121,7 +121,7 @@ class TestSimulate:
             for seed in seeds:
                 problem, x0 = random_composite(params, 8, kind, seed)
                 trace = run(problem, gamma, x0, N)
-                oracle = trace_oracle(problem, x0, N, lambda x, g: (gamma, *pgm_step(problem, gamma, x, g)))
+                oracle = trace_oracle(problem, x0, N, lambda x, g: (gamma, *pgm_step(problem, gamma, x)))
                 rate = contraction(params, gamma)
                 want = trace_rows_oracle(oracle, rate, trace.outside_theory, cli._RATIO_TOL)
                 assert cli._trace_rows(trace, params, gamma) == want

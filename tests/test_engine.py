@@ -460,7 +460,7 @@ class TestResidualLineSearch:
 def _oracle_step(problem, gamma):
     """The step of `run` at gamma, or of `run_exact_line_search` when gamma is None."""
     if gamma is not None:
-        return lambda x, g: (gamma, *pgm_step(problem, gamma, x, g))
+        return lambda x, g: (gamma, *pgm_step(problem, gamma, x))
 
     def step(x, g):
         t, x_next = exact_line_search_step(problem, x)  # its gradient at x is g, bit for bit

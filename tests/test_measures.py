@@ -164,3 +164,17 @@ class TestErrorPaths:
     def test_raises(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "triple,mu,conversion",
+        [
+            # mu^2 underflows to 0, then to a subnormal whose quotient overflows; a residual of 1e308 over mu^2 = 1/4
+            pytest.param(MeasureTriple(1.0, 1.0, 1.0), 1e-170, "dist_le_residual_over_musq", id="mu-1e-170"),
+            pytest.param(MeasureTriple(1.0, 1.0, 1.0), 1e-160, "dist_le_residual_over_musq", id="mu-1e-160"),
+            pytest.param(MeasureTriple(1.0, 1.0, 1e308), 0.5, "dist_le_residual_over_musq", id="residual-1e308"),
+            pytest.param(MeasureTriple(1.0, -1e308, 1.0), 0.5, "dist_le_2gap_over_mu", id="gap-minus-1e308"),
+        ],
+    )
+    def test_conversion_past_the_float_range_rejected(self, triple, mu, conversion):
+        with pytest.raises(ValueError, match=f"conversion {conversion} leaves the float range at mu = {mu}$"):
+            check_proposition(triple, ClassParams(mu, 1.0), MeasureTriple(0.0, 0.0, 0.0))

@@ -7,15 +7,17 @@ import pytest
 from proxrates import (
     ClassParams,
     MeasureKind,
+    MeasureTriple,
     Provenance,
     bound_lookup,
     classical_nontight_bound,
     contraction,
     optimal_step,
 )
-from proxrates.rates import rate_branch
+from proxrates.measures import check_proposition
+from proxrates.rates import BOUND_TABLES, CONVERSIONS, rate_branch
 
-from helpers import iterate_recurrence
+from helpers import REFERENCE_CONVERTED_CELLS, iterate_recurrence, reference_check_proposition
 
 M = MeasureKind
 
@@ -273,3 +275,74 @@ class TestErrorPaths:
     def test_raises(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+def _outcome(fn, *args):
+    """fn(*args) as comparable data: each float by its bits (-0.0 and NaN included), or the exception's type."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    if isinstance(out, float):
+        return out.hex()
+    return [(name, slack.hex()) for name, slack in out]
+
+
+class TestConversionsStatedOnce:
+    """Each strong-convexity conversion lives in `rates.CONVERSIONS`; the table and `check_proposition` read it.
+
+    Both match the conversions written inline (`helpers.REFERENCE_CONVERTED_CELLS`,
+    `helpers.reference_check_proposition`) bit for bit, and a conversion past the float range is a
+    ValueError naming it where the inline route divided by zero or returned NaN.
+    """
+
+    def test_every_proven_upper_cell_is_contraction_then_one_conversion(self):
+        for name, table in BOUND_TABLES.items():
+            for cell, entry in table.items():
+                if entry.provenance is Provenance.PROVEN_UPPER_TIGHT_SMALL_STEP:
+                    assert cell in CONVERSIONS, (name, cell)
+        upper = Provenance.PROVEN_UPPER_TIGHT_SMALL_STEP
+        assert {cell for cell, entry in BOUND_TABLES["global"].items() if entry.provenance is upper} == set(CONVERSIONS)
+
+    def test_cells_match_the_inline_conversions(self):
+        cases = 0
+        for mu in (1e-300, 1e-170, 1e-160, 1e-9, 0.1, 0.5, 1.0, 3.0):
+            for L in (1.0, 3.0, 10.0, 1e3):
+                if mu > L:
+                    continue
+                for gamma in (0.0, 0.3 / L, 1.0 / L, 2.0 / (L + mu), 2.0 / L):
+                    for k in (1, 2, 5, 37, 600):
+                        for cell, reference in REFERENCE_CONVERTED_CELLS.items():
+                            want = _outcome(reference, mu, L, gamma, k)
+                            for table in ("global", "step_1_over_L"):
+                                assert _outcome(BOUND_TABLES[table][cell].factor, mu, L, gamma, k) == want
+                            cases += 1
+        assert cases > 1000
+
+    def test_check_proposition_matches_the_inline_conversions(self):
+        rng = np.random.default_rng(20)
+
+        def magnitude(lo, hi, sign=1.0):
+            """0.0, -0.0 or a log-uniform magnitude in [10^lo, 10^hi], as a Python float times sign."""
+            u = rng.random()
+            return sign * (0.0 if u < 0.1 else -0.0 if u < 0.2 else 10.0 ** float(rng.uniform(lo, hi)))
+
+        mus = (1e-170, 1e-160, 1e-20, 0.01, 0.5, 1.0, 7.0)
+        raised = 0
+        for _ in range(4000):
+            params = ClassParams(mus[rng.integers(len(mus))], 10.0)
+            gap_sign = 1.0 if rng.random() < 0.5 else -1.0
+            residual = 1e308 if rng.random() < 0.05 else magnitude(-40, 40)
+            triple = MeasureTriple(magnitude(-40, 40), magnitude(-40, 40, gap_sign), residual)
+            floor_sign = 1.0 if rng.random() < 0.5 else -1.0
+            floors = (None, MeasureTriple(magnitude(-60, 0), magnitude(-60, 0, floor_sign), magnitude(-60, 0)))[
+                rng.integers(2)
+            ]
+            want = _outcome(reference_check_proposition, triple, params, floors)
+            got = _outcome(check_proposition, triple, params, floors)
+            if want is ZeroDivisionError or any(slack == "nan" for _, slack in want):
+                assert got is ValueError
+                raised += 1
+            else:
+                assert got == want
+        assert 100 < raised < 2000

@@ -540,3 +540,19 @@ class TestErrorPaths:
     def test_raises(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "x_star,F_star",
+        [
+            pytest.param([0.0], 0.0, id="short-x"),
+            pytest.param([[0.0, 0.0]], 0.0, id="row-x"),
+            pytest.param([math.nan, 0.0], 0.0, id="nan-x"),
+            pytest.param([0.0, -math.inf], 0.0, id="inf-x"),
+            pytest.param([0.0, 0.0], math.inf, id="inf-F"),
+            pytest.param([0.0, 0.0], math.nan, id="nan-F"),
+        ],
+    )
+    def test_known_optimum_checked(self, x_star, F_star):
+        # a bad optimum would otherwise surface from inside the loop's row sums, or as a measure out of range
+        with pytest.raises(ValueError, match=r"^known_optimum must be a finite x\* of shape \(2,\) and a finite F\*$"):
+            CompositeProblem(ScaledSqNorm(1.0, 2), Zero(2), known_optimum=(x_star, F_star))
