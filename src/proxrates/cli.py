@@ -4,7 +4,8 @@ Each command maps its parsed arguments to (config, rows, verdict); `main`
 alone writes them, as one JSON document {command, config, rows, verdict} or
 as CSV rows with a header line, and sets the exit status: 0 on "pass", 1 on
 "fail" (a bound or certificate in the command's scope is violated), 2 on a
-usage error (any ValueError, before anything is written). A document never
+usage error (any ValueError, or a MemoryError from arrays the input asks for
+that cannot be allocated, before anything is written). A document never
 carries NaN or Infinity, in either format; the error names the first one's
 place, e.g. `rows[5].rho is inf`.
 
@@ -552,7 +553,7 @@ def main(argv=None) -> int:
     try:
         config, rows, verdict = _COMMANDS[args.command](args)
         _emit(args.command, config, rows, verdict, args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if verdict == "pass" else 1

@@ -238,7 +238,8 @@ def pgm_step(problem: CompositeProblem, gamma: float, x_k) -> tuple[np.ndarray, 
     if math.isinf(gamma):
         raise ValueError("pgm_step requires a finite gamma")
     grad_k = problem.f.grad(x_k)
-    x_next = problem.h.prox(gamma, x_k - gamma * grad_k)
+    x_next = x_k - gamma * grad_k
+    problem.h._prox_into(float(gamma), x_next, x_next)
     return x_next, _subgradient_into(np.empty(x_next.shape), x_k, x_next, gamma, grad_k)
 
 
@@ -429,12 +430,13 @@ def exact_line_search_step(problem: CompositeProblem, x_k) -> tuple[float, np.nd
     """
     x_k = _feasible_start(problem, x_k, "x_k")
     with np.errstate(over="ignore", invalid="ignore"):
-        F_k = problem.value(x_k)
+        F_k = float(problem._values(x_k[None])[0])
     if not math.isfinite(F_k):
         raise ValueError("F(x_k) is not finite: the start is beyond the float range")
-    g = problem.f.grad(x_k)
+    g = problem.f._grad_into(x_k, np.empty(len(x_k)))
     gamma = _exact_step_size(problem, x_k, g)
-    return gamma, problem.h.prox(gamma, x_k - gamma * g)
+    x_next = x_k - gamma * g
+    return gamma, problem.h._prox_into(problem.h._check_gamma(gamma), x_next, x_next)
 
 
 def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) -> float:
@@ -460,7 +462,7 @@ def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) 
         return gnorm / denom
 
     d, b = diagonal_form(problem.f)
-    breaks, p0, p1, slope = problem.h.prox_path(x_k, g)
+    breaks, p0, p1, slope = problem.h._prox_path(x_k, g)
     # phi_i(t) = 0.5 d_i p_i^2 + (b_i + slope) p_i on each segment of coordinate i
     e = b + slope
     coef = np.array([0.5 * d * p1 * p1, (d * p0 + e) * p1, (0.5 * d * p0 + e) * p0]).reshape(3, -1)

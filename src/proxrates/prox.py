@@ -35,7 +35,7 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class ProxFunction:
-    """Base class; subclasses implement _values, _prox_into, subgradient and prox_path.
+    """Base class; subclasses implement _values, _prox_into, subgradient and _prox_path.
 
     value, prox and membership are derived from them. A subclass whose domain
     is not all of R^dim also states it, in _outside.
@@ -95,7 +95,7 @@ class ProxFunction:
         """
         x = self._require_feasible(x)
         with np.errstate(over="ignore"):  # a kink time past the float range is +inf
-            breaks, p0, p1, _ = self.prox_path(x, -self._check_point(s))
+            breaks, p0, p1, _ = self._prox_path(x, -self._check_point(s))
         first = (breaks == 0).sum(axis=0), np.arange(self.dim)
         return bool(((p0[first] == x) & (np.abs(p1[first]) <= tol)).all())
 
@@ -110,6 +110,10 @@ class ProxFunction:
         breaks[j-1, i], or 0, to breaks[j, i]) the path is
         p_i(t) = p0[j, i] + p1[j, i] * t and h_i(p_i) = slope[j, i] * p_i.
         """
+        return self._prox_path(self._check_point(x), self._check_point(g))
+
+    def _prox_path(self, x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """prox_path at x and g, which are checked."""
         raise NotImplementedError
 
     def _require_feasible(self, x) -> np.ndarray:
@@ -150,8 +154,7 @@ class Zero(ProxFunction):
         self._check_point(x)
         return np.zeros(self.dim)
 
-    def prox_path(self, x, g):
-        x, g = self._check_point(x), self._check_point(g)
+    def _prox_path(self, x, g):
         return np.empty((0, self.dim)), x[None], -g[None], np.zeros((1, self.dim))
 
 
@@ -173,8 +176,7 @@ class NonnegIndicator(ProxFunction):
         self._require_feasible(x)
         return np.zeros(self.dim)
 
-    def prox_path(self, x, g):
-        x, g = self._check_point(x), self._check_point(g)
+    def _prox_path(self, x, g):
         return _move_then_pin(x, g, _hit(x, g, g > 0), np.zeros(self.dim))
 
 
@@ -204,8 +206,7 @@ class BoxIndicator(ProxFunction):
         self._require_feasible(x)
         return np.zeros(self.dim)
 
-    def prox_path(self, x, g):
-        x, g = self._check_point(x), self._check_point(g)
+    def _prox_path(self, x, g):
         bound = np.where(g > 0, self.lo, self.hi)
         end = _hit(x - bound, g, g != 0)  # +inf towards an infinite bound
         return _move_then_pin(x, g, end, np.where(np.isfinite(end), bound, x))
@@ -234,11 +235,10 @@ class L1Norm(ProxFunction):
     def subgradient(self, x):
         return self.weight * np.sign(self._check_point(x))
 
-    def prox_path(self, x, g):
+    def _prox_path(self, x, g):
         # A coordinate moves towards 0 with slope g + sign*w, rests at 0, and
         # leaves it on the other side with slope g - sign*w, where sign is
         # that of x (+1 at 0); each leg it never starts has breakpoint +inf.
-        x, g = self._check_point(x), self._check_point(g)
         sign = np.where(x < 0, -1.0, 1.0)
         w = sign * self.weight
         toward, away = g + w, g - w
@@ -269,7 +269,6 @@ class LinearPlusNonnegIndicator(ProxFunction):
         self._require_feasible(x)
         return self.c.copy()
 
-    def prox_path(self, x, g):
-        x, g = self._check_point(x), self._check_point(g)
+    def _prox_path(self, x, g):
         v = g + self.c
         return _move_then_pin(x, v, _hit(x, v, v > 0), np.zeros(self.dim), self.c)

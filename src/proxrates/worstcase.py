@@ -47,7 +47,19 @@ _MIXED_CELLS = (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL)
 
 @dataclass
 class WorstCaseSpec:
-    """A concrete problem, start, horizon and the values it is predicted to attain."""
+    """A concrete problem, start, horizon and the values it is predicted to attain.
+
+    `predicted` maps (initial, final) measure cells to a value whose meaning
+    depends on the generator:
+
+    * quadratic_lower_bound and unbounded_family: the ratio of the final
+      measure at N to the initial measure at 0;
+    * mixed_measure_instance: the final measure at N itself;
+    * els_worst_quadratic: the per-step function-gap ratio under exact line
+      search (gamma is None there: the line search picks each step).
+
+    closed_form_iterates(k) is the iterate x_k the method reaches at step k.
+    """
 
     problem: CompositeProblem
     x0: np.ndarray
@@ -55,8 +67,7 @@ class WorstCaseSpec:
     N: int
     gamma: float | None
     predicted: dict[Cell, float]
-    closed_form_iterates: Callable[[int], np.ndarray] | None = None
-    note: str = ""
+    closed_form_iterates: Callable[[int], np.ndarray]
 
 
 def _square(value: float) -> float:
@@ -72,18 +83,16 @@ def _is_normal(value: float) -> bool:
     return sys.float_info.min <= abs(value) < math.inf
 
 
-def _padded(value: float, dim: int) -> np.ndarray:
-    """The vector of R^dim with first coordinate `value` and zeros elsewhere."""
-    out = np.zeros(dim)
-    out[0] = value
-    return out
+def _on_orthant(params: ClassParams, c: float, x0: float, N: int, predicted: dict, position: Callable) -> WorstCaseSpec:
+    """min_{x>=0} (mu/2) x^2 + c x over R^1, from x0 at step 1/L, with x_k = position(k).
 
-
-def _check_sizes(N: int, dim: int) -> None:
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    For c > 0 the optimum is x* = 0 with F* = 0, and s0 = 0 is a subgradient
+    of the constraint at every feasible x0.
+    """
+    f = DiagonalQuadratic([params.mu], [c], params)
+    problem = CompositeProblem(f, NonnegIndicator(1), known_optimum=(np.zeros(1), 0.0))
+    return WorstCaseSpec(problem, np.array([x0], dtype=float), np.zeros(1), N, 1.0 / params.L, predicted,
+                         lambda k: np.array([position(k)], dtype=float))
 
 
 def quadratic_lower_bound(
@@ -103,7 +112,10 @@ def quadratic_lower_bound(
     params.require_strongly_convex()
     if not 0 <= gamma <= _max_step(params.L):
         raise ValueError("attaining instances exist only for 0 <= gamma <= 2/L")
-    _check_sizes(N, dim)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     a = params.mu if gamma <= 2.0 / (params.L + params.mu) else params.L
     initial = (dim, a * dim / 2, _square(a) * dim)
     if not all(map(_is_normal, initial)):
@@ -127,9 +139,7 @@ def quadratic_lower_bound(
     return WorstCaseSpec(problem, x0, np.zeros(dim), N, gamma, predicted, closed_form)
 
 
-def mixed_measure_instance(
-    params: ClassParams, N: int, x0: float, target: Cell, dim: int = 1
-) -> WorstCaseSpec:
+def mixed_measure_instance(params: ClassParams, N: int, x0: float, target: Cell) -> WorstCaseSpec:
     """Constrained 1-d quadratic min_{x>=0} (mu/2) x^2 + c x at step 1/L.
 
     With kappa = mu/L the iterates follow x_{k+1} = (1-kappa) x_k - c/L as
@@ -143,8 +153,7 @@ def mixed_measure_instance(
     way every iterate stays nonnegative. The predicted value is the target's
     `step_1_over_L` cell of `rates.BOUND_TABLES` times the initial measure:
     x0^2, or F(x0) - F* = (mu/2) x0^2 + c x0; an x0 for which either is
-    not a normal float raises ValueError. Embeddings with dim > 1 pad
-    every vector with zeros, which changes no measure.
+    not a normal float raises ValueError.
     """
     params.require_strongly_convex()
     mu, L = params.mu, params.L
@@ -156,7 +165,6 @@ def mixed_measure_instance(
         raise ValueError("x0 must be a positive scalar")
     if target not in _MIXED_CELLS:
         raise ValueError(f"target must be one of {_MIXED_CELLS}")
-    _check_sizes(N, dim)
 
     gamma = 1.0 / L
     init, final = target
@@ -171,21 +179,11 @@ def mixed_measure_instance(
         )
     kappa = mu / L
     q = 1.0 - kappa
-
-    def closed_form(k: int) -> np.ndarray:
-        return _padded((c * q**k - c + kappa * L * q**k * x0) / (kappa * L), dim)
-
-    f = DiagonalQuadratic(np.full(dim, mu), _padded(c, dim), params)
-    problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
-    note = "padded to dim > 1; measures unchanged" if dim > 1 else ""
-    return WorstCaseSpec(
-        problem, _padded(x0, dim), np.zeros(dim), N, gamma, {target: predicted}, closed_form, note
-    )
+    return _on_orthant(params, c, x0, N, {target: predicted},
+                       lambda k: (c * q**k - c + kappa * L * q**k * x0) / (kappa * L))
 
 
-def unbounded_family(
-    c: float, dim: int = 1, x0: float = 1.0, N: int = 5, L: float = 1.0
-) -> WorstCaseSpec:
+def unbounded_family(c: float, x0: float = 1.0, N: int = 5, L: float = 1.0) -> WorstCaseSpec:
     """Linear program min_{x>=0} c x run as a mu = 0 composite problem at step 1/L.
 
     Starting from x0 > 0 the iterates are x_k = max(0, x0 - k c / L); with the
@@ -207,7 +205,8 @@ def unbounded_family(
         raise ValueError("c must be positive")
     if not x0 >= 0:
         raise ValueError("x0 must be feasible (x0 >= 0)")
-    _check_sizes(N, dim)
+    if N < 0:
+        raise ValueError("N must be >= 0")
     predicted: dict[Cell, float] = {}
     if x0 > 0:
         xN = max(0.0, x0 - N * c / L)
@@ -223,16 +222,7 @@ def unbounded_family(
         }
         if not all(map(math.isfinite, predicted.values())):
             raise ValueError(f"c = {c} gives a predicted ratio beyond the float range (x0 = {x0})")
-    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), params)
-    problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
-
-    def closed_form(k: int) -> np.ndarray:
-        return _padded(max(0.0, x0 - k * c / L), dim)
-
-    return WorstCaseSpec(
-        problem, _padded(x0, dim), np.zeros(dim), N, 1.0 / L, predicted, closed_form,
-        note="witness ratios scale like inverse powers of c",
-    )
+    return _on_orthant(params, c, x0, N, predicted, lambda k: max(0.0, x0 - k * c / L))
 
 
 def els_worst_quadratic(params: ClassParams, N: int = 10) -> WorstCaseSpec:
@@ -258,7 +248,4 @@ def els_worst_quadratic(params: ClassParams, N: int = 10) -> WorstCaseSpec:
         return rate.rho**k * np.array([1.0 / mu, (-1.0) ** k / L])
 
     predicted = {(MeasureKind.FUNC_GAP, MeasureKind.FUNC_GAP): rate.rho_squared}
-    return WorstCaseSpec(
-        problem, x0, np.zeros(2), N, None, predicted, closed_form,
-        note="predicted value is the per-step function-gap ratio under exact line search",
-    )
+    return WorstCaseSpec(problem, x0, np.zeros(2), N, None, predicted, closed_form)

@@ -10,7 +10,8 @@ fixed-step PGM in exact rationals for one-dimensional quadratics with h = 0
 or the orthant, the exact line search in exact rationals for diagonal
 quadratics with h = 0, the exact line search's sweep on the layout it had
 before its rows were contiguous, the rational step-1/L cells the constrained family
-attains, the long hand-expanded coefficient display for the distance
+attains, the step-1/L and unbounded generators as written before they shared one
+orthant builder, the long hand-expanded coefficient display for the distance
 certificate, an exact Gram-basis evaluator of certificate expressions, the
 sum-then-prune form arithmetic that the in-place sum replaced, an eager
 gcd normalization of rational functions on plain coefficient lists, the
@@ -31,6 +32,7 @@ import dataclasses
 import io
 import json
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +53,9 @@ from proxrates.certificate import (
 from proxrates.engine import IterateRecord, LineSearchError
 from proxrates.prox import BoxIndicator, L1Norm, LinearPlusNonnegIndicator, NonnegIndicator, Zero
 from proxrates.measures import MeasureTriple, _normalized_slack
-from proxrates.rates import MeasureKind, _decay
+from proxrates.rates import ClassParams, MeasureKind, _decay, _geometric_minus_one, bound_lookup
 from proxrates.smooth import CompositeProblem, DenseQuadratic, DiagonalQuadratic, ScaledSqNorm, diagonal_form
+from proxrates.worstcase import _MIXED_CELLS, DIST_TO_FUNCGAP, _is_normal, _square
 
 _FLOOR = 256.0 * float(np.finfo(float).eps)
 
@@ -332,6 +335,112 @@ def step_1_over_L_cell_exact(init: MeasureKind, final: MeasureKind, mu: Fraction
         (MeasureKind.DISTANCE_SQ, MeasureKind.RESIDUAL_GRAD_SQ): mu**2 / (rho**-k - 1) ** 2,
         (MeasureKind.FUNC_GAP, MeasureKind.RESIDUAL_GRAD_SQ): 2 * mu / (rho ** (-2 * k) - 1),
     }[(init, final)]
+
+
+@dataclasses.dataclass
+class ReferenceSpec:
+    """The fields of a worst-case spec, as the padded generators below fill them."""
+
+    problem: CompositeProblem
+    x0: np.ndarray
+    s0: np.ndarray | None
+    N: int
+    gamma: float | None
+    predicted: dict
+    closed_form_iterates: Callable[[int], np.ndarray] | None = None
+    note: str = ""
+
+
+def _padded(value: float, dim: int) -> np.ndarray:
+    """The vector of R^dim with first coordinate `value` and zeros elsewhere."""
+    out = np.zeros(dim)
+    out[0] = value
+    return out
+
+
+def _check_sizes(N: int, dim: int) -> None:
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+
+
+def reference_mixed_measure_instance(
+    params: ClassParams, N: int, x0: float, target, dim: int = 1
+) -> ReferenceSpec:
+    """mixed_measure_instance as it was written before it shared the orthant builder, with its dim padding."""
+    params.require_strongly_convex()
+    mu, L = params.mu, params.L
+    if mu >= L:
+        raise ValueError("requires mu < L (rho = 1 - mu/L must be positive)")
+    if N < 1:
+        raise ValueError("horizon N must be >= 1 (the tuning of c divides by rho^(-N) - 1)")
+    if not x0 > 0:
+        raise ValueError("x0 must be a positive scalar")
+    if target not in _MIXED_CELLS:
+        raise ValueError(f"target must be one of {_MIXED_CELLS}")
+    _check_sizes(N, dim)
+
+    gamma = 1.0 / L
+    init, final = target
+    bound = bound_lookup(init, final, params, gamma, N, conjectured=True).value
+    c = mu * x0 / _geometric_minus_one(mu * gamma, 2 * N if target is DIST_TO_FUNCGAP else N)
+    initial = _square(x0) if init is MeasureKind.DISTANCE_SQ else 0.5 * mu * _square(x0) + c * x0
+    predicted = initial * bound
+    if not (_is_normal(initial) and _is_normal(predicted)):
+        raise ValueError(
+            f"x0 = {x0} gives the initial measure {initial} and the predicted value {predicted}; "
+            "both must be normal floats"
+        )
+    kappa = mu / L
+    q = 1.0 - kappa
+
+    def closed_form(k: int) -> np.ndarray:
+        return _padded((c * q**k - c + kappa * L * q**k * x0) / (kappa * L), dim)
+
+    f = DiagonalQuadratic(np.full(dim, mu), _padded(c, dim), params)
+    problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
+    note = "padded to dim > 1; measures unchanged" if dim > 1 else ""
+    return ReferenceSpec(
+        problem, _padded(x0, dim), np.zeros(dim), N, gamma, {target: predicted}, closed_form, note
+    )
+
+
+def reference_unbounded_family(
+    c: float, dim: int = 1, x0: float = 1.0, N: int = 5, L: float = 1.0
+) -> ReferenceSpec:
+    """unbounded_family as it was written before it shared the orthant builder, with its dim padding."""
+    params = ClassParams(0.0, L)
+    if not c > 0:
+        raise ValueError("c must be positive")
+    if not x0 >= 0:
+        raise ValueError("x0 must be feasible (x0 >= 0)")
+    _check_sizes(N, dim)
+    predicted = {}
+    if x0 > 0:
+        xN = max(0.0, x0 - N * c / L)
+        gap0, res0 = c * x0, _square(c)
+        if not (_is_normal(gap0) and _is_normal(res0)):
+            raise ValueError(
+                f"c = {c} gives the initial gap {gap0} and residual {res0} (x0 = {x0}); both must be normal floats"
+            )
+        predicted = {
+            (MeasureKind.FUNC_GAP, MeasureKind.DISTANCE_SQ): _square(xN) / gap0,
+            (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.DISTANCE_SQ): _square(xN) / res0,
+            (MeasureKind.RESIDUAL_GRAD_SQ, MeasureKind.FUNC_GAP): c * xN / res0,
+        }
+        if not all(map(math.isfinite, predicted.values())):
+            raise ValueError(f"c = {c} gives a predicted ratio beyond the float range (x0 = {x0})")
+    f = DiagonalQuadratic(np.zeros(dim), _padded(c, dim), params)
+    problem = CompositeProblem(f, NonnegIndicator(dim), known_optimum=(np.zeros(dim), 0.0))
+
+    def closed_form(k: int) -> np.ndarray:
+        return _padded(max(0.0, x0 - k * c / L), dim)
+
+    return ReferenceSpec(
+        problem, _padded(x0, dim), np.zeros(dim), N, 1.0 / L, predicted, closed_form,
+        note="witness ratios scale like inverse powers of c",
+    )
 
 
 def gram_value(expr: SymbolicExpr, vectors: dict, values: dict) -> Fraction:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -843,12 +844,12 @@ class TestEntryPoint:
     """`python -m proxrates.cli` exits with main's status and writes main's bytes."""
 
     @staticmethod
-    def _module(argv):
+    def _module(argv, preexec_fn=None):
         src = str(pathlib.Path(cli.__file__).parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, "-m", "proxrates.cli", *argv],
-            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120, preexec_fn=preexec_fn,
         )
 
     @pytest.mark.parametrize(
@@ -901,3 +902,22 @@ class TestEntryPoint:
         done = self._module([*argv, "--out", str(out)])
         assert done.returncode == 2 and not out.exists()
         assert done.stderr.decode() == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["simulate", "--mu", "1", "--L", "10", "--gamma", "opt", "--N", "5", "--dim", "1000000000"],
+                         id="simulate-dim-1e9"),
+            pytest.param(["rate", "--mu", "1", "--L", "10", "--grid", "0:0.2:1000000000"], id="rate-grid-1e9"),
+        ],
+    )
+    def test_failed_allocation_is_a_usage_error(self, tmp_path, argv):
+        # each command asks for arrays of 8 GB; under a 3 GiB address space their allocation fails
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        out = tmp_path / "out.json"
+        done = self._module([*argv, "--out", str(out)], preexec_fn=limit_address_space)
+        assert done.returncode == 2 and not out.exists() and done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

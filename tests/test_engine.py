@@ -75,6 +75,22 @@ class TestPgmStep:
         with pytest.raises(ValueError):
             pgm_step(problem, 0.0, np.ones(2))
 
+    @pytest.mark.parametrize("kind", ["zero", "nonneg", "box", "l1"])
+    def test_each_input_checked_once(self, monkeypatch, kind):
+        # x_k's shape once, where it enters; pgm_step checks gamma itself, the line search its chosen step once
+        problem, x0 = random_composite(ClassParams(1.0, 10.0), 6, kind, seed=3)
+        x_k = problem.h.prox(1.0, x0)
+        points, steps = [], []
+        for owner in (problem.f, problem.h):
+            monkeypatch.setattr(owner, "_check_point", lambda x, check=owner._check_point: points.append(x) or check(x))
+        check_gamma = problem.h._check_gamma
+        monkeypatch.setattr(problem.h, "_check_gamma", lambda g: steps.append(g) or check_gamma(g))
+        pgm_step(problem, 0.15, x_k)
+        assert [x is x_k for x in points] == [True] and steps == []
+        points.clear()
+        gamma, _ = exact_line_search_step(problem, x_k)
+        assert sum(x is x_k for x in points) == 1 and steps == [gamma]
+
 
 class TestRun:
     def test_worst_case_distance_ratio(self):

@@ -29,7 +29,15 @@ from proxrates.worstcase import (
     FUNCGAP_TO_RESIDUAL,
 )
 
-from helpers import els_exact, iterate_recurrence, mixed_slope_exact, pgm_exact, step_1_over_L_cell_exact
+from helpers import (
+    els_exact,
+    iterate_recurrence,
+    mixed_slope_exact,
+    pgm_exact,
+    reference_mixed_measure_instance,
+    reference_unbounded_family,
+    step_1_over_L_cell_exact,
+)
 
 M = MeasureKind
 MIXED = (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL, FUNCGAP_TO_RESIDUAL)
@@ -163,14 +171,6 @@ class TestMixedMeasureInstance:
         for target in (DIST_TO_FUNCGAP, DIST_TO_RESIDUAL):
             spec = mixed_measure_instance(ClassParams(1.0, 3.0), 6, 2.0, target)
             assert min(spec.closed_form_iterates(k)[0] for k in range(7)) >= -1e-12
-
-    def test_padded_embedding_flagged_and_equivalent(self):
-        spec1 = mixed_measure_instance(ClassParams(1.0, 2.0), 2, 1.0, DIST_TO_FUNCGAP)
-        spec3 = mixed_measure_instance(ClassParams(1.0, 2.0), 2, 1.0, DIST_TO_FUNCGAP, dim=3)
-        assert spec3.note
-        t1 = run(spec1.problem, spec1.gamma, spec1.x0, 2, s0=spec1.s0)
-        t3 = run(spec3.problem, spec3.gamma, spec3.x0, 2, s0=spec3.s0)
-        assert t1.measure(M.FUNC_GAP, 2) == pytest.approx(t3.measure(M.FUNC_GAP, 2), rel=1e-15)
 
     def test_small_mu_limit_of_gap_prediction(self):
         L, N, x0 = 1.0, 5, 1.0
@@ -412,6 +412,99 @@ class TestElsWorstQuadratic:
         assert trace.measure(M.FUNC_GAP, 1) == pytest.approx(0.0, abs=1e-20)
 
 
+def _outcome(build):
+    """The spec build() returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _float_bits(value) -> tuple:
+    return type(value), float(value).hex()
+
+
+def _array_bits(a: np.ndarray) -> tuple:
+    return type(a), a.dtype, a.shape, a.tobytes()
+
+
+def _assert_same_spec(spec, ref):
+    """spec and the reference generator's ref agree bit for bit in every field, or raise alike."""
+    if isinstance(ref, tuple):
+        assert spec == ref
+        return
+    assert not isinstance(spec, tuple), spec
+    f, ref_f = spec.problem.f, ref.problem.f
+    assert type(f) is type(ref_f) and f.params == ref_f.params
+    (x_star, F_star), (ref_x_star, ref_F_star) = spec.problem.known_optimum, ref.problem.known_optimum
+    for a, b in ((f.d, ref_f.d), (f.b, ref_f.b), (x_star, ref_x_star), (spec.x0, ref.x0), (spec.s0, ref.s0)):
+        assert _array_bits(a) == _array_bits(b)
+    assert type(spec.problem.h) is type(ref.problem.h) and spec.problem.h.dim == ref.problem.h.dim
+    assert _float_bits(F_star) == _float_bits(ref_F_star)
+    assert spec.N == ref.N and _float_bits(spec.gamma) == _float_bits(ref.gamma)
+    assert list(spec.predicted) == list(ref.predicted)
+    assert [_float_bits(v) for v in spec.predicted.values()] == [_float_bits(v) for v in ref.predicted.values()]
+    for k in range(spec.N + 1):
+        assert _array_bits(spec.closed_form_iterates(k)) == _array_bits(ref.closed_form_iterates(k))
+
+
+class TestOrthantMatchesReference:
+    """Both step-1/L generators build the spec, and raise the errors, of the padded code they replaced."""
+
+    @pytest.mark.parametrize("target", MIXED, ids=lambda t: f"{t[0].value}->{t[1].value}")
+    @pytest.mark.parametrize("mu,L", [(1e-6, 1.0), (1e-3, 1.0), (0.1, 1.0), (1.0, 2.0), (1.0, 3.0),
+                                      (1.0, 10.0), (9.99, 10.0), (0.5, 1e3)])
+    def test_mixed_measure_instance(self, target, mu, L):
+        params = ClassParams(mu, L)
+        for N in (1, 2, 5, 50):
+            for x0 in (1e-100, 1, 1.0, 1e100):
+                _assert_same_spec(_outcome(lambda: mixed_measure_instance(params, N, x0, target)),
+                                  _outcome(lambda: reference_mixed_measure_instance(params, N, x0, target)))
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 10.0])
+    def test_unbounded_family(self, L):
+        for c in (1e-170, 1e-8, 0.01, 0.1, 1.0, 3.0, 1e150, 1e300):
+            for x0 in (0, 0.0, 1e-100, 1, 1.0, 1e100):
+                for N in (0, 1, 5, 40):
+                    _assert_same_spec(_outcome(lambda: unbounded_family(c, x0=x0, N=N, L=L)),
+                                      _outcome(lambda: reference_unbounded_family(c, x0=x0, N=N, L=L)))
+
+    @pytest.mark.parametrize(
+        "params,N,x0,target",
+        [
+            (ClassParams(1.0, 2.0), 0, 1.0, DIST_TO_FUNCGAP),
+            (ClassParams(1.0, 2.0), -1, 1.0, DIST_TO_FUNCGAP),
+            (ClassParams(1.0, 2.0), 3, 0.0, DIST_TO_RESIDUAL),
+            (ClassParams(1.0, 2.0), 3, -1.0, DIST_TO_RESIDUAL),
+            (ClassParams(1.0, 2.0), 3, math.nan, FUNCGAP_TO_RESIDUAL),
+            (ClassParams(1.0, 2.0), 3, math.inf, FUNCGAP_TO_RESIDUAL),
+            (ClassParams(1.0, 2.0), 3, 1e-170, DIST_TO_FUNCGAP),
+            (ClassParams(1.0, 2.0), 3, 1e200, DIST_TO_FUNCGAP),
+            (ClassParams(1.0, 2.0), 3, 1.0, (M.DISTANCE_SQ, M.DISTANCE_SQ)),
+            (ClassParams(2.0, 2.0), 3, 1.0, DIST_TO_FUNCGAP),
+            (ClassParams(0.0, 1.0), 3, 1.0, DIST_TO_FUNCGAP),
+            (ClassParams(0.5, 1.0), 600, 1.0, DIST_TO_RESIDUAL),
+        ],
+    )
+    def test_mixed_measure_errors(self, params, N, x0, target):
+        ref = _outcome(lambda: reference_mixed_measure_instance(params, N, x0, target))
+        assert isinstance(ref, tuple)
+        assert _outcome(lambda: mixed_measure_instance(params, N, x0, target)) == ref
+
+    @pytest.mark.parametrize(
+        "c,x0,N,L",
+        [
+            (0.0, 1.0, 5, 1.0), (-1.0, 1.0, 5, 1.0), (math.nan, 1.0, 5, 1.0), (math.inf, 1.0, 5, 1.0),
+            (1e-170, 1.0, 5, 1.0), (1e-300, 1e100, 5, 1.0), (0.1, -1.0, 5, 1.0), (0.1, math.nan, 5, 1.0),
+            (0.1, 1.0, -1, 1.0), (0.1, 1.0, 5, 0.0), (0.1, 1.0, 5, -1.0), (0.1, 1.0, 5, math.inf),
+        ],
+    )
+    def test_unbounded_family_errors(self, c, x0, N, L):
+        ref = _outcome(lambda: reference_unbounded_family(c, x0=x0, N=N, L=L))
+        assert isinstance(ref, tuple)
+        assert _outcome(lambda: unbounded_family(c, x0=x0, N=N, L=L)) == ref
+
+
 class TestGeneratedInstancesAreClassMembers:
     def test_interpolation_and_prox_invariants(self):
         rng = np.random.default_rng(17)
@@ -450,9 +543,6 @@ class TestErrorPaths:
                          id="unbounded-nan-x0"),
             pytest.param(lambda: unbounded_family(0.1, N=-1), "N must be >= 0", id="unbounded-negative-N"),
             pytest.param(lambda: unbounded_family(0.1, L=0.0), "L must be positive, got 0.0", id="unbounded-zero-L"),
-            pytest.param(lambda: unbounded_family(0.1, dim=0), "dim must be >= 1", id="unbounded-dim-0"),
-            pytest.param(lambda: mixed_measure_instance(ClassParams(1.0, 2.0), 3, 1.0, DIST_TO_FUNCGAP, dim=0),
-                         "dim must be >= 1", id="mixed-dim-0"),
         ],
     )
     def test_raises(self, build, message):
