@@ -336,7 +336,7 @@ def _tight_unbounded(args, params: ClassParams):
 
 
 # each generator of `tight`, and the options it reads of those that only some generators read;
-# --mu, --L and --N are read by all
+# --L and --N are read by all, --mu by all but unbounded (which runs mu = 0 and only echoes the --mu given)
 _TIGHT = {"qlb": (_tight_qlb, ("gamma", "dim")), "mixed": (_tight_mixed, ("x0",)),
           "els": (_tight_els, ()), "unbounded": (_tight_unbounded, ("x0", "c"))}
 _TIGHT_DEFAULTS = {"gamma": None, "dim": 2, "x0": 1.0, "c": 0.1}

@@ -1,8 +1,9 @@
 """Proximal gradient method with fixed step and with exact line search.
 
-Both are one loop of pgm_step, at the step size a rule picks from x_k and
-grad f(x_k). Every run produces a fully instrumented trace: iterates,
-gradients, the subgradient extracted from each prox step via
+Both are one loop of the proximal gradient step (_step_into, which pgm_step
+takes too), at the step size a rule picks from x_k and grad f(x_k). Every
+run produces a fully instrumented trace: iterates, gradients, the
+subgradient extracted from each prox step via
 
     s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k),
 
@@ -12,17 +13,9 @@ undefined (see IterateTrace). The residual measure at an iterate always uses
 that iterate's own gradient and subgradient, which distinguishes it from the
 gradient mapping (x_k - x_{k+1}) / gamma.
 
-A trace's memory is O(dim) for any number of steps. Each step of the loop
-does only what the next iterate needs, in place and with no copy of a row:
-grad f(x_k) written into its row, the step size, the prox step applied in the
-next row of a buffer of about _BLOCK floats, and s_{k+1} formed in its row.
-Each full block of rows is then reduced at once into per-iterate columns:
-the composite values F (one row-wise evaluation of the problem per block,
-with its finiteness check), the measures and the squared norms the noise
-floors need. A run that fits in one block keeps its
-rows; a longer one rebuilds them, by running the loop again, the first time
-they are read, and raises RuntimeError if the problem was changed in place
-since the run.
+A trace's memory is O(dim) for any number of steps: the loop keeps its rows
+in blocks, reduces each block into per-iterate columns, and reruns to rebuild
+a long run's rows (see _iterate).
 """
 
 from __future__ import annotations
@@ -86,20 +79,13 @@ class IterateTrace:
     of h, and F the composite values. `measures[kind]` holds each
     performance measure, NaN where it is undefined (the distance and the gap
     need the optimum, the residual at iterate 0 a subgradient of h at x0);
-    measure() and the records read NaN as None. The noise floors (`floors`) and the
-    step ratios are computed for every iterate at once, on first use; a run
-    whose floors are never read (a library line-search run) does not pay for
-    them. `records` lists the rows as IterateRecords, built on each access.
+    measure() and the records read NaN as None. The noise floors (`floors`)
+    are computed for every iterate at once, on first use; a run whose floors
+    are never read (a library line-search run) does not pay for them.
+    step_ratios and `records` build their lists on each call.
 
-    A trace holds O(dim) memory for any N: the measures, F and the squared
-    row norms the floors need are per-iterate columns. Each step of the loop
-    writes only the rows of X, G and S; the columns are filled once per block
-    of rows, F by one row-wise evaluation of the problem (see _iterate). A
-    run that fits in one block keeps its rows as X, G and S. A longer run
-    keeps only its arguments, and the first read of X, G, S or `records` runs
-    the loop again in one block; if the values of F it gets differ from the
-    stored ones (the problem was changed in place since the run), the read
-    raises RuntimeError.
+    A trace holds O(dim) memory for any N; a run longer than one block of
+    rows rebuilds X, G and S when they are first read (see _iterate).
     """
 
     def __init__(
@@ -150,10 +136,6 @@ class IterateTrace:
         """The noise floor of each measure at each iterate (see _noise_floors)."""
         return _noise_floors(*self._sums[1:], self.F, self._optimum)
 
-    @cached_property
-    def _ratios(self) -> dict[MeasureKind, list[float | None]]:
-        return {m: _ratios(self.measures[m], self.floors[m]) for m in MeasureKind}
-
     @property
     def records(self) -> list[IterateRecord]:
         X, G, S = self._rows
@@ -181,7 +163,10 @@ class IterateTrace:
         None where a measure is missing, zero, or below its noise floor (a
         ratio of rounding noise says nothing about contraction).
         """
-        return list(self._ratios[kind])
+        values, floors = self.measures[kind], self.floors[kind]
+        ok = values[:-1] > floors[:-1]  # False at a NaN; a measure is undefined throughout or at k = 0 only
+        ratio = np.divide(values[1:], values[:-1], out=np.zeros(len(ok)), where=ok)
+        return [r if o else None for r, o in zip(ratio.tolist(), ok.tolist())]
 
 
 def _noise_floors(rr, xx, gg, ss, F, optimum) -> dict[MeasureKind, np.ndarray]:
@@ -219,36 +204,46 @@ def _row_sums(X, G, S, optimum, out, T) -> None:
     out[2], out[3], out[4] = _row_dot(X, X), _row_dot(G, G), _row_dot(S, S)
 
 
-def _ratios(values: np.ndarray, floors: np.ndarray) -> list[float | None]:
-    ok = values[:-1] > floors[:-1]  # False at a NaN; a measure is undefined throughout or at k = 0 only
-    ratio = np.divide(values[1:], values[:-1], out=np.zeros(len(ok)), where=ok)
-    return [r if o else None for r, o in zip(ratio.tolist(), ok.tolist())]
-
-
 def pgm_step(problem: CompositeProblem, gamma: float, x_k) -> tuple[np.ndarray, np.ndarray]:
     """One proximal gradient step; returns (x_{k+1}, s_{k+1}).
 
     s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k) is the subgradient of h
     at x_{k+1} that the prox step certifies. x_k must be finite, and gamma
-    strictly positive (the subgradient divides by it) and finite.
+    strictly positive (the subgradient divides by it) and finite; the step
+    is taken at float(gamma), so an int or a Fraction gives the float's bits.
     """
     x_k = _finite(x_k, "x_k")
-    if not gamma > 0:
-        raise ValueError("pgm_step requires gamma > 0")
-    if math.isinf(gamma):
-        raise ValueError("pgm_step requires a finite gamma")
+    gamma = _check_step(gamma, "pgm_step")
     grad_k = problem.f.grad(x_k)
-    x_next = x_k - gamma * grad_k
-    problem.h._prox_into(float(gamma), x_next, x_next)
-    return x_next, _subgradient_into(np.empty(x_next.shape), x_k, x_next, gamma, grad_k)
+    x_next, s_next = np.empty(x_k.shape), np.empty(x_k.shape)
+    _step_into(problem.h, gamma, x_k, grad_k, x_next, s_next)
+    return x_next, s_next
 
 
-def _subgradient_into(out: np.ndarray, x_k, x_next, gamma: float, grad_k) -> np.ndarray:
-    """s_{k+1} = (x_k - x_{k+1}) / gamma - grad f(x_k), written into out with no temporary; returns out."""
-    np.subtract(x_k, x_next, out=out)
-    out /= gamma
-    out -= grad_k
-    return out
+def _check_step(gamma, caller: str) -> float:
+    """gamma as a float; ValueError naming the caller unless gamma and its float are strictly positive and finite."""
+    if not (gamma > 0 and float(gamma) > 0):  # a positive Fraction can round to the float 0.0
+        raise ValueError(f"{caller} requires gamma > 0")
+    if math.isinf(gamma):
+        raise ValueError(f"{caller} requires a finite gamma")
+    return float(gamma)
+
+
+def _step_into(h, gamma: float, x: np.ndarray, g: np.ndarray, y: np.ndarray, s: np.ndarray | None) -> np.ndarray:
+    """The proximal gradient step from x with gradient g, in place and with no temporary; returns y.
+
+    Writes y = prox_{gamma h}(x - gamma g) and, unless s is None, the
+    subgradient of h at y that the step certifies, s = (x - y) / gamma - g.
+    gamma is a checked float; y and s are rows apart from x and g.
+    """
+    np.multiply(gamma, g, out=y)
+    np.subtract(x, y, out=y)
+    h._prox_into(gamma, y, y)
+    if s is not None:
+        np.subtract(x, y, out=s)
+        s /= gamma
+        s -= g
+    return y
 
 
 def _finite(x, name: str) -> np.ndarray:
@@ -303,20 +298,23 @@ def _iterate(
 ) -> IterateTrace:
     """The PGM loop: iterates 0..N and the N steps, reduced into the trace's columns.
 
-    Row k of X, G and S is written to row k % nb of a buffer of nb rows (by
-    default enough for about _BLOCK floats, at most N + 1), beside a scratch
-    block T of as many rows. Per step, the loop writes grad f(x_k) into G's
-    row (f._grad_into), takes the step size gamma_k = step_size(x_k,
-    grad f(x_k)) that the method's rule picks, checks it as prox does, forms
-    x_k - gamma_k grad f(x_k) in the next row of X and applies the prox there
-    in place (h._prox_into), and forms s_{k+1} in place in S's row: pgm_step,
-    with no temporary and no copy of a row. With one row (nb = 1) the step
-    lands in T[0] instead, and X and T swap rows. Per block (each full one,
-    and the last), before the next step overwrites it, one row-wise
-    evaluation of the problem fills F (_objective), and _row_sums the other
-    per-iterate columns, with T as its scratch. A run of more than one block
-    keeps its arguments, to rebuild its rows in one block (nb = N + 1) when
-    they are read.
+    A trace holds O(dim) memory for any N. Row k of X, G and S is written to
+    row k % nb of a buffer of nb rows (by default enough for about _BLOCK
+    floats, at most N + 1), beside a scratch block T of as many rows. Per
+    step, the loop writes grad f(x_k) into G's row (f._grad_into), takes the
+    step size gamma_k = step_size(x_k, grad f(x_k)) that the method's rule
+    picks, checks it as prox does, and takes the step (_step_into) into the
+    next rows of X and S: no temporary and no copy of a row. With one row
+    (nb = 1) the step lands in T[0] instead, and X and T swap rows. Per block
+    (each full one, and the last), before the next step overwrites it, one
+    row-wise evaluation of the problem fills F (_objective), and _row_sums
+    the other per-iterate columns (the measures and the squared norms the
+    noise floors need), with T as its scratch. A run that fits in one block
+    keeps its rows as the trace's X, G and S. A longer run keeps only its
+    arguments, and the first read of X, G, S or `records` runs the loop
+    again in one block (nb = N + 1); if the values of F it gets differ from
+    the stored ones (the problem was changed in place since the run), the
+    read raises RuntimeError.
 
     The first non-finite F(x_k) (a run that diverges, outside the theory)
     raises a ValueError naming k at the end of its block; the steps after it
@@ -341,7 +339,7 @@ def _iterate(
     S[0] = s0 if has_s0 else 0.0
     if not s0_given:
         del s0  # the canonical s0 lives only in S[0]
-    grad_into, prox_into, check_gamma = problem.f._grad_into, problem.h._prox_into, problem.h._check_gamma
+    h, grad_into, check_gamma = problem.h, problem.f._grad_into, problem.h._check_gamma
     gammas: list[float] = []
     for k in range(N + 1):
         r = k % nb
@@ -359,10 +357,7 @@ def _iterate(
                 raise
             n = (k + 1) % nb
             y = T[0] if nb == 1 else X[n]
-            np.multiply(gamma, g, out=y)
-            np.subtract(x, y, out=y)
-            prox_into(checked, y, y)
-            _subgradient_into(S[n], x, y, gamma, g)
+            _step_into(h, checked, x, g, y, S[n])
             if nb == 1:
                 X, T = T, X
             gammas.append(gamma)
@@ -405,10 +400,8 @@ def run(
     with gamma > 2/L are allowed for exploration but mark the trace as
     outside the theory.
     """
-    if N >= 0 and not gamma > 0:  # a negative N is reported first, by _iterate
-        raise ValueError("run requires gamma > 0")
-    if N >= 0 and math.isinf(gamma):
-        raise ValueError("run requires a finite gamma")
+    if N >= 0:  # a negative N is reported first, by _iterate
+        _check_step(gamma, "run")
     return _iterate(problem, x0, N, s0, lambda x, grad: gamma, "fixed", gamma > _max_step(problem.params.L))
 
 
@@ -435,8 +428,7 @@ def exact_line_search_step(problem: CompositeProblem, x_k) -> tuple[float, np.nd
         raise ValueError("F(x_k) is not finite: the start is beyond the float range")
     g = problem.f._grad_into(x_k, np.empty(len(x_k)))
     gamma = _exact_step_size(problem, x_k, g)
-    x_next = x_k - gamma * g
-    return gamma, problem.h._prox_into(problem.h._check_gamma(gamma), x_next, x_next)
+    return gamma, _step_into(problem.h, problem.h._check_gamma(gamma), x_k, g, np.empty(len(x_k)), None)
 
 
 def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) -> float:
@@ -452,8 +444,7 @@ def _exact_step_size(problem: CompositeProblem, x_k: np.ndarray, g: np.ndarray) 
     that TestFrozenTraces pins (TRACE_DIGESTS) would change.
     """
     if isinstance(problem.h, Zero):
-        Hg = problem.f.hess_vec(g)
-        denom = float(g @ Hg)
+        denom = float(g @ problem.f._hess_into(g, np.empty(len(g))))
         gnorm = float(g @ g)
         if gnorm == 0.0:
             return 1.0 / problem.params.L
@@ -521,7 +512,7 @@ def residual_line_search_step(f: SmoothFunction, x_k) -> tuple[float, np.ndarray
     """
     x_k = _finite(x_k, "x_k")
     g = f.grad(x_k)
-    Hg = f.hess_vec(g)
+    Hg = f._hess_into(g, np.empty(f.dim))
     denom = float(Hg @ Hg)
     if denom == 0.0:
         return 0.0, x_k.copy()

@@ -5,8 +5,9 @@ prox_{gamma*h}(x) = argmin_y gamma*h(y) + 0.5*||x - y||^2, an extended-real
 value, a canonical subgradient at every feasible point, and its prox path: the
 one statement of h's kinks, from which subdifferential membership is read.
 Each member states its value once, over a stack of rows (_values); value(x)
-is the one-row case. It states its prox once, into a given row (_prox_into);
-prox(gamma, x) checks its arguments and writes into a new row.
+is the one-row case, which the smooth oracles and CompositeProblem borrow. It
+states its prox once, into a given row (_prox_into); prox(gamma, x) checks
+its arguments and writes into a new row.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ __all__ = [
     "L1Norm",
     "LinearPlusNonnegIndicator",
 ]
+
+
+def _check_dim(dim: int) -> int:
+    """dim; ValueError unless it is at least 1, the one rule for the dimension of every catalog member."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return dim
 
 
 def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -57,7 +65,7 @@ class ProxFunction:
         return float(gamma)
 
     def value(self, x) -> float:
-        """h(x), +inf outside the domain."""
+        """The value at one point x, the one-row case of _values; h is +inf outside its domain."""
         return float(self._values(self._check_point(x)[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
@@ -141,7 +149,7 @@ class Zero(ProxFunction):
     """h = 0; prox is the identity."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = _check_dim(int(dim))
 
     _values = ProxFunction._indicator  # of R^dim
 
@@ -151,7 +159,8 @@ class Zero(ProxFunction):
         return out
 
     def subgradient(self, x):
-        self._check_point(x)
+        """0 at a feasible x: the canonical subgradient of h = 0 and of the orthant and box indicators."""
+        self._require_feasible(x)
         return np.zeros(self.dim)
 
     def _prox_path(self, x, g):
@@ -162,7 +171,7 @@ class NonnegIndicator(ProxFunction):
     """Indicator of the nonnegative orthant; prox is the projection."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = _check_dim(int(dim))
 
     def _outside(self, X):
         return ~np.all(X >= 0, axis=-1)
@@ -172,9 +181,7 @@ class NonnegIndicator(ProxFunction):
     def _prox_into(self, gamma, y, out):
         return np.maximum(y, 0.0, out=out)
 
-    def subgradient(self, x):
-        self._require_feasible(x)
-        return np.zeros(self.dim)
+    subgradient = Zero.subgradient
 
     def _prox_path(self, x, g):
         return _move_then_pin(x, g, _hit(x, g, g > 0), np.zeros(self.dim))
@@ -190,7 +197,7 @@ class BoxIndicator(ProxFunction):
             raise ValueError("lo and hi must be 1-d arrays of equal length")
         if not np.all((self.lo <= self.hi) & (self.lo < math.inf) & (self.hi > -math.inf)):
             raise ValueError("need lo <= hi coordinatewise, with lo < +inf, hi > -inf and neither NaN")
-        self.dim = self.lo.shape[0]
+        self.dim = _check_dim(self.lo.shape[0])
 
     def _outside(self, X):
         return ~np.all((X >= self.lo) & (X <= self.hi), axis=-1)
@@ -202,9 +209,7 @@ class BoxIndicator(ProxFunction):
         np.maximum(y, self.lo, out=out)
         return np.minimum(out, self.hi, out=out)
 
-    def subgradient(self, x):
-        self._require_feasible(x)
-        return np.zeros(self.dim)
+    subgradient = Zero.subgradient
 
     def _prox_path(self, x, g):
         bound = np.where(g > 0, self.lo, self.hi)
@@ -219,7 +224,7 @@ class L1Norm(ProxFunction):
         if not 0 <= weight < math.inf:
             raise ValueError(f"l1 weight must be finite and nonnegative, got {weight}")
         self.weight = float(weight)
-        self.dim = int(dim)
+        self.dim = _check_dim(int(dim))
 
     def _values(self, X):
         return self.weight * np.sum(np.abs(X), axis=-1)
@@ -254,7 +259,7 @@ class LinearPlusNonnegIndicator(ProxFunction):
         self.c = np.asarray(c, dtype=float)
         if self.c.ndim != 1 or not np.isfinite(self.c).all():
             raise ValueError("c must be a finite 1-d array")
-        self.dim = self.c.shape[0]
+        self.dim = _check_dim(self.c.shape[0])
 
     _outside = NonnegIndicator._outside
 

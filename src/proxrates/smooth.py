@@ -4,9 +4,10 @@ The smooth catalog is quadratic on purpose: every worst-case instance of the
 proximal gradient method in this library is quadratic (or quadratic plus a
 simple nonsmooth term), and quadratics keep gradients, optima and attained
 rates exact to machine precision. Each oracle, and CompositeProblem, states
-its value once, over a stack of rows (_values); value(x) is the one-row case.
-Each oracle states its gradient once, into a given row (_grad_into); grad(x)
-checks x and writes into a new row.
+its value once, over a stack of rows (_values); value(x) is the one-row case,
+ProxFunction.value. Each oracle states its Hessian product once, into a given
+row (_hess_into); the gradient H x + b (_grad_into, and grad(x), which checks
+x and writes into a new row) and hess_vec derive from it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .prox import (
     NonnegIndicator,
     ProxFunction,
     Zero,
+    _check_dim,
     _row_dot,
 )
 from .rates import ClassParams
@@ -46,8 +48,8 @@ class SmoothFunction:
     params: ClassParams
     dim: int
 
-    def value(self, x) -> float:
-        return float(self._values(self._check_point(x)[None])[0])
+    value = ProxFunction.value
+    _check_point = ProxFunction._check_point
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         """f at each row of the (m, dim) stack X."""
@@ -58,17 +60,19 @@ class SmoothFunction:
         return self._grad_into(self._check_point(x), np.empty(self.dim))
 
     def _grad_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write grad f(x) into out, which is not x; returns out. x is checked."""
-        raise NotImplementedError
+        """Write grad f(x) = H x + b into out, which is not x; returns out. x is checked."""
+        return np.add(self._hess_into(x, out), self.b, out=out)
 
     def value_grad(self, x) -> tuple[float, np.ndarray]:
         return self.value(x), self.grad(x)
 
     def hess_vec(self, v) -> np.ndarray:
         """Product of the (constant) Hessian with v."""
-        raise NotImplementedError
+        return self._hess_into(self._check_point(v), np.empty(self.dim))
 
-    _check_point = ProxFunction._check_point
+    def _hess_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write H v into out, which is not v; returns out. v is checked."""
+        raise NotImplementedError
 
     def _set_class(self, lo: float, hi: float, params: ClassParams | None, message: str, slack: float = 0.0):
         """params, or [lo, hi] if None; ValueError(message) unless curvatures [lo, hi], to within slack, lie in it."""
@@ -90,17 +94,16 @@ class ScaledSqNorm(SmoothFunction):
 
     def __init__(self, a: float, dim: int, params: ClassParams | None = None):
         self.a = float(a)
-        self.dim = int(dim)
+        self.dim = _check_dim(int(dim))
         self._set_class(self.a, self.a, params, "curvature must lie within the declared [mu, L]")
 
     def _values(self, X):
         return 0.5 * self.a * _row_dot(X, X)
 
-    def _grad_into(self, x, out):
-        return np.multiply(self.a, x, out=out)
+    def _hess_into(self, v, out):
+        return np.multiply(self.a, v, out=out)
 
-    def hess_vec(self, v) -> np.ndarray:
-        return self.a * self._check_point(v)
+    _grad_into = _hess_into  # b = 0
 
 
 class DiagonalQuadratic(SmoothFunction):
@@ -120,13 +123,8 @@ class DiagonalQuadratic(SmoothFunction):
     def _values(self, X):
         return 0.5 * _row_dot(X * X, self.d) + _row_dot(X, self.b)
 
-    def _grad_into(self, x, out):
-        np.multiply(self.d, x, out=out)
-        out += self.b
-        return out
-
-    def hess_vec(self, v) -> np.ndarray:
-        return self.d * self._check_point(v)
+    def _hess_into(self, v, out):
+        return np.multiply(self.d, v, out=out)
 
 
 class DenseQuadratic(SmoothFunction):
@@ -140,7 +138,7 @@ class DenseQuadratic(SmoothFunction):
             raise ValueError("A must be finite")
         if not np.array_equal(self.A, self.A.T):  # else grad, A x + b, is not the derivative of value
             raise ValueError("A must be symmetric")
-        self.dim = self.A.shape[0]
+        self.dim = _check_dim(self.A.shape[0])
         self._set_linear(b, "A")
         eigs = np.linalg.eigvalsh(self.A)
         slack = 4 * self.dim * float(np.finfo(float).eps) * float(np.abs(eigs).max())  # eigvalsh's backward error
@@ -151,13 +149,8 @@ class DenseQuadratic(SmoothFunction):
         # A @ x row by row, each the matrix-vector product of one x (X @ A.T would round differently)
         return 0.5 * _row_dot(X, (self.A @ X[..., None])[..., 0]) + _row_dot(X, self.b)
 
-    def _grad_into(self, x, out):
-        np.matmul(self.A, x, out=out)
-        out += self.b
-        return out
-
-    def hess_vec(self, v) -> np.ndarray:
-        return self.A @ self._check_point(v)
+    def _hess_into(self, v, out):
+        return np.matmul(self.A, v, out=out)
 
 
 def random_instance(params: ClassParams, dim: int, seed: int) -> DiagonalQuadratic:
@@ -208,8 +201,8 @@ class CompositeProblem:
     def dim(self) -> int:
         return self.f.dim
 
-    def value(self, x) -> float:
-        return float(self._values(self.f._check_point(x)[None])[0])
+    value = ProxFunction.value
+    _check_point = ProxFunction._check_point
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         """F = f + h at each row of the (m, dim) stack X."""

@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -994,3 +995,48 @@ class TestFrozenTraces:
         f = DenseQuadratic(np.array([[2.0, 0.5], [0.5, 1.5]]), [1.0, -2.0])
         gamma, x1 = exact_line_search_step(CompositeProblem(f, Zero(2)), np.array([0.3, -0.7]))
         assert hashlib.sha256(np.array([gamma]).tobytes() + x1.tobytes()).hexdigest() == DENSE_DIGEST
+
+
+class TestOneStep:
+    """The loop, pgm_step and exact_line_search_step take one step, engine._step_into, at the checked float step."""
+
+    @pytest.mark.parametrize("step,as_float", [(Fraction(1, 10), 0.1), (1, 1.0)], ids=["fraction", "int"])
+    @pytest.mark.parametrize("h_kind", H_KINDS)
+    @pytest.mark.parametrize("dim", [1, 8, 20_000])
+    def test_steps_give_the_float_steps_bits(self, step, as_float, h_kind, dim):
+        # at dim 20000 the run spans two blocks of rows, so its rows are rebuilt at the same step
+        problem, x0 = _catalog_problem("diagonal", h_kind, dim)
+        N = 4
+        trace, expected = run(problem, step, x0, N), run(problem, as_float, x0, N)
+        for name in ("X", "G", "S", "F"):
+            assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert trace.gammas == [step] * N and trace.outside_theory == expected.outside_theory
+        for x in (x0, expected.X[1]):
+            got, want = pgm_step(problem, step, x), pgm_step(problem, as_float, x)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("gamma", [Fraction(0), Fraction(-1, 3), Fraction(1, 10**400)])
+    def test_fraction_steps_keep_the_step_messages(self, gamma):
+        # a positive Fraction whose float is 0.0 would divide the subgradient by zero
+        problem, x0 = _catalog_problem("diagonal", "l1", 3)
+        with pytest.raises(ValueError, match="^run requires gamma > 0$"):
+            run(problem, gamma, x0, 2)
+        with pytest.raises(ValueError, match="^pgm_step requires gamma > 0$"):
+            pgm_step(problem, gamma, x0)
+
+    @pytest.mark.parametrize("f_kind", ["diagonal", "dense"])
+    def test_line_search_with_h_zero_checks_no_point_per_step(self, monkeypatch, f_kind):
+        # the closed form <g, g> / <g, Hg> takes the Hessian product of the gradient the loop computed, unchecked
+        problem, x0 = _catalog_problem(f_kind, "zero", 6)
+        problem.try_optimum()  # cached, so only the first run would check its value's point
+        counts = []
+        for N in (2, 10):
+            points = []
+            for owner in (problem.f, problem.h):
+                check = owner._check_point
+                monkeypatch.setattr(owner, "_check_point", lambda x, check=check: points.append(1) or check(x))
+            trace = run_exact_line_search(problem, x0, N)
+            monkeypatch.undo()
+            assert len(trace.gammas) == N
+            counts.append(len(points))
+        assert counts[0] == counts[1], counts

@@ -5,10 +5,12 @@ import pytest
 
 from proxrates import (
     BoxIndicator,
+    DenseQuadratic,
     L1Norm,
     LinearPlusNonnegIndicator,
     NonnegIndicator,
     ProxFunction,
+    ScaledSqNorm,
     Zero,
 )
 
@@ -349,3 +351,33 @@ class TestErrorPaths:
     def test_raises(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+class TestDimAtLeastOne:
+    """Every member's dimension is at least 1: no point has shape (0,) or (-1,), so no such member is built."""
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [Zero, NonnegIndicator, lambda dim: L1Norm(1.0, dim), lambda dim: ScaledSqNorm(1.0, dim)],
+        ids=["zero", "nonneg", "l1", "scaled"],
+    )
+    def test_a_dim_below_one(self, build, dim):
+        with pytest.raises(ValueError, match=r"^dim must be >= 1$"):
+            build(dim)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: BoxIndicator([], []), lambda: LinearPlusNonnegIndicator([]), lambda: DenseQuadratic(np.zeros((0, 0)))],
+        ids=["box", "linear", "dense"],
+    )
+    def test_empty_data(self, build):
+        # a member built from arrays has no dimension -1; its empty data is dimension 0
+        with pytest.raises(ValueError, match=r"^dim must be >= 1$"):
+            build()
+
+    def test_dim_one_is_built(self):
+        for h in (Zero(1), NonnegIndicator(1), L1Norm(1.0, 1), BoxIndicator([0.0], [1.0]),
+                  LinearPlusNonnegIndicator([1.0])):
+            assert h.dim == 1 and h.value(np.ones(1)) >= 0
+        assert ScaledSqNorm(1.0, 1).dim == DenseQuadratic(np.ones((1, 1))).dim == 1
