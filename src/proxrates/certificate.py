@@ -62,8 +62,13 @@ expands the residual only when the `_mutate` test hook
 (`certify --selftest-mutate`) perturbs one of that certificate's own terms.
 Two scalar modes share all the code:
 
-* exact rationals (`fractions.Fraction`): one (mu, L, gamma) point, with
-  every sign checked exactly;
+* exact rationals: one (mu, L, gamma) point, with every sign checked
+  exactly. The verification computes in `_Q`, a numerator and a positive
+  denominator kept unreduced: it cross-multiplies, runs no gcd, and compares
+  exactly, so every zero test, and with it the residual's key order, is the
+  one a `Fraction` gives. Each value reduces to a `Fraction` once, as it
+  enters the report; a reduced fraction is unique, so the report is the one
+  the `Fraction` route builds;
 * univariate rational functions in the step size (`gamma_symbol()`): every
   step size at once at fixed rational (mu, L). `nonneg` then reports the
   proven sign and evaluates nothing: a term perturbed by DELTA > 0 stays
@@ -368,7 +373,105 @@ def gamma_symbol() -> RatFunc:
     return RatFunc(Poly((0, 1)))
 
 
+class _Q:
+    """An exact rational as an unreduced pair of ints: numerator n, denominator d > 0.
+
+    Sums, products and quotients cross-multiply, and so do the two
+    comparisons the certificates make, == and >=; no gcd runs. Zero is a
+    numerator of 0. An int or a Fraction operand is taken on either side:
+    Fraction declines a foreign type, so `Fraction op _Q` reaches the
+    reflected operator here. A value leaves through `fraction()`, reduced
+    once. Defining == leaves a _Q unhashable: no value keys a dict.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int = 1):
+        self.n, self.d = n, d
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    def __add__(self, o):
+        if type(o) is not _Q and (o := _lift(o)) is None:
+            return NotImplemented
+        if self.d == o.d:
+            return _Q(self.n + o.n, self.d)
+        return _Q(self.n * o.d + o.n * self.d, self.d * o.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is not _Q and (o := _lift(o)) is None:
+            return NotImplemented
+        if self.d == o.d:
+            return _Q(self.n - o.n, self.d)
+        return _Q(self.n * o.d - o.n * self.d, self.d * o.d)
+
+    def __rsub__(self, o):
+        return NotImplemented if (o := _lift(o)) is None else o - self
+
+    def __neg__(self):
+        return _Q(-self.n, self.d)
+
+    def __mul__(self, o):
+        if type(o) is _Q:
+            return _Q(self.n * o.n, self.d * o.d)
+        if type(o) is int:
+            return _Q(self.n * o, self.d)
+        return NotImplemented if (o := _lift(o)) is None else self * o
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is not _Q and (o := _lift(o)) is None:
+            return NotImplemented
+        if not o.n:
+            return self.fraction() / o.fraction()  # raises the ZeroDivisionError that Fraction raises
+        n, d = self.n * o.d, self.d * o.n
+        return _Q(n, d) if d > 0 else _Q(-n, -d)
+
+    def __rtruediv__(self, o):
+        return NotImplemented if (o := _lift(o)) is None else o / self
+
+    def _cross(self, o):
+        """(self.n * o.d, o.n * self.d): self and o over one positive denominator; None when o is foreign."""
+        if type(o) is int:
+            return self.n, o * self.d
+        if type(o) is not _Q and (o := _lift(o)) is None:
+            return None
+        return self.n * o.d, o.n * self.d
+
+    def __eq__(self, o):
+        return NotImplemented if (c := self._cross(o)) is None else c[0] == c[1]
+
+    def __ge__(self, o):
+        return NotImplemented if (c := self._cross(o)) is None else c[0] >= c[1]
+
+    def __bool__(self) -> bool:
+        return self.n != 0
+
+    def __repr__(self):
+        return f"_Q({self.n}, {self.d})"
+
+
+def _lift(v) -> _Q | None:
+    """An int or a Fraction operand as a _Q; None for any other type. The operators use a _Q operand as it is."""
+    if isinstance(v, int):
+        return _Q(v)
+    if isinstance(v, Fraction):
+        return _Q(v.numerator, v.denominator)
+    return None
+
+
+def _reported(v):
+    """A value as a report holds it: a _Q reduced to its Fraction, any other scalar as it is."""
+    return v.fraction() if type(v) is _Q else v
+
+
 def _is_zero_scalar(v) -> bool:
+    if type(v) is _Q:
+        return not v.n
     return v.is_zero() if isinstance(v, RatFunc) else v == 0
 
 
@@ -880,15 +983,21 @@ def _assemble(theorem: str, mu, L, gamma, regime: Regime, mutate) -> Certificate
 
     The unperturbed residual is proven zero (see the module docstring), so it
     is expanded only when `mutate` perturbs one of this certificate's terms.
+    At an exact step the certificate is computed in `_Q`, and each value is
+    reduced once, as it enters the report.
     """
     mu, L, gamma = _coerce(mu, L, gamma)
-    weighted, target, sos = _perturb(_CERTIFICATES[theorem](regime, mu, L, gamma), mutate)
-    multipliers = [Multiplier(name, lam, _nonneg(name, lam, mutate)) for name, lam, _ in weighted]
+    scalars = (mu, L, gamma) if isinstance(gamma, RatFunc) else (_lift(mu), _lift(L), _lift(gamma))
+    weighted, target, sos = _perturb(_CERTIFICATES[theorem](regime, *scalars), mutate)
+    multipliers = [Multiplier(name, _reported(lam), _nonneg(name, lam, mutate)) for name, lam, _ in weighted]
     sos_terms = [
-        SosTerm(name, coeff, _nonneg(name, coeff, mutate), dict(comb.coeffs)) for name, coeff, comb in sos
+        SosTerm(name, _reported(coeff), _nonneg(name, coeff, mutate), {k: _reported(v) for k, v in comb.terms.items()})
+        for name, coeff, comb in sos
     ]
-    own = mutate is not None and mutate[0] in _TERM_NAMES[theorem]
-    residual = _residual(weighted, target, sos, mu, L, gamma) if own else SymbolicExpr()
+    residual = SymbolicExpr()
+    if mutate is not None and mutate[0] in _TERM_NAMES[theorem]:
+        expanded = _residual(weighted, target, sos, *scalars)
+        residual = SymbolicExpr._of((), {k: _reported(v) for k, v in expanded.terms.items()})
     return CertificateReport(
         theorem, regime, mu, L, gamma, multipliers, sos_terms, residual.is_zero(), residual
     )

@@ -58,11 +58,11 @@ class ProxFunction:
         return x
 
     def _check_gamma(self, gamma: float) -> float:
-        if not gamma > 0:
+        if not (gamma > 0 and (step := float(gamma)) > 0):  # a positive Fraction can round to the float 0.0
             raise ValueError(f"prox step size must be positive, got {gamma}")
-        if math.isinf(gamma):
+        if math.isinf(step):
             raise ValueError(f"prox step size must be finite, got {gamma}")
-        return float(gamma)
+        return step
 
     def value(self, x) -> float:
         """The value at one point x, the one-row case of _values; h is +inf outside its domain."""

@@ -236,8 +236,11 @@ class CompositeProblem:
 
     def fixed_point_residual(self, gamma: float) -> float:
         """||x* - prox(h, gamma, x* - gamma grad f(x*))||, zero at a true optimum."""
+        from .engine import _step_into
+
         x_star, _ = self.optimum()
-        step = self.h.prox(gamma, x_star - gamma * self.f.grad(x_star))
+        gamma = self.h._check_gamma(gamma)
+        step = _step_into(self.h, gamma, x_star, self.f.grad(x_star), np.empty(len(x_star)), None)
         return float(np.linalg.norm(step - x_star))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -20,12 +21,14 @@ from proxrates.certificate import (
     VERIFIERS,
     VecExpr,
     _CERTIFICATES,
+    _Q,
     _TERM_NAMES,
     _Form,
     _interp_convex,
     _interp_smooth,
     _is_zero_scalar,
     _names,
+    _nonneg,
     _perturb,
     _points,
     _regimes,
@@ -1369,6 +1372,121 @@ class TestPointsBuiltOnce:
             assert VERIFIERS[theorem](mu, L, gamma, regime).verified
             assert VERIFIERS[theorem](mu, L, gamma, regime, _mutate=(other, F(1, 1000))).verified
             assert calls == [], (regime, gamma)
+
+
+# ------------------------------------------------ unreduced rationals in the exact path
+
+
+def _unreduced(value: Fraction, k: int) -> _Q:
+    return _Q(value.numerator * k, value.denominator * k)
+
+
+def _rational_operands():
+    """(value as a Fraction, the operand): an int, a Fraction or an unreduced _Q of that value; zeros included."""
+    fractions = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    return st.one_of(
+        st.integers(-6, 6).map(lambda i: (F(i), i)),
+        fractions.map(lambda f: (f, f)),
+        st.tuples(fractions, st.integers(1, 9)).map(lambda p: (p[0], _unreduced(*p))),
+        st.integers(1, 9).map(lambda k: (F(0), _Q(0, k))),
+    )
+
+
+_ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+class TestUnreducedRationals:
+    """`_Q` against `Fraction` over random expression sequences: every operator, either side, every operand type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=_rational_operands(),
+        steps=st.lists(st.tuples(st.sampled_from(_ARITHMETIC), st.booleans(), _rational_operands()), max_size=12),
+    )
+    def test_expression_sequences_match_fraction(self, start, steps):
+        exact, q = start[0], _Q(start[0].numerator, start[0].denominator)
+        for op, reflected, (value, operand) in steps:
+            args, exact_args = ((operand, q), (value, exact)) if reflected else ((q, operand), (exact, value))
+            try:
+                expected = op(*exact_args)
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError) as info:
+                    op(*args)
+                assert str(info.value) == str(exc)  # the divisor was an exact zero
+                continue
+            got = op(*args)
+            assert type(got) is _Q and got.d > 0 and type(got.n) is type(got.d) is int
+            assert got.fraction() == expected and type(got.fraction()) is Fraction
+            for compare in (operator.eq, operator.ne):
+                assert compare(got, operand) is compare(expected, value)
+                assert compare(operand, got) is compare(value, expected)
+            assert (got >= operand) is (expected >= value)
+            assert _is_zero_scalar(got) is (expected == 0) and bool(got) is bool(expected)
+            assert (-got).fraction() == -expected and _nonneg("x", got, None) is (expected >= 0)
+            exact, q = expected, got
+
+    def test_a_foreign_operand_is_declined(self):
+        q = _Q(-6, 4)
+        for foreign in (0.5, "1", None):
+            for op in _ARITHMETIC:
+                with pytest.raises(TypeError):
+                    op(q, foreign)
+                with pytest.raises(TypeError):
+                    op(foreign, q)
+            assert q != foreign and not q == foreign
+        with pytest.raises(TypeError):
+            hash(q)
+
+    def test_a_reported_value_is_reduced(self):
+        assert _Q(-6, 4).fraction() == F(-3, 2) and repr(_Q(-6, 4).fraction()) == "Fraction(-3, 2)"
+        assert _Q(0, 9).fraction() == 0 and _Q(0, 9).fraction().denominator == 1
+
+
+def _typed(items) -> list:
+    """Each (key, value) item with its value's type: an int and the equal Fraction differ here."""
+    return [(k, type(v), v) for k, v in items]
+
+
+def _fraction_route(theorem, mu, L, gamma, regime, mutate):
+    """A report's parts from the builders, `_perturb`, `_nonneg` and `_residual` called with Fraction scalars."""
+    weighted, target, sos = _perturb(_CERTIFICATES[theorem](regime, mu, L, gamma), mutate)
+    residual = SymbolicExpr()
+    if mutate is not None and mutate[0] in _TERM_NAMES[theorem]:
+        residual = _residual(weighted, target, sos, mu, L, gamma)
+    return (
+        [(n, type(v), v, _nonneg(n, v, mutate)) for n, v, _ in weighted],
+        [(n, type(v), v, _nonneg(n, v, mutate), _typed(comb.terms.items())) for n, v, comb in sos],
+        _typed(residual.terms.items()),
+    )
+
+
+class TestUnreducedRationalsMatchFractions:
+    """verify_* computes in `_Q` and reduces each reported value once: the Fraction route's report, term for term.
+
+    Values, their types, term order and residual key order, over the default
+    grid (the boundary in both regimes), unmutated and with every mutation name.
+    """
+
+    @pytest.mark.parametrize("theorem", list(VERIFIERS))
+    def test_default_grid_and_every_mutation_name(self, theorem):
+        names = sorted({n for t in VERIFIERS for n in _TERM_NAMES[t]})
+        assert len(names) == 11
+        expanded = 0
+        for mu, L, gamma, regime in default_grid():
+            for mutate in [None, *((name, F(1, 1000)) for name in names)]:
+                report = VERIFIERS[theorem](mu, L, gamma, regime, _mutate=mutate)
+                assert (type(report.mu), type(report.L), type(report.gamma)) == (Fraction,) * 3
+                assert (report.mu, report.L, report.gamma) == (mu, L, gamma)
+                got = (
+                    [(m.name, type(m.value), m.value, m.nonneg) for m in report.multipliers],
+                    [(t.name, type(t.coefficient), t.coefficient, t.nonneg, _typed(t.combination.items()))
+                     for t in report.sos_terms],
+                    _typed(report.residual.terms.items()),
+                )
+                assert got == _fraction_route(theorem, mu, L, gamma, regime, mutate), (mu, L, gamma, regime, mutate)
+                assert report.residual_zero is (not got[2])
+                expanded += bool(got[2])
+        assert expanded == len(default_grid()) * len(_TERM_NAMES[theorem])
 
 
 # ------------------------------------------------------------ frozen output

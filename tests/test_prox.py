@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from proxrates import (
     BoxIndicator,
+    ClassParams,
     DenseQuadratic,
     L1Norm,
     LinearPlusNonnegIndicator,
@@ -12,7 +14,9 @@ from proxrates import (
     ProxFunction,
     ScaledSqNorm,
     Zero,
+    random_composite,
 )
+from proxrates import engine
 
 from helpers import brute_force_prox_1d, subdifferential_1d
 
@@ -335,6 +339,29 @@ class TestProxInto:
 
         with pytest.raises(NotImplementedError):
             Other().prox(1.0, np.zeros(2))
+
+
+class TestStepBelowTheFloatRange:
+    """A positive step whose float is 0.0 is refused as prox refuses 0.0, by prox and by the loop's check of a rule."""
+
+    TINY = Fraction(1, 10**400)
+
+    def test_prox_refuses_it(self):
+        for h in catalog_members(3):
+            with pytest.raises(ValueError, match="^prox step size must be positive, got 1/1000"):
+                h.prox(self.TINY, np.ones(3))
+
+    def test_the_loop_refuses_a_rule_that_picks_it(self):
+        for kind in ("zero", "nonneg", "box", "l1"):
+            problem, x0 = random_composite(ClassParams(1.0, 10.0), 4, kind, 0)
+            with pytest.raises(ValueError, match="^prox step size must be positive, got 1/1000"):
+                engine._iterate(problem, x0, 3, None, lambda x, g: self.TINY, "fixed", False)
+
+    def test_a_step_whose_float_is_positive_is_that_float(self):
+        for h in catalog_members(3):
+            x = np.array([0.7, -1.3, 2.2])
+            for step in (Fraction(1, 10**300), Fraction(1, 3), 2):
+                assert h.prox(step, x).tobytes() == h.prox(float(step), x).tobytes()
 
 
 class TestErrorPaths:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -377,6 +378,32 @@ def _flat_problems():
         problem([0.0, 0.1, 0.0, 1.0], lin),
     ]
     return bounded, unbounded
+
+
+class TestFixedPointResidualStep:
+    """fixed_point_residual takes the one PGM step: bit for bit the expression it replaced, over every catalog h."""
+
+    @staticmethod
+    def _problems():
+        yield from TestCompositeProblem()._problems()
+        for kind in ("zero", "nonneg", "box", "l1"):
+            yield random_composite(ClassParams(1.0, 10.0), 6, kind, seed=3)[0]
+
+    def test_matches_the_prox_expression(self):
+        for problem in self._problems():
+            x_star, _ = problem.optimum()
+            for gamma in (0.05, 0.3, 1 / 3, 2 / 5, 1, 2, Fraction(1, 3), Fraction(2, 7), Fraction(1, 10**300)):
+                old = float(np.linalg.norm(problem.h.prox(gamma, x_star - gamma * problem.f.grad(x_star)) - x_star))
+                assert problem.fixed_point_residual(gamma).hex() == old.hex(), (problem.h, gamma)
+
+    def test_refuses_a_step_that_prox_refuses(self):
+        problem = next(self._problems())
+        for gamma in (0.0, -1, math.nan, math.inf, Fraction(1, 10**400)):
+            with pytest.raises(ValueError) as expected:
+                problem.h._check_gamma(gamma)
+            with pytest.raises(ValueError) as info:
+                problem.fixed_point_residual(gamma)
+            assert str(info.value) == str(expected.value)
 
 
 class TestClosedFormOptimum:
